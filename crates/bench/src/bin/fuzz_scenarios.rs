@@ -20,18 +20,32 @@
 //!
 //! The run is bit-reproducible: same `--seed` and `--count` produce the
 //! same specs, the same verdicts and the same report fingerprint for
-//! any `--jobs` value or `ABW_JOBS` setting.
+//! any `--jobs` value or `ABW_JOBS` setting. A flag value that does not
+//! parse prints the usage and exits 2.
 
 use std::path::PathBuf;
 
 use abw_bench::{format_from_args, Format, Session, Table};
 use abw_core::scenario::fuzz::{self, FuzzConfig};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: fuzz_scenarios [--seed S] [--count N] [--jobs J] \
+                     [--repro-dir DIR] [--shrink-budget B] [--max-scenario-ms MS] \
+                     [--quick] [--csv]";
+
+/// The value after `flag` run through `parse`: `Ok(None)` when the flag
+/// is absent, an error when its value is missing or does not parse.
+fn arg_value<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).ok_or(format!("{flag} needs a value"))?;
+    parse(value)
+        .map(Some)
+        .ok_or(format!("{flag}: cannot parse `{value}`"))
 }
 
 fn parse_seed(s: &str) -> Option<u64> {
@@ -42,38 +56,43 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-fn main() {
-    let mut session = Session::start("fuzz_scenarios");
-    let format = format_from_args();
-    let args: Vec<String> = std::env::args().collect();
+/// The campaign `args` ask for, and whether it is the `--quick` one.
+fn config_from_args(args: &[String]) -> Result<(FuzzConfig, bool), String> {
     let quick = args.iter().any(|a| a == "--quick");
-
     let mut config = FuzzConfig::new(if quick { 0xF522 } else { 1 }, if quick { 25 } else { 50 });
     if quick {
         // keep the CI smoke leg bounded: no single palette corner may
         // eat the whole job's wall clock
         config.max_scenario_ms = Some(30_000);
     }
-    if let Some(ms) = arg_value(&args, "--max-scenario-ms").and_then(|s| s.parse().ok()) {
+    if let Some(ms) = arg_value(args, "--max-scenario-ms", |s| s.parse().ok())? {
         config.max_scenario_ms = Some(ms);
     }
-    if let Some(seed) = arg_value(&args, "--seed").and_then(|s| parse_seed(&s)) {
+    if let Some(seed) = arg_value(args, "--seed", parse_seed)? {
         config.seed = seed;
     }
-    if let Some(count) = arg_value(&args, "--count").and_then(|s| s.parse().ok()) {
+    if let Some(count) = arg_value(args, "--count", |s| s.parse().ok())? {
         config.count = count;
     }
-    if let Some(jobs) = arg_value(&args, "--jobs").and_then(|s| s.parse().ok()) {
+    if let Some(jobs) = arg_value(args, "--jobs", |s| s.parse().ok())? {
         config.jobs = jobs;
     }
-    if let Some(budget) = arg_value(&args, "--shrink-budget").and_then(|s| s.parse().ok()) {
+    if let Some(budget) = arg_value(args, "--shrink-budget", |s| s.parse().ok())? {
         config.shrink_budget = budget;
     }
-    config.repro_dir = Some(
-        arg_value(&args, "--repro-dir")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("target/fuzz-repros")),
-    );
+    let repro_dir = arg_value(args, "--repro-dir", |s| Some(PathBuf::from(s)))?;
+    config.repro_dir = Some(repro_dir.unwrap_or_else(|| PathBuf::from("target/fuzz-repros")));
+    Ok((config, quick))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let (config, quick) = config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("fuzz_scenarios: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let mut session = Session::start("fuzz_scenarios");
+    let format = format_from_args();
 
     session
         .manifest()
@@ -159,5 +178,33 @@ fn main() {
     session.finish();
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(FuzzConfig, bool), String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        config_from_args(&args)
+    }
+
+    #[test]
+    fn unparseable_values_are_errors_not_the_default_campaign() {
+        let (config, quick) =
+            parse("fuzz_scenarios --quick --seed 0x10 --count 3 --max-scenario-ms 500").unwrap();
+        assert!(quick);
+        let parsed = (config.seed, config.count, config.max_scenario_ms);
+        assert_eq!(parsed, (16, 3, Some(500)));
+        for bad in [
+            "fuzz_scenarios --count 1O",
+            "fuzz_scenarios --seed zz",
+            "fuzz_scenarios --max-scenario-ms 30s",
+            "fuzz_scenarios --jobs -1",
+            "fuzz_scenarios --shrink-budget",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

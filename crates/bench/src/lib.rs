@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one binary per figure/table of the paper
 //! (`fig1` … `fig7`, `table1`, `exp_faster`, `exp_capacity`, and the
-//! `all` runner), plus Criterion benches for the simulator and the
-//! estimation kernels.
+//! `all` runner). Performance is measured end to end by the separate
+//! `perfbench` package (see the root `BENCHMARK.json`).
 //!
 //! Binaries print the same rows/series the paper reports, as aligned
 //! text tables; pass `--csv` to any binary to get comma-separated output
@@ -31,7 +31,6 @@ use std::time::Instant;
 
 use abw_obs::{JsonlRecorder, RunManifest};
 
-pub mod perf;
 pub mod reports;
 pub mod scenario;
 

@@ -429,7 +429,8 @@ fn cross_kind_name(kind: CrossKind) -> &'static str {
     }
 }
 
-fn parse_cross_kind(s: &str) -> Result<CrossKind, String> {
+/// The [`CrossKind`] a DSL model name (`cross=` value) denotes.
+pub fn parse_cross_kind(s: &str) -> Result<CrossKind, String> {
     match s {
         "cbr" => Ok(CrossKind::Cbr),
         "poisson" => Ok(CrossKind::Poisson),

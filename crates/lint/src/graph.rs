@@ -177,7 +177,7 @@ pub fn crate_of(rel: &Path) -> Option<String> {
 /// Workspace and vendored crate identifiers that count as graph nodes
 /// when they appear as the first segment of an import path.
 fn is_tracked_dep(seg: &str) -> bool {
-    seg.starts_with("abw_") || matches!(seg, "abwe" | "rand" | "proptest" | "criterion")
+    seg.starts_with("abw_") || matches!(seg, "abwe" | "rand" | "proptest")
 }
 
 /// Accumulates crate-level edges from one file's imports into `edges`.

@@ -7,7 +7,8 @@
 //! are recycled through a free list, so the steady-state hot path
 //! performs no heap allocation per packet at all — the slab grows to
 //! the peak number of simultaneously in-flight packets and then stays
-//! there (`BENCH_8.json` pins the collapse of `heap_allocs`).
+//! there (`perfbench --trace 1` reports what allocation remains per
+//! operation as `alloc.count`).
 //!
 //! Slots carry a generation counter that is bumped on every free. A
 //! [`PacketRef`] whose generation disagrees with its slot is stale —

@@ -375,7 +375,7 @@ pub fn fmt_duration(d: SimDuration) -> String {
 }
 
 /// Parses a duration with an `ns`/`us`/`ms`/`s` suffix (e.g. `500us`,
-/// `2.5ms`).
+/// `2.5ms`). Durations above 2^53 ns (about 104 days) are rejected.
 pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let s = s.trim();
     let (number, scale) = if let Some(n) = s.strip_suffix("ns") {
@@ -395,6 +395,11 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
         .map_err(|_| format!("duration `{s}` is not a number"))?;
     if !(value.is_finite() && value >= 0.0) {
         return Err(format!("duration `{s}` must be non-negative and finite"));
+    }
+    // simulated time is a u64 of nanoseconds: spans up to 2^53 ns stay
+    // exact in f64 and far from overflowing any instant they extend
+    if value * scale * 1e9 > (1u64 << 53) as f64 {
+        return Err(format!("duration `{s}` exceeds 2^53 ns (about 104 days)"));
     }
     Ok(SimDuration::from_secs_f64(value * scale))
 }
@@ -714,6 +719,16 @@ mod tests {
         for ns in [1u64, 999, 1_000, 123_456, 7_000_000, 86_400_000_000_000] {
             let d = SimDuration::from_nanos(ns);
             assert_eq!(parse_duration(&fmt_duration(d)).unwrap(), d, "{ns}ns");
+        }
+    }
+
+    #[test]
+    fn durations_past_2_pow_53_ns_are_rejected_not_saturated() {
+        let ns = parse_duration("9000000s").unwrap().as_nanos();
+        assert_eq!(ns, 9_000_000_000_000_000);
+        for spec in ["jitter=1e300s", "reorder=0.1:9010000s", "flap=1e300s:1e6"] {
+            let err = ImpairmentConfig::parse(spec).unwrap_err();
+            assert!(err.contains("exceeds 2^53 ns"), "`{spec}`: {err}");
         }
     }
 

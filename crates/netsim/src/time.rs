@@ -79,7 +79,11 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// nanosecond. Panics on negative or non-finite input.
+    /// nanosecond. Panics on negative or non-finite input. Larger input
+    /// saturates at `u64::MAX` nanoseconds (about 584 years), which
+    /// overflows the first non-zero instant it is added to: bound
+    /// durations read from outside the program first, as
+    /// [`crate::impair::parse_duration`] does.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(
             s.is_finite() && s >= 0.0,

@@ -56,7 +56,7 @@ pub enum Cost {
     /// Estimator state-machine steps (`Estimator::next` calls).
     ToolSteps = 4,
     /// Heap allocations (counted only when the `alloc-count` feature's
-    /// [`CountingAlloc`] is installed as the global allocator).
+    /// `CountingAlloc` is installed as the global allocator).
     HeapAllocs = 5,
     /// Heap bytes requested (same caveat as [`Cost::HeapAllocs`]).
     HeapBytes = 6,
@@ -603,15 +603,14 @@ pub fn take_profile() -> Profile {
 }
 
 // ---------------------------------------------------------------------
-// Counting allocator (feature-gated; installed only by perf harness
-// binaries)
+// Counting allocator (feature-gated; installed only by the benchmark)
 // ---------------------------------------------------------------------
 
 /// A global allocator that tallies [`Cost::HeapAllocs`] /
 /// [`Cost::HeapBytes`] while delegating to the system allocator.
 ///
-/// Behind the `alloc-count` feature and installed only by `abw-bench`'s
-/// `perf` binary (`#[global_allocator]`); library crates never pay for
+/// Behind the `alloc-count` feature and wrapped only by the `perfbench`
+/// benchmark's `#[global_allocator]`; library crates never pay for
 /// it. Counts go straight to the process totals — the allocator runs
 /// under conditions (thread teardown, TLS init) where thread-locals are
 /// off-limits.

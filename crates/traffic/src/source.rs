@@ -184,7 +184,7 @@ pub fn spawn_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Cbr, PoissonProcess};
+    use crate::process::{Cbr, ParetoInterarrival, PoissonProcess};
     use crate::sizes::SizeDist;
     use abw_netsim::{CountingSink, LinkConfig};
 
@@ -251,10 +251,11 @@ mod tests {
         assert!((util - 0.5).abs() < 0.02, "utilisation {util}");
     }
 
-    /// Runs one Poisson-over-bottleneck scenario and returns every
+    /// Runs the sources `spawn` adds over one bottleneck and returns every
     /// observable the fluid fast-forward path could plausibly disturb.
     fn run_observables(
         fluid: bool,
+        spawn: &dyn Fn(&mut Simulator, PathId, AgentId) -> Vec<AgentId>,
     ) -> (
         u64,
         u64,
@@ -274,22 +275,20 @@ mod tests {
             .add_link(LinkConfig::new(50e6, SimDuration::from_millis(1)).with_queue_bytes(15_000));
         let path = sim.add_path(vec![link]);
         let sink = sim.add_agent(Box::new(CountingSink::new()));
-        let src = sim.add_agent(Box::new(
-            SourceAgent::new(
-                Box::new(PoissonProcess::new(60e6, SizeDist::Constant(1500), 7)),
-                path,
-                sink,
-                FlowId(1),
-            )
-            .with_stop_at(SimTime::from_nanos(1_600_000_000)),
-        ));
+        let sources = spawn(&mut sim, path, sink);
+        for &src in &sources {
+            sim.agent_mut::<SourceAgent>(src).stop_at = Some(SimTime::from_nanos(1_600_000_000));
+        }
         // chunked run: windows must close at each deadline and
         // materialise their pending virtual events exactly
         for i in 1..=8 {
             sim.run_until(SimTime::from_nanos(i * 250_000_000));
             if i == 3 {
                 // retune mid-run: the draw buffer persists across it
-                sim.agent_mut::<SourceAgent>(src).set_rate_bps(30e6);
+                let rate_bps = 30e6 / sources.len() as f64;
+                for &src in &sources {
+                    sim.agent_mut::<SourceAgent>(src).set_rate_bps(rate_bps);
+                }
             }
         }
         sim.run_to_quiescence();
@@ -312,7 +311,31 @@ mod tests {
     #[test]
     fn fluid_fast_forward_is_bit_identical_to_event_loop() {
         abw_netsim::invariants::arm();
-        assert_eq!(run_observables(true), run_observables(false));
+        const MTU: SizeDist = SizeDist::Constant(1500);
+        let shapes: [fn() -> Box<dyn ArrivalProcess>; 4] = [
+            || Box::new(Cbr::new(60e6, 1500)),
+            || Box::new(PoissonProcess::new(60e6, MTU, 7)),
+            || Box::new(ParetoOnOff::new(60e6, 150e6, 1500, 7)),
+            || Box::new(ParetoInterarrival::new(60e6, MTU, 1.5, 7)),
+        ];
+        for (i, make) in shapes.into_iter().enumerate() {
+            let spawn = |sim: &mut Simulator, path, sink| {
+                vec![sim.add_agent(Box::new(SourceAgent::new(make(), path, sink, FlowId(1))))]
+            };
+            assert_eq!(
+                run_observables(true, &spawn),
+                run_observables(false, &spawn),
+                "shape {i}"
+            );
+        }
+        // 16 sources on one link: windows hand off between sources
+        let aggregate = |sim: &mut Simulator, path, sink| {
+            spawn_aggregate(sim, 16, 60e6, 150e6, 1500, path, sink, 1, 7)
+        };
+        assert_eq!(
+            run_observables(true, &aggregate),
+            run_observables(false, &aggregate)
+        );
     }
 
     #[test]

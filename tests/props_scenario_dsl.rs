@@ -66,6 +66,16 @@ fn deny_fixture_loss_out_of_range() {
 }
 
 #[test]
+fn deny_fixture_latency_overflow() {
+    // past 2^53 ns a duration would saturate and overflow simulated time
+    let (path, result) = parse_fixture("latency_overflow.scn");
+    let e = result.expect_err("a latency past 2^53 ns must be rejected");
+    assert_eq!(e.file, path);
+    assert_eq!((e.line, e.col), (4, 31), "{e}");
+    assert!(e.message.contains("exceeds 2^53 ns"), "{e}");
+}
+
+#[test]
 fn deny_fixture_duplicate_hop_key() {
     let (path, result) = parse_fixture("dup_hop_key.scn");
     let e = result.expect_err("duplicate hop key must be rejected");

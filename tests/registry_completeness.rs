@@ -53,8 +53,8 @@ fn find_round_trips_every_name_into_a_working_estimator() {
     }
 }
 
-/// `BENCH_*.json` shows byte-identical cost rows for two tool pairs —
-/// `igi`/`ptr` (same probe packets, same events) and
+/// Two tool pairs cost the same probe packets and events, bit for bit:
+/// `igi`/`ptr` and
 /// `pathchirp`/`schirp`. That is genuine, not a registry bug: each
 /// pair shares one probing engine (`ptr` is the `Igi` gap-increase
 /// train with the turning-point *rate* estimator instead of the IGI
@@ -63,7 +63,7 @@ fn find_round_trips_every_name_into_a_working_estimator() {
 /// must cost identical packets and events; this pins the equality so
 /// an accidental config divergence (or a registry entry built from
 /// the wrong constructor) shows up as a test failure, not as a silent
-/// shift in the perf baseline.
+/// shift in the benchmark's per-tool rows.
 #[test]
 fn shared_engine_tool_pairs_have_identical_probe_cost() {
     use abwe::core::scenario::{Scenario, SingleHopConfig};

@@ -1,7 +1,8 @@
 //! Golden regression tests for the `--quick` CSV artifacts.
 //!
-//! `shootout --quick --csv` and `table1 --quick --csv` must keep
-//! producing the exact bytes checked in under `tests/golden/` — the
+//! `shootout --quick --csv`, `table1 --quick --csv` and
+//! `loss_sweep --quick --csv` must keep producing the exact bytes
+//! checked in under `tests/golden/` — the
 //! tables are deterministic (seeded simulations, fixed rounding), so
 //! any diff is a behaviour change: an estimator edit, a scenario edit,
 //! an RNG change, or an executor ordering bug. The tests render through
@@ -16,8 +17,9 @@
 
 use std::path::Path;
 
-use abw_bench::reports::{shootout_table, table1_table};
+use abw_bench::reports::{loss_sweep_table, shootout_table, table1_table};
 use abw_bench::Format;
+use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
 use abw_core::experiments::pairs_vs_trains::{self, PairsVsTrainsConfig};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
 
@@ -59,5 +61,16 @@ fn table1_quick_csv_matches_golden() {
     check_golden(
         "table1_quick.csv",
         &table1_table(&result).render(Format::Csv),
+    );
+}
+
+/// The only golden over impaired links: every tool on the single-hop
+/// path at 0, 0.1, 1 and 5 % i.i.d. ingress loss.
+#[test]
+fn loss_sweep_quick_csv_matches_golden() {
+    let result = loss_sweep::run(&LossSweepConfig::quick());
+    check_golden(
+        "loss_sweep_quick.csv",
+        &loss_sweep_table(&result).render(Format::Csv),
     );
 }

@@ -23,6 +23,10 @@ use crate::tools::{
 /// Token that fires the launch of a pending stream.
 const TOKEN_LAUNCH: u64 = u64::MAX;
 
+/// The grid, counted from the start of [`ProbeRunner::run_stream`], on
+/// which a completed stream hands the clock back to its caller.
+const STREAM_POLL: SimDuration = SimDuration::from_millis(5);
+
 /// The probing sender agent: idle until a stream is armed, then emits the
 /// stream's packets at their exact offsets.
 pub struct ProbeSender {
@@ -112,6 +116,9 @@ pub struct ProbeRecord {
 #[derive(Default)]
 pub struct ProbeReceiver {
     streams: BTreeMap<u32, Vec<ProbeRecord>>,
+    /// `(stream, count)` armed by `expect`: the run halts when that
+    /// stream holds `count` records.
+    expect: Option<(u32, usize)>,
 }
 
 impl ProbeReceiver {
@@ -120,13 +127,20 @@ impl ProbeReceiver {
         ProbeReceiver::default()
     }
 
-    /// Packets received so far for `stream`.
-    pub fn received(&self, stream: u32) -> usize {
-        self.streams.get(&stream).map_or(0, Vec::len)
+    /// Arms the receiver to halt the running simulation
+    /// ([`Ctx::halt`]) on the arrival that brings `stream` to `count`
+    /// records. Returns `true`, and stays unarmed, when the stream
+    /// already holds that many.
+    fn expect(&mut self, stream: u32, count: usize) -> bool {
+        let complete = self.streams.get(&stream).map_or(0, Vec::len) >= count;
+        self.expect = (!complete).then_some((stream, count));
+        complete
     }
 
-    /// Removes and returns the records of `stream`, sorted by sequence.
+    /// Removes and returns the records of `stream`, sorted by sequence,
+    /// and disarms the halt [`ProbeRunner::run_stream`] armed.
     pub fn take(&mut self, stream: u32) -> Vec<ProbeRecord> {
+        self.expect = None;
         let mut v = self.streams.remove(&stream).unwrap_or_default();
         v.sort_by_key(|r| r.seq);
         v
@@ -138,11 +152,16 @@ impl Agent for ProbeReceiver {
         let PacketKind::Probe { stream } = packet.kind else {
             return;
         };
-        self.streams.entry(stream).or_default().push(ProbeRecord {
+        let records = self.streams.entry(stream).or_default();
+        records.push(ProbeRecord {
             seq: packet.seq as u32,
             sent_at: packet.sent_at,
             recv_at: ctx.now(),
         });
+        if self.expect == Some((stream, records.len())) {
+            self.expect = None;
+            ctx.halt();
+        }
     }
 }
 
@@ -281,7 +300,9 @@ impl ProbeRunner {
 
     /// Sends one stream and returns its measurements. The simulation
     /// advances until every packet arrived or the drain timeout expires
-    /// (lost packets simply stay absent from the result).
+    /// (lost packets simply stay absent from the result); a complete
+    /// stream then runs on to the next 5 ms boundary counted from the
+    /// call.
     pub fn run_stream(&mut self, sim: &mut Simulator, spec: &StreamSpec) -> StreamResult {
         let _prof = abw_obs::prof::span("probe.stream");
         let id = self.next_stream_id;
@@ -289,21 +310,32 @@ impl ProbeRunner {
 
         sim.agent_mut::<ProbeSender>(self.sender)
             .arm(spec.clone(), id);
-        let launch_at = sim.now() + self.stream_gap;
+        let t0 = sim.now();
+        let launch_at = t0 + self.stream_gap;
         sim.schedule_timer(self.sender, launch_at, TOKEN_LAUNCH);
 
-        let expected = spec.count() as usize;
+        // the receiver halts the run on the stream's last arrival; a
+        // lossy stream runs to the deadline, costing exactly the drain
+        // timeout
         let deadline = launch_at + spec.duration() + self.drain_timeout;
-        // advance in slices so we can stop as soon as the stream is in;
-        // the final slice is clamped so a lossy stream costs exactly the
-        // drain timeout, never a slice more
-        let slice = SimDuration::from_millis(5);
-        while sim.now() < deadline {
-            let step = slice.min(deadline.since(sim.now()));
-            sim.run_for(step);
-            if sim.agent::<ProbeReceiver>(self.receiver).received(id) >= expected {
-                break;
-            }
+        let complete = sim
+            .agent_mut::<ProbeReceiver>(self.receiver)
+            .expect(id, spec.count() as usize);
+        if t0 < deadline && (complete || sim.run_until(deadline)) {
+            // Once complete, run on to the first poll boundary at or
+            // after the last arrival (at least one poll in), capped at
+            // the deadline: the instant a runner that checked the
+            // receiver every 5 ms stopped at. The next stream starts
+            // from this clock, so keeping the boundary keeps every
+            // result bit-identical; moving it would change the golden
+            // outputs and is a separate decision.
+            let polls = sim
+                .now()
+                .since(t0)
+                .as_nanos()
+                .div_ceil(STREAM_POLL.as_nanos())
+                .max(1);
+            sim.run_until(deadline.min(t0 + STREAM_POLL.mul(polls)));
         }
         let records = sim.agent_mut::<ProbeReceiver>(self.receiver).take(id);
         StreamResult {
@@ -895,6 +927,163 @@ mod tests {
         assert_eq!(r.loss_fraction(), 1.0);
         let deadline = t0 + runner.stream_gap + spec.duration() + runner.drain_timeout;
         assert_eq!(sim.now(), deadline, "run_stream overran its drain deadline");
+    }
+
+    /// The runner's former completion loop, kept as the reference
+    /// `run_stream` must match: advance in 5 ms slices, the last one
+    /// clamped to the deadline, and check the receiver after each.
+    fn run_stream_polling(
+        runner: &mut ProbeRunner,
+        sim: &mut Simulator,
+        spec: &StreamSpec,
+    ) -> StreamResult {
+        let id = runner.next_stream_id;
+        runner.next_stream_id += 1;
+        sim.agent_mut::<ProbeSender>(runner.sender)
+            .arm(spec.clone(), id);
+        let launch_at = sim.now() + runner.stream_gap;
+        sim.schedule_timer(runner.sender, launch_at, TOKEN_LAUNCH);
+        let expected = spec.count() as usize;
+        let deadline = launch_at + spec.duration() + runner.drain_timeout;
+        let slice = SimDuration::from_millis(5);
+        while sim.now() < deadline {
+            let step = slice.min(deadline.since(sim.now()));
+            sim.run_for(step);
+            let receiver = sim.agent::<ProbeReceiver>(runner.receiver);
+            if receiver.streams.get(&id).map_or(0, Vec::len) >= expected {
+                break;
+            }
+        }
+        let records = sim.agent_mut::<ProbeReceiver>(runner.receiver).take(id);
+        StreamResult {
+            spec: spec.clone(),
+            stream_id: id,
+            records,
+        }
+    }
+
+    #[test]
+    fn completion_matches_the_polling_reference() {
+        use crate::scenario::{CrossKind, HopSpec, Scenario};
+        use abw_netsim::ImpairmentConfig;
+
+        let canonical = HopSpec::canonical(CrossKind::Poisson);
+        let lossy = |p| {
+            vec![canonical
+                .clone()
+                .with_impairment(ImpairmentConfig::iid_loss(p))]
+        };
+        let paths = [
+            ("pristine", vec![canonical.clone()]),
+            ("5% loss", lossy(0.05)),
+            ("total loss", lossy(1.0)),
+            (
+                "2 hops",
+                vec![canonical.clone(), HopSpec::canonical(CrossKind::Cbr)],
+            ),
+        ];
+        let specs = [
+            StreamSpec::Periodic {
+                rate_bps: 20e6,
+                size: 1500,
+                count: 50,
+            },
+            // overloads the tight link: the stream queues behind itself
+            StreamSpec::Periodic {
+                rate_bps: 60e6,
+                size: 1500,
+                count: 100,
+            },
+            StreamSpec::Pair {
+                rate_bps: 100e6,
+                size: 1500,
+            },
+            StreamSpec::Chirp {
+                start_rate_bps: 5e6,
+                gamma: 1.2,
+                size: 1000,
+                count: 15,
+            },
+        ];
+        for (name, hops) in &paths {
+            for gap_ms in [0, 10, 50] {
+                let case = format!("{name}, {gap_ms} ms gap");
+                let build = || {
+                    let mut s = Scenario::from_hops(hops.clone(), 7);
+                    s.warm_up(SimDuration::from_millis(200));
+                    let mut runner = s.runner();
+                    runner.stream_gap = SimDuration::from_millis(gap_ms);
+                    (s, runner)
+                };
+                let (mut a, mut runner_a) = build();
+                let (mut b, mut runner_b) = build();
+                for spec in &specs {
+                    let got = runner_a.run_stream(&mut a.sim, spec);
+                    let want = run_stream_polling(&mut runner_b, &mut b.sim, spec);
+                    assert_eq!(got.records, want.records, "{case}: {spec:?}");
+                    assert_eq!(a.sim.now(), b.sim.now(), "{case}: {spec:?}");
+                    assert_eq!(a.sim.counters(), b.sim.counters(), "{case}: {spec:?}");
+                }
+                // records left over for the next id complete the stream
+                // before it launches: both stop on the first poll
+                let stale = record(0, 0, 0);
+                for (s, runner) in [(&mut a, &runner_a), (&mut b, &runner_b)] {
+                    let receiver = s.sim.agent_mut::<ProbeReceiver>(runner.receiver);
+                    receiver
+                        .streams
+                        .insert(runner.next_stream_id, vec![stale; 2]);
+                }
+                let pair = &specs[2];
+                let got = runner_a.run_stream(&mut a.sim, pair);
+                let want = run_stream_polling(&mut runner_b, &mut b.sim, pair);
+                assert_eq!(got.records, want.records, "{case}: stale records");
+                assert_eq!(a.sim.now(), b.sim.now(), "{case}: stale records");
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_on_a_poll_boundary_stops_on_that_boundary() {
+        // idle 50 Mb/s link, 3.76 ms propagation, no stream gap: the
+        // pair's second packet leaves at 1 ms and lands at exactly
+        // 1 ms + 240 us + 3.76 ms = 5 ms, the first poll boundary
+        let build = || {
+            let mut sim = Simulator::new();
+            let link = sim.add_link(LinkConfig::new(50e6, SimDuration::from_micros(3_760)));
+            let path = sim.add_path(vec![link]);
+            let receiver = sim.add_agent(Box::new(ProbeReceiver::new()));
+            let sender = sim.add_agent(Box::new(ProbeSender::new(path, receiver, FlowId(0))));
+            let mut runner = ProbeRunner::new(sender, receiver);
+            runner.stream_gap = SimDuration::ZERO;
+            (sim, runner)
+        };
+        let pair = StreamSpec::Pair {
+            rate_bps: 12e6,
+            size: 1500,
+        };
+        let (mut a, mut runner_a) = build();
+        let (mut b, mut runner_b) = build();
+        let got = runner_a.run_stream(&mut a, &pair);
+        let want = run_stream_polling(&mut runner_b, &mut b, &pair);
+        assert_eq!(got.records, want.records);
+        assert_eq!(got.records[1].recv_at, SimTime::from_nanos(5_000_000));
+        assert_eq!(a.now(), b.now());
+        assert_eq!(a.now(), SimTime::from_nanos(5_000_000));
+    }
+
+    /// An empty spec never reaches the completion logic: its duration
+    /// is undefined, so `run_stream` rejects it before simulating, as
+    /// the polling loop did.
+    #[test]
+    #[should_panic(expected = "a stream needs at least 2 packets")]
+    fn zero_packet_spec_is_rejected_before_probing() {
+        let (mut sim, mut runner) = idle_sim();
+        let empty = StreamSpec::Periodic {
+            rate_bps: 20e6,
+            size: 1500,
+            count: 0,
+        };
+        runner.run_stream(&mut sim, &empty);
     }
 
     #[test]

@@ -739,6 +739,20 @@ pub fn run_spec_bounded(
     exec: &Executor,
     max_scenario: Option<SimDuration>,
 ) -> BoundedRun {
+    run_spec_fluid(spec, exec, max_scenario, true)
+}
+
+/// [`run_spec_bounded`] with each cell's fluid window switched on or
+/// off ([`abw_netsim::Simulator::set_fluid`]) from the start of its
+/// warm-up. The window is an optimisation whose output is bit-identical
+/// either way, so this is no public option: the scenario fuzzer uses it
+/// to check that claim.
+pub(crate) fn run_spec_fluid(
+    spec: &ScenarioSpec,
+    exec: &Executor,
+    max_scenario: Option<SimDuration>,
+    fluid: bool,
+) -> BoundedRun {
     let entries = spec.tool_entries();
     let tool_config = spec.tool_config();
     let rounds = spec.rounds;
@@ -751,7 +765,9 @@ pub fn run_spec_bounded(
                 let spec = spec.clone();
                 let tool_config = tool_config.clone();
                 move || {
-                    let mut s = Scenario::from_spec(&spec, seed);
+                    let mut s = Scenario::from_hops(spec.hops.clone(), seed);
+                    s.sim.set_fluid(fluid);
+                    s.warm_up(spec.warmup);
                     let deadline = max_scenario.map(|d| s.sim.now() + d);
                     let mut session = s.session();
                     let mut verdicts: Vec<Verdict> = Vec::with_capacity(rounds as usize);

@@ -20,7 +20,13 @@
 //!    `ABW_CHECK invariant violated:` report from the simulator.
 //! 3. **Serial ≡ parallel** — the outcome list is compared bit-for-bit
 //!    between [`Executor::serial`] and a multi-worker executor.
-//! 4. **Verdict sanity** — every verdict is finite (or a documented
+//! 4. **Fluid ≡ per-event** — the spec runs once more with every
+//!    simulator's fluid fast-forward window off, and its outcomes and
+//!    timeouts must match the serial leg's bit for bit. The palette's
+//!    multi-hop paths and its loss, jitter and reorder impairments
+//!    decide which links the window may run, so this checks the
+//!    window's gate as well as the window.
+//! 5. **Verdict sanity** — every verdict is finite (or a documented
 //!    clamped [`crate::tools::RangeEstimate`]), claims at least one
 //!    probe packet, and — on scenarios without timing impairments —
 //!    stays below `2 ×` the narrow-link capacity. The slack is not
@@ -335,27 +341,16 @@ pub fn evaluate(
         dsl::run_spec_bounded(spec, &exec, budget)
     }))
     .map_err(|p| format!("panic during parallel run: {}", panic_message(&p)))?;
-    if serial.outcomes.len() != parallel.outcomes.len() {
-        return Err(format!(
-            "serial/parallel outcome counts differ: {} vs {}",
-            serial.outcomes.len(),
-            parallel.outcomes.len()
-        ));
-    }
-    for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
-        let (la, lb) = (outcome_line(a), outcome_line(b));
-        if la != lb {
-            return Err(format!("serial/parallel divergence: `{la}` vs `{lb}`"));
-        }
-    }
-    if serial.timeouts != parallel.timeouts {
-        return Err(format!(
-            "serial/parallel timeout divergence: {:?} vs {:?}",
-            serial.timeouts, parallel.timeouts
-        ));
-    }
+    same_run("serial/parallel", &serial, &parallel)?;
 
-    // 4. verdict sanity
+    // 4. so must a run with the fluid window off
+    let per_event = catch_unwind(AssertUnwindSafe(|| {
+        dsl::run_spec_fluid(spec, &exec, budget, false)
+    }))
+    .map_err(|p| format!("panic during fluid-off run: {}", panic_message(&p)))?;
+    same_run("serial/fluid-off", &serial, &per_event)?;
+
+    // 5. verdict sanity
     let timing_impaired = has_timing_impairment(spec);
     // 2x, not tighter: pathChirp's excursion analysis spots its own
     // self-congestion a few gamma steps late on a near-idle path and
@@ -391,11 +386,36 @@ pub fn evaluate(
         }
     }
 
-    // 5. injected checks (on the cells that finished)
+    // 6. injected checks (on the cells that finished)
     if let Some(check) = extra_check {
         check(spec, &serial.outcomes)?;
     }
     Ok(serial)
+}
+
+/// Bit-compares two runs of one spec: outcome lines, then timeouts.
+/// `legs` names the pair in the failure message.
+fn same_run(legs: &str, a: &BoundedRun, b: &BoundedRun) -> Result<(), String> {
+    if a.outcomes.len() != b.outcomes.len() {
+        return Err(format!(
+            "{legs} outcome counts differ: {} vs {}",
+            a.outcomes.len(),
+            b.outcomes.len()
+        ));
+    }
+    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+        let (lx, ly) = (outcome_line(x), outcome_line(y));
+        if lx != ly {
+            return Err(format!("{legs} divergence: `{lx}` vs `{ly}`"));
+        }
+    }
+    if a.timeouts != b.timeouts {
+        return Err(format!(
+            "{legs} timeout divergence: {:?} vs {:?}",
+            a.timeouts, b.timeouts
+        ));
+    }
+    Ok(())
 }
 
 /// True when any hop carries a jitter, reorder or flap impairment —

@@ -47,8 +47,10 @@ pub trait Agent: Any + Send {
     }
 
     /// True when `on_packet` only updates internal counters: it never
-    /// sends, schedules, or emits trace events. Deliveries to passive
-    /// sinks may be processed inside a fluid fast-forward window.
+    /// sends, schedules, emits trace events or calls [`Ctx::halt`].
+    /// Deliveries to passive sinks may be processed inside a fluid
+    /// fast-forward window; since they never halt, a halt never falls
+    /// inside a window.
     fn is_passive_sink(&self) -> bool {
         false
     }
@@ -103,6 +105,7 @@ pub struct Ctx<'a> {
     pub(crate) arena: &'a mut PacketArena,
     pub(crate) next_packet_id: &'a mut u64,
     pub(crate) injected: &'a mut u64,
+    pub(crate) halt: &'a mut bool,
     pub(crate) recorder: Option<&'a mut (dyn Recorder + 'static)>,
 }
 
@@ -115,6 +118,17 @@ impl Ctx<'_> {
     /// The id of the agent being called.
     pub fn self_id(&self) -> AgentId {
         self.agent
+    }
+
+    /// Stops the running [`Simulator::run_until`] right after the
+    /// current event, with the clock at this event's time — how a
+    /// receiver ends a run the moment what it waits for has arrived.
+    /// [`Simulator::run_to_quiescence`] ignores it.
+    ///
+    /// [`Simulator::run_until`]: crate::sim::Simulator::run_until
+    /// [`Simulator::run_to_quiescence`]: crate::sim::Simulator::run_to_quiescence
+    pub fn halt(&mut self) {
+        *self.halt = true;
     }
 
     /// True when the simulation has a recorder installed — lets agents

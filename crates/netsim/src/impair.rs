@@ -445,6 +445,18 @@ impl Impairment {
         &self.config
     }
 
+    /// True when every decision is taken at link ingress: a loss
+    /// process at most, with no reorder hold, no jitter and no capacity
+    /// flap. The link then still serves packets FIFO at its base rate
+    /// with no extra egress delay, and its RNG advances only inside
+    /// [`crate::link::Link::enqueue`] — which is what lets the fluid
+    /// window run such a link (see `Simulator::dispatch_timer`).
+    pub(crate) fn is_ingress_only(&self) -> bool {
+        self.config.reorder.is_none_or(|r| r.prob <= 0.0)
+            && self.config.jitter.is_none_or(|j| j == SimDuration::ZERO)
+            && self.config.flaps.is_empty()
+    }
+
     /// One uniform draw in `[0, 1)`, tallied as [`Cost::RngDraws`] —
     /// every random decision below goes through here so the profiler
     /// sees exactly how much entropy the impairment pipeline consumes.
@@ -738,5 +750,23 @@ mod tests {
         assert!(cfg.is_noop());
         assert!(ImpairmentConfig::iid_loss(0.0).is_noop());
         assert!(!ImpairmentConfig::iid_loss(0.1).is_noop());
+    }
+
+    #[test]
+    fn only_loss_is_ingress_only() {
+        let ingress_only = |spec: &str| {
+            Impairment::new(ImpairmentConfig::parse(spec).unwrap(), 0).is_ingress_only()
+        };
+        for spec in ["", "loss=0.3", "ge-loss=0.05:0.4:0.5", "jitter=0s"] {
+            assert!(ingress_only(spec), "`{spec}`");
+        }
+        for spec in [
+            "jitter=1ns",
+            "reorder=0.01:1ms",
+            "flap=1s:1e6",
+            "loss=0.01, jitter=100us",
+        ] {
+            assert!(!ingress_only(spec), "`{spec}`");
+        }
     }
 }

@@ -8,7 +8,7 @@ use abw_obs::{Event as ObsEvent, Field, Phase, Recorder, RunManifest};
 use crate::agent::{packet_to, Agent, Ctx, FluidRoute, FluidSource, FluidStep};
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
-use crate::impair::ImpairmentConfig;
+use crate::impair::{Impairment, ImpairmentConfig};
 use crate::invariants::invariant;
 use crate::link::{EnqueueOutcome, Link, LinkConfig};
 use crate::packet::{AgentId, LinkId, Packet, PacketKind, PathId};
@@ -69,6 +69,9 @@ pub struct Simulator {
     /// Deadline of the in-progress `run_until` (`u64::MAX` ns during
     /// `run_to_quiescence`); fluid windows must not advance past it.
     run_deadline: SimTime,
+    /// Set by [`Ctx::halt`]; `run_until` returns after the event that
+    /// set it.
+    halt_requested: bool,
     /// When true (default), routers answer TTL expiry with ICMP
     /// time-exceeded messages on an uncongested reverse path.
     pub icmp_replies: bool,
@@ -116,6 +119,7 @@ impl Simulator {
             started: false,
             fluid_enabled: true,
             run_deadline: SimTime::ZERO,
+            halt_requested: false,
             icmp_replies: true,
             recorder,
             fluid_scratch: std::collections::VecDeque::new(),
@@ -318,14 +322,27 @@ impl Simulator {
         self.events.push(at, Event::Timer { agent, token });
     }
 
-    /// Runs the event loop until simulated time reaches `deadline`.
+    /// Runs the event loop until simulated time reaches `deadline`, or
+    /// until an agent calls [`Ctx::halt`].
     ///
-    /// Events at exactly `deadline` are processed. On return the clock
-    /// reads `deadline` even if the event queue drained earlier.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    /// Events at exactly `deadline` are processed. Returns `false` when
+    /// the run reached `deadline`: the clock then reads `deadline` even
+    /// if the event queue drained earlier. Returns `true` when an agent
+    /// halted the run: the clock then reads the time of the halting
+    /// event, and events still due at or before `deadline` stay queued
+    /// for the next run.
+    ///
+    /// Panics when `deadline` is before [`Simulator::now`]: simulated
+    /// time never runs backwards.
+    pub fn run_until(&mut self, deadline: SimTime) -> bool {
+        assert!(
+            deadline >= self.time,
+            "cannot run to a deadline in the past"
+        );
         let _prof = prof::span("sim.run_until");
         self.ensure_started();
         self.run_deadline = deadline;
+        self.halt_requested = false;
         while let Some((t, event)) = self.events.pop_at_or_before(deadline) {
             debug_assert!(t >= self.time, "event loop went back in time");
             invariant!(
@@ -336,17 +353,23 @@ impl Simulator {
             );
             self.time = t;
             self.handle(event);
+            if self.halt_requested {
+                self.halt_requested = false;
+                return true;
+            }
         }
         self.time = deadline;
+        false
     }
 
-    /// Runs the event loop for `d` of simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.run_until(self.time + d);
+    /// Runs the event loop for `d` of simulated time; see
+    /// [`Simulator::run_until`] for the return value.
+    pub fn run_for(&mut self, d: SimDuration) -> bool {
+        self.run_until(self.time + d)
     }
 
     /// Runs until no events remain (all traffic quiesces). Returns the
-    /// time of the last processed event.
+    /// time of the last processed event. [`Ctx::halt`] is ignored.
     pub fn run_to_quiescence(&mut self) -> SimTime {
         let _prof = prof::span("sim.run_to_quiescence");
         self.ensure_started();
@@ -427,14 +450,21 @@ impl Simulator {
                 let route = fs.fluid_route();
                 // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
                 let hops = &self.paths[route.path.0];
-                // Fluid-safe: a single un-impaired link into a passive
-                // sink. Anything else (multi-hop, loss/jitter/flaps, an
-                // active receiver) falls back to the exact per-event path.
+                // Fluid-safe: a single link into a passive sink, whose
+                // impairment (if any) acts only at ingress. Loss draws
+                // keep their order because the window calls
+                // `Link::enqueue` in the exact merged event order, and a
+                // loss-only link adds no egress delay, so deliveries stay
+                // FIFO. Anything else (multi-hop, jitter/reorder/flaps,
+                // an active receiver) falls back to the exact per-event
+                // path.
                 if hops.len() == 1 {
                     // lint: allow(panic_free) -- guarded: hops.len() == 1
                     let link_id = hops[0];
                     // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-                    let safe = self.links[link_id.0].impairment().is_none()
+                    let safe = self.links[link_id.0]
+                        .impairment()
+                        .is_none_or(Impairment::is_ingress_only)
                         // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
                         && self.agents[route.dst.0]
                             .as_ref()
@@ -456,6 +486,7 @@ impl Simulator {
                 arena: &mut self.arena,
                 next_packet_id: &mut self.next_packet_id,
                 injected: &mut self.counters.injected,
+                halt: &mut self.halt_requested,
                 recorder: self
                     .recorder
                     .as_deref_mut()
@@ -479,6 +510,7 @@ impl Simulator {
             arena: &mut self.arena,
             next_packet_id: &mut self.next_packet_id,
             injected: &mut self.counters.injected,
+            halt: &mut self.halt_requested,
             // the fluid gate already requires no recorder
             recorder: None,
         };
@@ -514,8 +546,8 @@ impl Simulator {
             self.deliver_to(dst, dst_id, t, p);
             #[cfg(debug_assertions)]
             debug_assert!(
-                self.events.peek_entry().map(|(t, s, _)| (t, s)) == head,
-                "passive sink mutated the event queue"
+                self.events.peek_entry().map(|(t, s, _)| (t, s)) == head && !self.halt_requested,
+                "passive sink mutated the event queue or halted the run"
             );
         }
     }
@@ -553,12 +585,9 @@ impl Simulator {
                     slots.tx_done = slot_key(done, s);
                 }
             }
-            EnqueueOutcome::Dropped => {
+            // the link already counted the drop or the ingress loss
+            EnqueueOutcome::Dropped | EnqueueOutcome::Impaired => {
                 self.arena.take(packet);
-            }
-            EnqueueOutcome::Impaired => {
-                // lint: allow(panic_free) -- the fluid gate requires impairment().is_none()
-                unreachable!("fluid link has no impairment")
             }
         }
     }
@@ -751,7 +780,7 @@ impl Simulator {
                     // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
                     let link = &mut self.links[link_id.0];
                     let (pkt, more) = link.finish_transmission(vt);
-                    let extra = link.egress_extra(); // zero: no impairment
+                    let extra = link.egress_extra(); // zero: ingress-only impairment
                     if more {
                         let done = link.start_transmission(vt);
                         let s = self.events.consume_seq();
@@ -1057,6 +1086,7 @@ impl Simulator {
                 arena: &mut self.arena,
                 next_packet_id: &mut self.next_packet_id,
                 injected: &mut self.counters.injected,
+                halt: &mut self.halt_requested,
                 recorder: self
                     .recorder
                     .as_deref_mut()
@@ -1577,6 +1607,73 @@ mod tests {
         let mut sim = Simulator::new();
         sim.run_until(SimTime::from_nanos(5_000));
         assert_eq!(sim.now(), SimTime::from_nanos(5_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run to a deadline in the past")]
+    fn run_until_refuses_to_rewind_the_clock() {
+        let mut sim = Simulator::new();
+        sim.run_until(SimTime::from_nanos(5_000_000_000));
+        sim.run_until(SimTime::from_nanos(1_000));
+    }
+
+    /// Records arrivals and halts the run on the `halt_at`-th one.
+    struct HaltingSink {
+        halt_at: usize,
+        arrivals: Vec<SimTime>,
+    }
+    impl Agent for HaltingSink {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _p: Packet) {
+            self.arrivals.push(ctx.now());
+            if self.arrivals.len() == self.halt_at {
+                ctx.halt();
+            }
+        }
+    }
+
+    #[test]
+    fn halt_stops_run_until_at_the_halting_event() {
+        let (mut sim, link) = one_link_sim(12e6, 1);
+        let path = sim.add_path(vec![link]);
+        let sink = sim.add_agent(Box::new(HaltingSink {
+            halt_at: 3,
+            arrivals: Vec::new(),
+        }));
+        sim.add_agent(Box::new(PeriodicSender {
+            path,
+            dst: sink,
+            n: 10,
+            size: 1500,
+            gap: SimDuration::from_millis(2),
+            sent: 0,
+        }));
+        let far = SimTime::from_nanos(1_000_000_000);
+        // 1 ms serialisation + 1 ms propagation, one packet every 2 ms
+        assert!(sim.run_until(far), "the third arrival halts the run");
+        assert_eq!(sim.now(), SimTime::from_nanos(6_000_000));
+        assert_eq!(sim.agent::<HaltingSink>(sink).arrivals.len(), 3);
+        // the next run resumes where the halt left off and runs out
+        assert!(!sim.run_until(far));
+        assert_eq!(sim.now(), far);
+        assert_eq!(sim.agent::<HaltingSink>(sink).arrivals.len(), 10);
+
+        // run_to_quiescence ignores halts
+        let (mut sim, link) = one_link_sim(12e6, 1);
+        let path = sim.add_path(vec![link]);
+        let sink = sim.add_agent(Box::new(HaltingSink {
+            halt_at: 1,
+            arrivals: Vec::new(),
+        }));
+        sim.add_agent(Box::new(PeriodicSender {
+            path,
+            dst: sink,
+            n: 4,
+            size: 1500,
+            gap: SimDuration::from_millis(2),
+            sent: 0,
+        }));
+        sim.run_to_quiescence();
+        assert_eq!(sim.agent::<HaltingSink>(sink).arrivals.len(), 4);
     }
 
     #[test]

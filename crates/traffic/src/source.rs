@@ -186,7 +186,8 @@ mod tests {
     use super::*;
     use crate::process::{Cbr, ParetoInterarrival, PoissonProcess};
     use crate::sizes::SizeDist;
-    use abw_netsim::{CountingSink, LinkConfig};
+    use abw_netsim::{CountingSink, ImpairmentConfig, LinkConfig, LossModel};
+    use abw_obs::prof::{self, Cost};
 
     fn build(capacity_bps: f64) -> (Simulator, PathId, AgentId) {
         let mut sim = Simulator::new();
@@ -251,28 +252,39 @@ mod tests {
         assert!((util - 0.5).abs() < 0.02, "utilisation {util}");
     }
 
-    /// Runs the sources `spawn` adds over one bottleneck and returns every
-    /// observable the fluid fast-forward path could plausibly disturb.
+    /// Sink packets, bytes, first and last arrival; injected and
+    /// delivered counters; link drops, impairment losses, busy time and
+    /// peak queue.
+    type Observables = (
+        u64,
+        u64,
+        Option<SimTime>,
+        Option<SimTime>,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+        u64,
+    );
+
+    /// Runs the sources `spawn` adds over one bottleneck, impaired by
+    /// `impairment` when given, and returns every observable the fluid
+    /// fast-forward path could plausibly disturb.
     fn run_observables(
         fluid: bool,
+        impairment: Option<&ImpairmentConfig>,
         spawn: &dyn Fn(&mut Simulator, PathId, AgentId) -> Vec<AgentId>,
-    ) -> (
-        u64,
-        u64,
-        Option<SimTime>,
-        Option<SimTime>,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-    ) {
+    ) -> Observables {
         let mut sim = Simulator::new();
         sim.set_fluid(fluid);
         // 60 Mb/s offered into a 50 Mb/s link with a tight queue: the
         // window must reproduce drop-tail decisions, not just timings
         let link = sim
             .add_link(LinkConfig::new(50e6, SimDuration::from_millis(1)).with_queue_bytes(15_000));
+        if let Some(config) = impairment {
+            sim.impair_link(link, config.clone(), 11);
+        }
         let path = sim.add_path(vec![link]);
         let sink = sim.add_agent(Box::new(CountingSink::new()));
         let sources = spawn(&mut sim, path, sink);
@@ -303,9 +315,22 @@ mod tests {
             c.injected,
             c.delivered,
             l.counters().dropped_pkts,
+            l.counters().impaired_pkts,
             l.busy_log().total_busy().as_nanos(),
             l.peak_queue_pkts(),
         )
+    }
+
+    /// `run`'s result and the packets the fluid window simulated while
+    /// it ran on this thread. A snapshot flushes the calling thread's
+    /// tallies into the process-wide totals, so measuring tests take
+    /// turns: no other thread's flush lands between the two snapshots.
+    fn with_fluid_packets<T>(run: impl FnOnce() -> T) -> (T, u64) {
+        static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+        let before = prof::snapshot();
+        let out = run();
+        (out, prof::snapshot().delta(&before).get(Cost::FluidPackets))
     }
 
     #[test]
@@ -318,24 +343,71 @@ mod tests {
             || Box::new(ParetoOnOff::new(60e6, 150e6, 1500, 7)),
             || Box::new(ParetoInterarrival::new(60e6, MTU, 1.5, 7)),
         ];
-        for (i, make) in shapes.into_iter().enumerate() {
-            let spawn = |sim: &mut Simulator, path, sink| {
-                vec![sim.add_agent(Box::new(SourceAgent::new(make(), path, sink, FlowId(1))))]
-            };
-            assert_eq!(
-                run_observables(true, &spawn),
-                run_observables(false, &spawn),
-                "shape {i}"
-            );
-        }
         // 16 sources on one link: windows hand off between sources
         let aggregate = |sim: &mut Simulator, path, sink| {
             spawn_aggregate(sim, 16, 60e6, 150e6, 1500, path, sink, 1, 7)
         };
-        assert_eq!(
-            run_observables(true, &aggregate),
-            run_observables(false, &aggregate)
-        );
+        // the link impairments the fluid window admits: ingress loss only
+        let ingress_only = [
+            None,
+            Some(ImpairmentConfig::iid_loss(0.01)),
+            Some(ImpairmentConfig::iid_loss(0.3)),
+            Some(
+                ImpairmentConfig::none().with_loss(LossModel::GilbertElliott {
+                    p_good_to_bad: 0.05,
+                    p_bad_to_good: 0.3,
+                    loss_bad: 0.5,
+                    loss_good: 0.0,
+                }),
+            ),
+        ];
+        for impairment in &ingress_only {
+            let impairment = impairment.as_ref();
+            for (i, make) in shapes.iter().enumerate() {
+                let spawn = |sim: &mut Simulator, path, sink| {
+                    vec![sim.add_agent(Box::new(SourceAgent::new(make(), path, sink, FlowId(1))))]
+                };
+                let (fluid, simulated) =
+                    with_fluid_packets(|| run_observables(true, impairment, &spawn));
+                assert!(
+                    simulated > 0,
+                    "shape {i}, {impairment:?}: the window never opened"
+                );
+                assert_eq!(
+                    fluid,
+                    run_observables(false, impairment, &spawn),
+                    "shape {i}, {impairment:?}"
+                );
+            }
+            assert_eq!(
+                run_observables(true, impairment, &aggregate),
+                run_observables(false, impairment, &aggregate),
+                "aggregate, {impairment:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fluid_window_stays_shut_on_timing_impairments() {
+        let spawn = |sim: &mut Simulator, path, sink| {
+            let process = PoissonProcess::new(60e6, SizeDist::Constant(1500), 7);
+            vec![sim.add_agent(Box::new(SourceAgent::new(
+                Box::new(process),
+                path,
+                sink,
+                FlowId(1),
+            )))]
+        };
+        let timing = [
+            ImpairmentConfig::none().with_jitter(SimDuration::from_micros(100)),
+            ImpairmentConfig::none().with_reorder(0.05, SimDuration::from_millis(1)),
+            ImpairmentConfig::none().with_flap(SimTime::from_nanos(500_000_000), 40e6),
+            ImpairmentConfig::iid_loss(0.01).with_jitter(SimDuration::from_micros(100)),
+        ];
+        for config in &timing {
+            let (_, simulated) = with_fluid_packets(|| run_observables(true, Some(config), &spawn));
+            assert_eq!(simulated, 0, "{config:?} must keep the per-event path");
+        }
     }
 
     #[test]

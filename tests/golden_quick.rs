@@ -2,7 +2,9 @@
 //!
 //! `shootout --quick --csv`, `table1 --quick --csv` and
 //! `loss_sweep --quick --csv` must keep producing the exact bytes
-//! checked in under `tests/golden/` — the
+//! checked in under `tests/golden/`, and so must the raw quick-config
+//! results of the four experiments that drive tools one by one
+//! (Figures 2 and 6, Pitfall 5, Fallacy 3) — the
 //! tables are deterministic (seeded simulations, fixed rounding), so
 //! any diff is a behaviour change: an estimator edit, a scenario edit,
 //! an RNG change, or an executor ordering bug. The tests render through
@@ -19,9 +21,13 @@ use std::path::Path;
 
 use abw_bench::reports::{loss_sweep_table, shootout_table, table1_table};
 use abw_bench::Format;
+use abw_core::experiments::latency_accuracy::{self, LatencyAccuracyConfig};
 use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
 use abw_core::experiments::pairs_vs_trains::{self, PairsVsTrainsConfig};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
+use abw_core::experiments::tight_vs_narrow::{self, TightVsNarrowConfig};
+use abw_core::experiments::timescale_knob::{self, TimescaleConfig};
+use abw_core::experiments::variation_range::{self, VariationRangeConfig};
 
 fn check_golden(name: &str, actual: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -73,4 +79,27 @@ fn loss_sweep_quick_csv_matches_golden() {
         "loss_sweep_quick.csv",
         &loss_sweep_table(&result).render(Format::Csv),
     );
+}
+
+/// The experiments that drive one estimator at a time through a
+/// `Session`: each quick result's `Debug` text, one line per experiment.
+/// `f64`'s `Debug` output round-trips, so the file pins every bit.
+#[test]
+fn session_driven_experiments_match_golden() {
+    let lines = [
+        format!("fig2 {:?}", timescale_knob::run(&TimescaleConfig::quick())),
+        format!(
+            "fig6 {:?}",
+            variation_range::run(&VariationRangeConfig::quick())
+        ),
+        format!(
+            "exp_capacity {:?}",
+            tight_vs_narrow::run(&TightVsNarrowConfig::quick())
+        ),
+        format!(
+            "exp_faster {:?}",
+            latency_accuracy::run(&LatencyAccuracyConfig::quick())
+        ),
+    ];
+    check_golden("session_experiments_quick.txt", &(lines.join("\n") + "\n"));
 }

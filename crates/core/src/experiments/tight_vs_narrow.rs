@@ -14,6 +14,7 @@ use abw_netsim::SimDuration;
 use crate::scenario::Scenario;
 use crate::tools::capacity::{CapacityConfig, CapacityProber};
 use crate::tools::direct::{DirectConfig, DirectProber};
+use crate::tools::Verdict;
 
 /// Configuration of the Pitfall 5 experiment.
 #[derive(Debug, Clone)]
@@ -79,31 +80,37 @@ pub fn run(config: &TightVsNarrowConfig) -> TightVsNarrowResult {
     let true_cn = s.narrow_capacity_bps();
     let true_avail = s.configured_avail_bps();
 
-    let mut runner = s.runner();
-    let cap = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut runner);
+    // one session for all three tools, so stream ids keep counting and
+    // no straggler of an earlier stream can join a later one's records
+    let mut session = s.session();
+    let mut capacity = CapacityProber::new(CapacityConfig::default()).estimator();
+    let Verdict::Capacity(cap) = session.drive(&mut s.sim, &mut capacity) else {
+        unreachable!("the capacity prober yields a capacity report")
+    };
 
     // probe well above the avail-bw so Equation 9 applies on this path
-    let probing = |ct: f64, s: &mut Scenario, runner: &mut crate::probe::ProbeRunner| {
-        DirectProber::new(DirectConfig {
+    let mut probing = |ct: f64| {
+        let mut tool = DirectProber::new(DirectConfig {
             tight_capacity_bps: ct,
             input_rate_bps: config.probe_rate_bps,
             packet_size: 1500,
             stream_duration: SimDuration::from_millis(100),
             streams: config.streams,
         })
-        .run(&mut s.sim, runner)
+        .estimator();
+        session.drive(&mut s.sim, &mut tool).avail_bps()
     };
     // even a perfect capacity tool only gives Cn: compare the two inputs
-    let with_cn = probing(true_cn, &mut s, &mut runner);
-    let with_true_ct = probing(true_ct, &mut s, &mut runner);
+    let with_cn = probing(true_cn);
+    let with_true_ct = probing(true_ct);
 
     TightVsNarrowResult {
         true_ct_mbps: true_ct / 1e6,
         true_cn_mbps: true_cn / 1e6,
         true_avail_mbps: true_avail / 1e6,
         measured_capacity_mbps: cap.capacity_bps / 1e6,
-        avail_with_cn_mbps: with_cn.avail_bps / 1e6,
-        avail_with_true_ct_mbps: with_true_ct.avail_bps / 1e6,
+        avail_with_cn_mbps: with_cn / 1e6,
+        avail_with_true_ct_mbps: with_true_ct / 1e6,
     }
 }
 

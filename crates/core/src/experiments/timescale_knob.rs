@@ -85,16 +85,16 @@ pub fn run(config: &TimescaleConfig) -> TimescaleResult {
                 ..SingleHopConfig::default()
             });
             s.warm_up(SimDuration::from_millis(500));
-            let mut runner = s.runner();
-            let prober = DirectProber::new(DirectConfig {
+            let mut tool = DirectProber::new(DirectConfig {
                 tight_capacity_bps: 50e6,
                 input_rate_bps: config.input_rate_bps,
                 packet_size: 1500,
                 stream_duration: SimDuration::from_millis(ms),
                 streams: config.streams,
-            });
-            let samples = prober.collect_samples(&mut s.sim, &mut runner);
-            let sample_stats = abw_stats::running::Running::from_samples(&samples);
+            })
+            .estimator();
+            s.session().drive(&mut s.sim, &mut tool);
+            let sample_stats = abw_stats::running::Running::from_samples(&tool.into_samples());
 
             // Population statistics at the same timescale. The probing
             // itself perturbs the link, so exclude the probe's own load:

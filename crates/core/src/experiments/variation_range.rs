@@ -116,11 +116,10 @@ pub fn run(config: &VariationRangeConfig) -> VariationRangeResult {
         abw_netsim::FlowId(u32::MAX),
     )));
     sim.run_for(config.trace.warmup);
-    let mut runner = ProbeRunner::new(sender, receiver);
     let mut tool = Pathload::new(config.pathload.clone()).estimator();
-    let report = match Session::over(&mut runner).drive(&mut sim, &mut tool) {
-        Verdict::Pathload(r) => r,
-        _ => unreachable!("Pathload yields a Pathload report"),
+    let mut session = Session::new(ProbeRunner::new(sender, receiver));
+    let Verdict::Pathload(report) = session.drive(&mut sim, &mut tool) else {
+        unreachable!("Pathload yields a Pathload report")
     };
 
     // keep the ground truth honest: the probed link's actual mean

@@ -7,6 +7,11 @@
 //! series (for trend analysis — Fallacy 8 is precisely that OWDs carry
 //! more information than the single `Ro/Ri` ratio) and the input/output
 //! rates.
+//!
+//! [`ProbeRunner`] sends one stream and waits for it to drain;
+//! [`Session`] is the one driver every [`Estimator`] runs under: it
+//! executes the tool's requested actions through its runner (or, for
+//! BFind's load ramp, its own agent) and feeds the observations back.
 
 use std::collections::BTreeMap;
 
@@ -270,9 +275,9 @@ impl StreamResult {
 /// Orchestrates probing streams over a simulator: arms the sender, runs
 /// the event loop until the stream drains, and collects the result.
 ///
-/// Iterative tools (TOPP, Pathload, pathChirp, IGI) call
-/// [`ProbeRunner::run_stream`] in a loop, choosing each next rate from
-/// the previous result — exactly the structure of Equation 10.
+/// A [`Session`] sends every stream its estimator asks for through
+/// [`ProbeRunner::run_stream`]; experiments that study raw streams
+/// (Table 1, Figures 3 to 5) call it directly.
 pub struct ProbeRunner {
     /// The [`ProbeSender`] agent.
     pub sender: AgentId,
@@ -346,25 +351,6 @@ impl ProbeRunner {
     }
 }
 
-/// The probe runner a [`Session`] drives: its own, or one borrowed from
-/// the caller (so compatibility wrappers can drive a caller-owned
-/// runner without disturbing its stream-id sequence).
-enum RunnerSlot<'r> {
-    /// The session owns the runner.
-    Owned(ProbeRunner),
-    /// The session borrows the caller's runner.
-    Borrowed(&'r mut ProbeRunner),
-}
-
-impl RunnerSlot<'_> {
-    fn get(&mut self) -> &mut ProbeRunner {
-        match self {
-            RunnerSlot::Owned(r) => r,
-            RunnerSlot::Borrowed(r) => r,
-        }
-    }
-}
-
 /// Routing facts a session needs for probing primitives that bypass the
 /// [`ProbeRunner`] (BFind's load ramp installs its own agent on the
 /// probed path).
@@ -384,9 +370,11 @@ pub(crate) struct SessionRoute {
 /// multiple sessions can interleave in one simulation and a session can
 /// keep re-estimating against time-varying cross traffic (the
 /// `tracking` experiment). [`Session::drive`] loops `step` to
-/// completion, which is what the compatibility `run()` wrappers use.
-pub struct Session<'r> {
-    runner: RunnerSlot<'r>,
+/// completion. A session is the only way an estimator runs: build one
+/// with [`Scenario::session`](crate::scenario::Scenario::session), or
+/// with [`Session::new`] over a hand-built path.
+pub struct Session {
+    runner: ProbeRunner,
     route: Option<SessionRoute>,
     load_agent: Option<AgentId>,
     /// When the current estimation round started (set lazily by the
@@ -395,24 +383,11 @@ pub struct Session<'r> {
     last: Option<Observation>,
 }
 
-impl<'r> Session<'r> {
-    /// A session borrowing the caller's runner — the compatibility path
-    /// for tools that historically took `(&mut Simulator, &mut
-    /// ProbeRunner)`.
-    pub fn over(runner: &'r mut ProbeRunner) -> Session<'r> {
-        Session {
-            runner: RunnerSlot::Borrowed(runner),
-            route: None,
-            load_agent: None,
-            round_start: None,
-            last: None,
-        }
-    }
-
+impl Session {
     /// A session owning its runner.
-    pub fn new(runner: ProbeRunner) -> Session<'static> {
+    pub fn new(runner: ProbeRunner) -> Session {
         Session {
-            runner: RunnerSlot::Owned(runner),
+            runner,
             route: None,
             load_agent: None,
             round_start: None,
@@ -427,9 +402,9 @@ impl<'r> Session<'r> {
         path: PathId,
         hops: usize,
         dst: AgentId,
-    ) -> Session<'static> {
+    ) -> Session {
         Session {
-            runner: RunnerSlot::Owned(runner),
+            runner,
             route: Some(SessionRoute { path, hops, dst }),
             load_agent: None,
             round_start: None,
@@ -439,7 +414,7 @@ impl<'r> Session<'r> {
 
     /// The session's probe runner (e.g. to adjust `stream_gap`).
     pub fn runner_mut(&mut self) -> &mut ProbeRunner {
-        self.runner.get()
+        &mut self.runner
     }
 
     /// Executes one estimator action: asks `tool` for its next move
@@ -509,7 +484,7 @@ impl<'r> Session<'r> {
     fn execute(&mut self, sim: &mut Simulator, spec: ProbeSpec) -> Observation {
         match spec {
             ProbeSpec::Stream { spec, pre_gap } => {
-                let runner = self.runner.get();
+                let runner = &mut self.runner;
                 match pre_gap {
                     Some(gap) => {
                         let saved = runner.stream_gap;

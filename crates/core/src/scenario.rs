@@ -273,7 +273,8 @@ impl Scenario {
         self.measure_from = self.sim.now();
     }
 
-    /// A probing runner wired to this scenario's endpoints.
+    /// A probing runner wired to this scenario's endpoints, for
+    /// experiments that send raw streams without an estimator.
     pub fn runner(&self) -> ProbeRunner {
         ProbeRunner::new(self.sender, self.receiver)
     }
@@ -281,7 +282,7 @@ impl Scenario {
     /// A routed [`Session`] over this scenario's endpoints: the driver
     /// for any [`crate::tools::Estimator`], including ones that need
     /// load-ramp probing (BFind).
-    pub fn session(&self) -> Session<'static> {
+    pub fn session(&self) -> Session {
         Session::with_route(
             self.runner(),
             self.probe_path,

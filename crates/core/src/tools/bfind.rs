@@ -215,6 +215,14 @@ mod tests {
     use crate::scenario::{CrossKind, HopSpec, Scenario, SingleHopConfig};
     use abw_traffic::SizeDist;
 
+    fn run_bfind(s: &mut Scenario, config: BfindConfig) -> BfindReport {
+        let mut tool = Bfind::new(config).estimator();
+        let Verdict::Bfind(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!("BFind yields a BFind report")
+        };
+        report
+    }
+
     #[test]
     fn finds_avail_bw_single_hop() {
         let mut s = Scenario::single_hop(&SingleHopConfig {
@@ -222,7 +230,7 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(300));
-        let report = Bfind::new(BfindConfig::default()).run(&mut s);
+        let report = run_bfind(&mut s, BfindConfig::default());
         assert!(
             (report.avail_bps - 25e6).abs() <= 6e6,
             "avail {:.1} Mb/s",
@@ -246,7 +254,7 @@ mod tests {
         };
         let mut s = Scenario::from_hops(vec![mk(5e6), mk(30e6), mk(5e6)], 11);
         s.warm_up(SimDuration::from_millis(300));
-        let report = Bfind::new(BfindConfig::default()).run(&mut s);
+        let report = run_bfind(&mut s, BfindConfig::default());
         assert_eq!(report.tight_hop, Some(1), "wrong hop: {report:?}");
         assert!(
             (report.avail_bps - 20e6).abs() <= 6e6,
@@ -262,11 +270,13 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let report = Bfind::new(BfindConfig {
-            max_rate_bps: 40e6, // stay below capacity: never inflates
-            ..BfindConfig::default()
-        })
-        .run(&mut s);
+        let report = run_bfind(
+            &mut s,
+            BfindConfig {
+                max_rate_bps: 40e6, // stay below capacity: never inflates
+                ..BfindConfig::default()
+            },
+        );
         assert_eq!(report.tight_hop, None);
         assert_eq!(report.avail_bps, 40e6);
     }

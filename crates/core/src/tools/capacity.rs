@@ -156,6 +156,14 @@ mod tests {
     use crate::scenario::{Scenario, SingleHopConfig};
     use abw_netsim::SimDuration;
 
+    fn run_capacity(s: &mut Scenario, config: CapacityConfig) -> CapacityReport {
+        let mut tool = CapacityProber::new(config).estimator();
+        let Verdict::Capacity(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!("the capacity prober yields a capacity report")
+        };
+        report
+    }
+
     #[test]
     fn idle_link_capacity_exact() {
         let mut s = Scenario::single_hop(&SingleHopConfig {
@@ -163,12 +171,13 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let mut runner = s.runner();
-        let report = CapacityProber::new(CapacityConfig {
-            pairs: 20,
-            ..CapacityConfig::default()
-        })
-        .run(&mut s.sim, &mut runner);
+        let report = run_capacity(
+            &mut s,
+            CapacityConfig {
+                pairs: 20,
+                ..CapacityConfig::default()
+            },
+        );
         assert!(
             (report.capacity_bps - 50e6).abs() / 50e6 < 0.05,
             "capacity {:.2} Mb/s",
@@ -181,8 +190,7 @@ mod tests {
     fn loaded_link_mode_still_finds_capacity() {
         let mut s = Scenario::single_hop(&SingleHopConfig::default());
         s.warm_up(SimDuration::from_millis(300));
-        let mut runner = s.runner();
-        let report = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut runner);
+        let report = run_capacity(&mut s, CapacityConfig::default());
         // cross traffic expands some pairs, but the mode survives
         assert!(
             (report.capacity_bps - 50e6).abs() / 50e6 < 0.15,
@@ -197,8 +205,7 @@ mod tests {
         // 60 Mb/s (avail 95.5 Mb/s < 100 Mb/s, so tight ≠ narrow)
         let mut s = Scenario::tight_not_narrow(60e6, 5);
         s.warm_up(SimDuration::from_millis(300));
-        let mut runner = s.runner();
-        let report = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut runner);
+        let report = run_capacity(&mut s, CapacityConfig::default());
         let cn = s.narrow_capacity_bps();
         assert!(
             (report.capacity_bps - cn).abs() / cn < 0.15,

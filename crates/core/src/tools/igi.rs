@@ -252,8 +252,15 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        Igi::new(IgiConfig::default()).run(&mut s.sim, &mut runner)
+        drive_igi(&mut s)
+    }
+
+    fn drive_igi(s: &mut Scenario) -> IgiReport {
+        let mut tool = Igi::new(IgiConfig::default()).estimator();
+        let Verdict::Igi(r) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!("IGI yields an IGI report")
+        };
+        r
     }
 
     #[test]
@@ -299,26 +306,40 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let mut runner = s.runner();
-        let r = Igi::new(IgiConfig::default()).run(&mut s.sim, &mut runner);
+        let r = drive_igi(&mut s);
         assert_eq!(r.iterations, 1, "48 Mb/s < C = 50 Mb/s: no queueing");
         assert!(r.igi_bps > 45e6);
     }
 
+    /// IGI and PTR share one engine: on identically seeded scenarios the
+    /// two estimators send the same trains and build the same report,
+    /// which only the verdict variant reads differently.
     #[test]
     fn ptr_estimator_matches_igi_run() {
-        let mut s = Scenario::single_hop(&SingleHopConfig {
-            cross: CrossKind::Cbr,
-            ..SingleHopConfig::default()
-        });
-        s.warm_up(SimDuration::from_millis(500));
-        let igi = Igi::new(IgiConfig::default());
-        let mut tool = igi.ptr_estimator();
-        let mut runner = s.runner();
-        let verdict = crate::probe::Session::over(&mut runner).drive(&mut s.sim, &mut tool);
-        match verdict {
-            Verdict::Ptr(r) => assert!(r.ptr_bps > 0.0),
-            other => panic!("expected a PTR verdict, got {other:?}"),
-        }
+        let drive = |ptr: bool| {
+            let mut s = Scenario::single_hop(&SingleHopConfig {
+                cross: CrossKind::Poisson,
+                ..SingleHopConfig::default()
+            });
+            s.warm_up(SimDuration::from_millis(500));
+            let igi = Igi::new(IgiConfig::default());
+            let mut tool = if ptr {
+                igi.ptr_estimator()
+            } else {
+                igi.estimator()
+            };
+            s.session().drive(&mut s.sim, &mut tool)
+        };
+        let Verdict::Igi(igi) = drive(false) else {
+            unreachable!("IGI yields an IGI report")
+        };
+        let Verdict::Ptr(ptr) = drive(true) else {
+            unreachable!("PTR yields a PTR report")
+        };
+        assert_eq!(igi.igi_bps, ptr.igi_bps);
+        assert_eq!(igi.ptr_bps, ptr.ptr_bps);
+        assert_eq!(igi.turning_rate_bps, ptr.turning_rate_bps);
+        assert_eq!(igi.iterations, ptr.iterations);
+        assert_eq!(igi.probe_packets, ptr.probe_packets);
     }
 }

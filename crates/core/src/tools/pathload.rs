@@ -336,10 +336,18 @@ mod tests {
         s
     }
 
+    fn run_quick(cross: CrossKind) -> PathloadReport {
+        let mut s = scenario(cross);
+        let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+        let Verdict::Pathload(report) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!("Pathload yields a Pathload report")
+        };
+        report
+    }
+
     #[test]
     fn brackets_avail_bw_on_cbr() {
-        let mut s = scenario(CrossKind::Cbr);
-        let report = Pathload::new(PathloadConfig::quick()).run(&mut s);
+        let report = run_quick(CrossKind::Cbr);
         let (lo, hi) = report.range_bps;
         assert!(lo <= 25e6 + 3e6, "low bound {:.1} Mb/s", lo / 1e6);
         assert!(hi >= 25e6 - 3e6, "high bound {:.1} Mb/s", hi / 1e6);
@@ -352,8 +360,7 @@ mod tests {
 
     #[test]
     fn brackets_avail_bw_on_poisson() {
-        let mut s = scenario(CrossKind::Poisson);
-        let report = Pathload::new(PathloadConfig::quick()).run(&mut s);
+        let report = run_quick(CrossKind::Poisson);
         let (lo, hi) = report.range_bps;
         let mid = (lo + hi) / 2.0;
         assert!(
@@ -392,8 +399,7 @@ mod tests {
 
     #[test]
     fn report_converts_to_range_estimate() {
-        let mut s = scenario(CrossKind::Cbr);
-        let report = Pathload::new(PathloadConfig::quick()).run(&mut s);
+        let report = run_quick(CrossKind::Cbr);
         let range = report.as_range();
         assert!(range.range_bps.0 <= range.midpoint_bps);
         assert!(range.midpoint_bps <= range.range_bps.1);

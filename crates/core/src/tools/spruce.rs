@@ -162,12 +162,15 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut runner = s.runner();
-        let spruce = Spruce::new(SpruceConfig {
+        let mut tool = Spruce::new(SpruceConfig {
             pairs,
             ..SpruceConfig::new(50e6)
-        });
-        spruce.run(&mut s.sim, &mut runner)
+        })
+        .estimator();
+        let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
+            unreachable!("Spruce yields a point estimate")
+        };
+        est
     }
 
     #[test]
@@ -209,17 +212,17 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let mut runner = s.runner();
-        let spruce = Spruce::new(SpruceConfig {
+        let mut tool = Spruce::new(SpruceConfig {
             pairs: 10,
             ..SpruceConfig::new(50e6)
-        });
-        let est = spruce.run(&mut s.sim, &mut runner);
+        })
+        .estimator();
+        let est = s.session().drive(&mut s.sim, &mut tool).avail_bps();
         // idle link: gap unchanged → A = Ct
         assert!(
-            (est.avail_bps - 50e6).abs() / 50e6 < 0.01,
+            (est - 50e6).abs() / 50e6 < 0.01,
             "estimate {:.2} Mb/s",
-            est.avail_bps / 1e6
+            est / 1e6
         );
     }
 }

@@ -301,13 +301,16 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(300));
-        let mut runner = s.runner();
-        runner.stream_gap = SimDuration::from_millis(5);
-        let topp = Topp::new(ToppConfig {
+        let mut session = s.session();
+        session.runner_mut().stream_gap = SimDuration::from_millis(5);
+        let mut tool = Topp::new(ToppConfig {
             step_bps: 2e6,
             ..ToppConfig::default()
-        });
-        let report = topp.run(&mut s.sim, &mut runner);
+        })
+        .estimator();
+        let Verdict::Topp(report) = session.drive(&mut s.sim, &mut tool) else {
+            unreachable!("TOPP yields a TOPP report")
+        };
         assert!(
             (report.avail_bps - 25e6).abs() / 25e6 < 0.25,
             "A = {:.2} Mb/s",
@@ -324,14 +327,17 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(300));
-        let mut runner = s.runner();
-        runner.stream_gap = SimDuration::from_millis(5);
-        let topp = Topp::new(ToppConfig {
+        let mut session = s.session();
+        session.runner_mut().stream_gap = SimDuration::from_millis(5);
+        let mut tool = Topp::new(ToppConfig {
             step_bps: 3e6,
             streams_per_rate: 3,
             ..ToppConfig::default()
-        });
-        let report = topp.run(&mut s.sim, &mut runner);
+        })
+        .estimator();
+        let Verdict::Topp(report) = session.drive(&mut s.sim, &mut tool) else {
+            unreachable!("TOPP yields a TOPP report")
+        };
         assert!(report.turning_rate_bps >= report.avail_bps * 0.5);
     }
 }

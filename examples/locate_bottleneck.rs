@@ -6,6 +6,7 @@
 
 use abwe::core::scenario::{CrossKind, HopSpec, Scenario};
 use abwe::core::tools::bfind::{Bfind, BfindConfig};
+use abwe::core::tools::Verdict;
 use abwe::netsim::SimDuration;
 use abwe::traffic::SizeDist;
 
@@ -32,7 +33,10 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let report = Bfind::new(BfindConfig::default()).run(&mut scenario);
+    let mut tool = Bfind::new(BfindConfig::default()).estimator();
+    let Verdict::Bfind(report) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
+        unreachable!("BFind yields a BFind report")
+    };
 
     println!("\nload ramp (median per-hop RTT in ms):");
     println!("rate_Mbps   hop0    hop1    hop2    hop3");

@@ -7,6 +7,7 @@
 use abwe::core::scenario::{CrossKind, Scenario, SingleHopConfig};
 use abwe::core::tools::direct::{DirectConfig, DirectProber};
 use abwe::core::tools::pathload::{Pathload, PathloadConfig};
+use abwe::core::tools::Verdict;
 use abwe::netsim::SimDuration;
 
 fn main() {
@@ -24,9 +25,12 @@ fn main() {
     );
 
     // 2. direct probing (Delphi-style): needs the tight-link capacity,
-    //    inverts Equation 9 per stream, averages the samples
-    let mut runner = scenario.runner();
-    let direct = DirectProber::new(DirectConfig::canonical()).run(&mut scenario.sim, &mut runner);
+    //    inverts Equation 9 per stream, averages the samples; a session
+    //    drives the tool's probing over the scenario's endpoints
+    let mut tool = DirectProber::new(DirectConfig::canonical()).estimator();
+    let Verdict::Point(direct) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
+        unreachable!("direct probing yields a point estimate")
+    };
     println!(
         "direct probing:  A ≈ {:.2} Mb/s  ({} packets, {:.2} s of probing, \
          per-sample sd {:.2} Mb/s)",
@@ -38,7 +42,10 @@ fn main() {
 
     // 3. iterative probing (Pathload): no capacity needed; binary-search
     //    on the rate with OWD trend tests, reports a variation range
-    let pathload = Pathload::new(PathloadConfig::quick()).run(&mut scenario);
+    let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+    let Verdict::Pathload(pathload) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
+        unreachable!("Pathload yields a Pathload report")
+    };
     println!(
         "pathload:        A in [{:.2}, {:.2}] Mb/s  ({} packets, {:.2} s)",
         pathload.range_bps.0 / 1e6,

@@ -18,6 +18,7 @@ use abwe::core::probe::ProbeRunner;
 use abwe::core::scenario::{CrossKind, Scenario, SingleHopConfig};
 use abwe::core::stream::StreamSpec;
 use abwe::core::tools::pathload::{Pathload, PathloadConfig};
+use abwe::core::tools::Verdict;
 use abwe::netsim::SimDuration;
 use abwe::stats::trend::median;
 
@@ -28,7 +29,10 @@ fn main() {
         ..SingleHopConfig::default()
     });
     scenario.warm_up(SimDuration::from_millis(500));
-    let report = Pathload::new(PathloadConfig::default()).run(&mut scenario);
+    let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+    let Verdict::Pathload(report) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
+        unreachable!("Pathload yields a Pathload report")
+    };
     let (lo, hi) = report.range_bps;
     println!(
         "Pathload on the 50/25 Mb/s Pareto path: range [{:.1}, {:.1}] Mb/s, \

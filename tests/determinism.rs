@@ -44,7 +44,8 @@ fn identical_seeds_identical_streams() {
 fn identical_seeds_identical_pathload_ranges() {
     let run = |seed| {
         let mut s = scenario(seed);
-        Pathload::new(PathloadConfig::quick()).run(&mut s).range_bps
+        let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+        s.session().drive(&mut s.sim, &mut tool).range_bps()
     };
     assert_eq!(run(3), run(3));
 }

@@ -12,6 +12,7 @@ use abwe::core::tools::pathchirp::{Pathchirp, PathchirpConfig};
 use abwe::core::tools::pathload::{Pathload, PathloadConfig};
 use abwe::core::tools::spruce::{Spruce, SpruceConfig};
 use abwe::core::tools::topp::{Topp, ToppConfig};
+use abwe::core::tools::{Estimator, Verdict};
 use abwe::netsim::SimDuration;
 
 const TRUTH: f64 = 25e6;
@@ -26,60 +27,48 @@ fn scenario(cross: CrossKind, seed: u64) -> Scenario {
     s
 }
 
+/// Drives `tool` to its verdict on a fresh scenario.
+fn drive(cross: CrossKind, seed: u64, tool: &mut dyn Estimator) -> Verdict {
+    let mut s = scenario(cross, seed);
+    s.session().drive(&mut s.sim, tool)
+}
+
 #[test]
 fn all_tools_agree_on_poisson_cross_traffic() {
     // every tool on its own scenario instance; all must land in a band
     // around the true 25 Mb/s appropriate to its technique
+    let poisson = |seed, tool: &mut dyn Estimator| drive(CrossKind::Poisson, seed, tool);
     let mut results: Vec<(&str, f64, f64)> = Vec::new(); // (tool, estimate, rel tolerance)
 
-    {
-        let mut s = scenario(CrossKind::Poisson, 1);
-        let mut r = s.runner();
-        let e = DirectProber::new(DirectConfig {
-            streams: 40,
-            ..DirectConfig::canonical()
-        })
-        .run(&mut s.sim, &mut r);
-        results.push(("direct", e.avail_bps, 0.12));
-    }
-    {
-        let mut s = scenario(CrossKind::Poisson, 2);
-        let mut r = s.runner();
-        let e = Spruce::new(SpruceConfig::new(50e6)).run(&mut s.sim, &mut r);
-        // pair quantisation with 1500 B cross packets biases Spruce up
-        results.push(("spruce", e.avail_bps, 0.45));
-    }
+    let mut direct = DirectProber::new(DirectConfig {
+        streams: 40,
+        ..DirectConfig::canonical()
+    })
+    .estimator();
+    results.push(("direct", poisson(1, &mut direct).avail_bps(), 0.12));
+    // pair quantisation with 1500 B cross packets biases Spruce up
+    let mut spruce = Spruce::new(SpruceConfig::new(50e6)).estimator();
+    results.push(("spruce", poisson(2, &mut spruce).avail_bps(), 0.45));
     {
         let mut s = scenario(CrossKind::Poisson, 3);
-        let mut r = s.runner();
-        r.stream_gap = SimDuration::from_millis(5);
-        let rep = Topp::new(ToppConfig::default()).run(&mut s.sim, &mut r);
-        results.push(("topp", rep.avail_bps, 0.35));
+        let mut session = s.session();
+        session.runner_mut().stream_gap = SimDuration::from_millis(5);
+        let mut topp = Topp::new(ToppConfig::default()).estimator();
+        let est = session.drive(&mut s.sim, &mut topp).avail_bps();
+        results.push(("topp", est, 0.35));
     }
-    {
-        let mut s = scenario(CrossKind::Poisson, 4);
-        let rep = Pathload::new(PathloadConfig::default()).run(&mut s);
-        let mid = (rep.range_bps.0 + rep.range_bps.1) / 2.0;
-        results.push(("pathload", mid, 0.25));
-    }
-    {
-        let mut s = scenario(CrossKind::Poisson, 5);
-        let mut r = s.runner();
-        let e = Pathchirp::new(PathchirpConfig::default()).run(&mut s.sim, &mut r);
-        results.push(("pathchirp", e.avail_bps, 0.40));
-    }
-    {
-        let mut s = scenario(CrossKind::Poisson, 6);
-        let mut r = s.runner();
-        let rep = Igi::new(IgiConfig::default()).run(&mut s.sim, &mut r);
-        results.push(("igi", rep.igi_bps, 0.35));
-        results.push(("ptr", rep.ptr_bps, 0.35));
-    }
-    {
-        let mut s = scenario(CrossKind::Poisson, 7);
-        let rep = Bfind::new(BfindConfig::default()).run(&mut s);
-        results.push(("bfind", rep.avail_bps, 0.35));
-    }
+    // the range midpoint
+    let mut pathload = Pathload::new(PathloadConfig::default()).estimator();
+    results.push(("pathload", poisson(4, &mut pathload).avail_bps(), 0.25));
+    let mut pathchirp = Pathchirp::new(PathchirpConfig::default()).estimator();
+    results.push(("pathchirp", poisson(5, &mut pathchirp).avail_bps(), 0.40));
+    let Verdict::Igi(rep) = poisson(6, &mut Igi::new(IgiConfig::default()).estimator()) else {
+        unreachable!("IGI yields an IGI report")
+    };
+    results.push(("igi", rep.igi_bps, 0.35));
+    results.push(("ptr", rep.ptr_bps, 0.35));
+    let mut bfind = Bfind::new(BfindConfig::default()).estimator();
+    results.push(("bfind", poisson(7, &mut bfind).avail_bps(), 0.35));
 
     for (tool, est, tol) in results {
         let err = (est - TRUTH).abs() / TRUTH;
@@ -98,38 +87,42 @@ fn iterative_tools_underestimate_on_bursty_traffic() {
     // Pitfall 6: burstiness biases rate-ratio tools downward; verify the
     // direction on Pareto ON-OFF traffic for PTR (the clean rate-ratio
     // iterative tool)
-    let mut s = scenario(CrossKind::ParetoOnOff, 21);
-    let mut r = s.runner();
-    let rep = Igi::new(IgiConfig::default()).run(&mut s.sim, &mut r);
+    let mut ptr = Igi::new(IgiConfig::default()).ptr_estimator();
+    let ptr_bps = drive(CrossKind::ParetoOnOff, 21, &mut ptr).avail_bps();
     assert!(
-        rep.ptr_bps < TRUTH * 1.1,
+        ptr_bps < TRUTH * 1.1,
         "PTR should not overestimate under bursty traffic: {:.2} Mb/s",
-        rep.ptr_bps / 1e6
+        ptr_bps / 1e6
     );
 }
 
 #[test]
 fn capacity_estimate_feeds_direct_probing() {
     // capacity tool → Ct estimate → direct probing, on a single-hop path
-    // where tight = narrow so the pipeline is self-consistent
+    // where tight = narrow so the pipeline is self-consistent; both tools
+    // share one session, so stream ids keep counting across them
     let mut s = scenario(CrossKind::Poisson, 31);
-    let mut r = s.runner();
-    let cap = CapacityProber::new(CapacityConfig::default()).run(&mut s.sim, &mut r);
+    let mut session = s.session();
+    let mut capacity = CapacityProber::new(CapacityConfig::default()).estimator();
+    let Verdict::Capacity(cap) = session.drive(&mut s.sim, &mut capacity) else {
+        unreachable!("the capacity prober yields a capacity report")
+    };
     assert!(
         (cap.capacity_bps - 50e6).abs() / 50e6 < 0.1,
         "capacity {:.2} Mb/s",
         cap.capacity_bps / 1e6
     );
-    let est = DirectProber::new(DirectConfig {
+    let mut direct = DirectProber::new(DirectConfig {
         tight_capacity_bps: cap.capacity_bps,
         streams: 30,
         ..DirectConfig::canonical()
     })
-    .run(&mut s.sim, &mut r);
+    .estimator();
+    let est = session.drive(&mut s.sim, &mut direct).avail_bps();
     assert!(
-        (est.avail_bps - TRUTH).abs() / TRUTH < 0.15,
+        (est - TRUTH).abs() / TRUTH < 0.15,
         "pipeline estimate {:.2} Mb/s",
-        est.avail_bps / 1e6
+        est / 1e6
     );
 }
 
@@ -137,13 +130,15 @@ fn capacity_estimate_feeds_direct_probing() {
 fn pathload_range_narrows_on_smooth_traffic() {
     // CBR: the avail-bw barely varies, so the range should be tight;
     // Pareto ON-OFF: the range must be wider
-    let mut smooth = scenario(CrossKind::Cbr, 41);
-    let r_smooth = Pathload::new(PathloadConfig::default()).run(&mut smooth);
-    let w_smooth = r_smooth.range_bps.1 - r_smooth.range_bps.0;
-
-    let mut bursty = scenario(CrossKind::ParetoOnOff, 42);
-    let r_bursty = Pathload::new(PathloadConfig::default()).run(&mut bursty);
-    let w_bursty = r_bursty.range_bps.1 - r_bursty.range_bps.0;
+    let width = |cross, seed| {
+        let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+        let (lo, hi) = drive(cross, seed, &mut tool)
+            .range_bps()
+            .expect("Pathload reports a range");
+        hi - lo
+    };
+    let w_smooth = width(CrossKind::Cbr, 41);
+    let w_bursty = width(CrossKind::ParetoOnOff, 42);
 
     assert!(
         w_bursty >= w_smooth,

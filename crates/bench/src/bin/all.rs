@@ -13,13 +13,19 @@
 //! truncated by every child in turn — so when it is set, each child
 //! gets its own `<stem>-<bin>.jsonl` variant instead.
 //!
-//! Usage: `all [--full]`
+//! Usage: `all [--full]` (`--quick`, the default, is accepted too, and
+//! `--scenario FILE [--csv]` runs a spec instead, like every experiment
+//! binary).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use abw_bench::Args;
 use abw_exec::Executor;
+
+/// The switch `all` adds to the shared experiment flags.
+const SWITCHES: &[&str] = &["--full"];
 
 /// `traces/run.jsonl` + `fig1` → `traces/run-fig1.jsonl`.
 fn per_child_trace(base: &Path, bin: &str) -> PathBuf {
@@ -35,10 +41,12 @@ fn per_child_trace(base: &Path, bin: &str) -> PathBuf {
 }
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("all") {
+    let args = Args::from_env("all", SWITCHES, &[]);
+    if let Some(spec) = args.scenario() {
+        abw_bench::scenario::run_scenario_file("all", spec);
         return;
     }
-    let full = std::env::args().any(|a| a == "--full");
+    let full = args.has("--full");
     let trace_base = std::env::var_os("ABW_TRACE").map(PathBuf::from);
     let bins = [
         "fig1",
@@ -99,5 +107,27 @@ fn main() {
             output.status
         );
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        Args::parse("all", SWITCHES, &[], &argv)
+    }
+
+    #[test]
+    fn all_takes_full_and_the_shared_flags_only() {
+        assert!(parse("--full").unwrap().has("--full"));
+        assert!(!parse("").unwrap().has("--full"));
+        assert!(parse("--quick").is_ok());
+        let spec = parse("--scenario x.scn --csv").unwrap();
+        assert_eq!(spec.scenario(), Some(Path::new("x.scn")));
+        assert!(parse("--ful").is_err());
+        assert!(parse("--full --bogus").is_err());
+        assert!(parse("--scenario").is_err());
     }
 }

@@ -5,24 +5,21 @@
 //!
 //! Usage: `exp_capacity [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::tight_vs_narrow::{self, TightVsNarrowConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("exp_capacity") {
-        return;
-    }
-    let mut session = Session::start("exp_capacity");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        TightVsNarrowConfig::quick()
-    } else {
-        TightVsNarrowConfig::default()
-    };
+    experiment(
+        "exp_capacity",
+        &[],
+        TightVsNarrowConfig::quick,
+        run_and_print,
+    );
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: TightVsNarrowConfig) {
+    let format = args.format();
     let result = tight_vs_narrow::run(&config);
 
     if format == Format::Text {
@@ -67,5 +64,4 @@ fn main() {
              estimate, while the true Ct recovers it."
         );
     }
-    session.finish();
 }

@@ -4,24 +4,21 @@
 //!
 //! Usage: `exp_faster [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::latency_accuracy::{self, LatencyAccuracyConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("exp_faster") {
-        return;
-    }
-    let mut session = Session::start("exp_faster");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        LatencyAccuracyConfig::quick()
-    } else {
-        LatencyAccuracyConfig::default()
-    };
+    experiment(
+        "exp_faster",
+        &[],
+        LatencyAccuracyConfig::quick,
+        run_and_print,
+    );
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: LatencyAccuracyConfig) {
+    let format = args.format();
     let result = latency_accuracy::run(&config);
 
     if format == Format::Text {
@@ -58,5 +55,4 @@ fn main() {
              comparisons between tools must hold them fixed."
         );
     }
-    session.finish();
 }

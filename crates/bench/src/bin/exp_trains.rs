@@ -3,24 +3,16 @@
 //!
 //! Usage: `exp_trains [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::train_length::{self, TrainLengthConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("exp_trains") {
-        return;
-    }
-    let mut session = Session::start("exp_trains");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        TrainLengthConfig::quick()
-    } else {
-        TrainLengthConfig::default()
-    };
+    experiment("exp_trains", &[], TrainLengthConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: TrainLengthConfig) {
+    let format = args.format();
     let result = train_length::run(&config);
 
     if format == Format::Text {
@@ -56,5 +48,4 @@ fn main() {
              traffic that defeats packet pairs (Table 1)."
         );
     }
-    session.finish();
 }

@@ -4,24 +4,21 @@
 //!
 //! Usage: `exp_trend [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::trend_thresholds::{self, TrendThresholdsConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("exp_trend") {
-        return;
-    }
-    let mut session = Session::start("exp_trend");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        TrendThresholdsConfig::quick()
-    } else {
-        TrendThresholdsConfig::default()
-    };
+    experiment(
+        "exp_trend",
+        &[],
+        TrendThresholdsConfig::quick,
+        run_and_print,
+    );
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: TrendThresholdsConfig) {
+    let format = args.format();
     let result = trend_thresholds::run(&config);
 
     if format == Format::Text {
@@ -52,5 +49,4 @@ fn main() {
              extremes."
         );
     }
-    session.finish();
 }

@@ -4,24 +4,16 @@
 //!
 //! Usage: `fig1 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::variability::{self, VariabilityConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig1") {
-        return;
-    }
-    let mut session = Session::start("fig1");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        VariabilityConfig::quick()
-    } else {
-        VariabilityConfig::default()
-    };
+    experiment("fig1", &[], VariabilityConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: VariabilityConfig) {
+    let format = args.format();
     let result = variability::run(&config);
 
     if format == Format::Text {
@@ -78,5 +70,4 @@ fn main() {
              20 samples routinely miss by more than 5%."
         );
     }
-    session.finish();
 }

@@ -4,24 +4,16 @@
 //!
 //! Usage: `fig2 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::timescale_knob::{self, TimescaleConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig2") {
-        return;
-    }
-    let mut session = Session::start("fig2");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        TimescaleConfig::quick()
-    } else {
-        TimescaleConfig::default()
-    };
+    experiment("fig2", &[], TimescaleConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: TimescaleConfig) {
+    let format = args.format();
     let result = timescale_knob::run(&config);
 
     if format == Format::Text {
@@ -54,5 +46,4 @@ fn main() {
              duration is the timescale knob, not an implementation detail."
         );
     }
-    session.finish();
 }

@@ -4,24 +4,16 @@
 //!
 //! Usage: `fig3 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::burstiness::{self, BurstinessConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig3") {
-        return;
-    }
-    let mut session = Session::start("fig3");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        BurstinessConfig::quick()
-    } else {
-        BurstinessConfig::default()
-    };
+    experiment("fig3", &[], BurstinessConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: BurstinessConfig) {
+    let format = args.format();
     let result = burstiness::run(&config);
 
     if format == Format::Text {
@@ -60,5 +52,4 @@ fn main() {
              cross-traffic-dependent."
         );
     }
-    session.finish();
 }

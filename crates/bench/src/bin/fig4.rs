@@ -4,24 +4,16 @@
 //!
 //! Usage: `fig4 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::multi_bottleneck::{self, MultiBottleneckConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig4") {
-        return;
-    }
-    let mut session = Session::start("fig4");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        MultiBottleneckConfig::quick()
-    } else {
-        MultiBottleneckConfig::default()
-    };
+    experiment("fig4", &[], MultiBottleneckConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: MultiBottleneckConfig) {
+    let format = args.format();
     let result = multi_bottleneck::run(&config);
 
     if format == Format::Text {
@@ -65,5 +57,4 @@ fn main() {
              cross traffic."
         );
     }
-    session.finish();
 }

@@ -6,24 +6,16 @@
 //!
 //! Usage: `fig5 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::owd_vs_rate::{self, OwdVsRateConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig5") {
-        return;
-    }
-    let mut session = Session::start("fig5");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        OwdVsRateConfig::quick()
-    } else {
-        OwdVsRateConfig::default()
-    };
+    experiment("fig5", &[], OwdVsRateConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: OwdVsRateConfig) {
+    let format = args.format();
     let result = owd_vs_rate::run(&config);
 
     let below = result
@@ -89,5 +81,4 @@ fn main() {
              correct — the OWD series carries more information than one ratio."
         );
     }
-    session.finish();
 }

@@ -4,24 +4,16 @@
 //!
 //! Usage: `fig6 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::variation_range::{self, VariationRangeConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig6") {
-        return;
-    }
-    let mut session = Session::start("fig6");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        VariationRangeConfig::quick()
-    } else {
-        VariationRangeConfig::default()
-    };
+    experiment("fig6", &[], VariationRangeConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: VariationRangeConfig) {
+    let format = args.format();
     let result = variation_range::run(&config);
 
     if format == Format::Text {
@@ -59,5 +51,4 @@ fn main() {
              the mean."
         );
     }
-    session.finish();
 }

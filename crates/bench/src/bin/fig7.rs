@@ -4,24 +4,16 @@
 //!
 //! Usage: `fig7 [--csv] [--quick]`
 
-use abw_bench::{f, format_from_args, Format, Session, Table};
+use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::tcp_throughput::{self, TcpThroughputConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("fig7") {
-        return;
-    }
-    let mut session = Session::start("fig7");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        TcpThroughputConfig::quick()
-    } else {
-        TcpThroughputConfig::default()
-    };
+    experiment("fig7", &[], TcpThroughputConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: TcpThroughputConfig) {
+    let format = args.format();
     let result = tcp_throughput::run(&config);
 
     if format == Format::Text {
@@ -70,5 +62,4 @@ fn main() {
              validate avail-bw estimates."
         );
     }
-    session.finish();
 }

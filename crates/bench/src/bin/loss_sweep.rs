@@ -6,34 +6,25 @@
 //! Usage: `loss_sweep [--csv] [--quick]`
 
 use abw_bench::reports::loss_sweep_table;
-use abw_bench::{format_from_args, Format, Session};
+use abw_bench::{experiment, Args, Format, RunManifest};
 use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("loss_sweep") {
-        return;
-    }
-    let mut session = Session::start("loss_sweep");
-    let format = format_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let config = if quick {
-        LossSweepConfig::quick()
-    } else {
-        LossSweepConfig::default()
-    };
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" })
-        .param_str(
-            "loss_rates",
-            &config
-                .loss_rates
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-        );
+    experiment("loss_sweep", &[], LossSweepConfig::quick, run_and_print);
+}
+
+/// Runs the sweep with `config` and prints its table.
+fn run_and_print(args: &Args, manifest: &mut RunManifest, config: LossSweepConfig) {
+    let format = args.format();
+    manifest.param_str(
+        "loss_rates",
+        &config
+            .loss_rates
+            .iter()
+            .map(|p| p.to_string())
+            .collect::<Vec<_>>()
+            .join(","),
+    );
 
     let result = loss_sweep::run(&config);
 
@@ -55,5 +46,4 @@ fn main() {
              packets and latency columns instead of the bias column."
         );
     }
-    session.finish();
 }

@@ -6,49 +6,36 @@
 //! `.scn` `cross=` name, or `pareto` for `pareto-on-off`.
 
 use abw_bench::reports::shootout_table;
-use abw_bench::{format_from_args, Format, Session};
+use abw_bench::{experiment, Args, Format, RunManifest};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
 use abw_core::scenario::dsl::parse_cross_kind;
 use abw_core::scenario::CrossKind;
 
-const USAGE: &str = "usage: shootout [--csv] [--quick] \
-                     [--cross cbr|poisson|pareto|pareto-on-off|pareto-interarrival]";
+/// The binary's own value flag.
+const FLAGS: &[(&str, &str)] = &[(
+    "--cross",
+    "cbr|poisson|pareto|pareto-on-off|pareto-interarrival",
+)];
 
 /// The cross model `--cross` names; Poisson when the flag is absent.
-fn cross_from_args(args: &[String]) -> Result<CrossKind, String> {
-    let Some(i) = args.iter().position(|a| a == "--cross") else {
-        return Ok(CrossKind::Poisson);
-    };
-    match args.get(i + 1).map(String::as_str) {
+fn cross_from_args(args: &Args) -> Result<CrossKind, String> {
+    match args.value("--cross") {
+        None => Ok(CrossKind::Poisson),
         Some("pareto") => Ok(CrossKind::ParetoOnOff),
         Some(name) => parse_cross_kind(name),
-        None => Err("--cross needs a value".to_string()),
     }
 }
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("shootout") {
-        return;
-    }
-    let args: Vec<String> = std::env::args().collect();
-    let cross = cross_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("shootout: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
-    let mut session = Session::start("shootout");
-    let format = format_from_args();
-    let quick = args.iter().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = ShootoutConfig {
-        cross,
-        ..if quick {
-            ShootoutConfig::quick()
-        } else {
-            ShootoutConfig::default()
-        }
-    };
+    experiment("shootout", FLAGS, ShootoutConfig::quick, run_and_print);
+}
+
+/// Runs the shootout with `config` over the `--cross` model and prints
+/// its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: ShootoutConfig) {
+    let cross = cross_from_args(args).unwrap_or_else(|e| args.usage_error(&e));
+    let format = args.format();
+    let config = ShootoutConfig { cross, ..config };
     let result = shootout::run(&config);
 
     if format == Format::Text {
@@ -70,7 +57,6 @@ fn main() {
              meaningless without holding those knobs fixed."
         );
     }
-    session.finish();
 }
 
 #[cfg(test)]
@@ -78,17 +64,22 @@ mod tests {
     use super::*;
 
     fn cross(line: &str) -> Result<CrossKind, String> {
-        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        cross_from_args(&args)
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        cross_from_args(&Args::parse("shootout", &[], FLAGS, &argv)?)
     }
 
     #[test]
     fn cross_takes_the_dsl_model_names_and_rejects_others() {
-        assert_eq!(cross("shootout --quick"), Ok(CrossKind::Poisson));
-        assert_eq!(cross("shootout --cross pareto"), Ok(CrossKind::ParetoOnOff));
-        let dsl_name = cross("shootout --cross pareto-on-off");
+        assert_eq!(cross("--quick"), Ok(CrossKind::Poisson));
+        assert_eq!(cross("--cross pareto"), Ok(CrossKind::ParetoOnOff));
+        let dsl_name = cross("--quick --csv --cross pareto-on-off");
         assert_eq!(dsl_name, Ok(CrossKind::ParetoOnOff));
-        assert!(cross("shootout --cross weibull").is_err());
-        assert!(cross("shootout --cross").is_err());
+        assert!(cross("--cross weibull").is_err());
+        let missing = cross("--cross").unwrap_err();
+        assert!(
+            missing.starts_with("shootout: --cross needs a value\n"),
+            "{missing}"
+        );
+        assert!(cross("--quick --crosss pareto").is_err());
     }
 }

@@ -5,24 +5,16 @@
 //! Usage: `table1 [--csv] [--quick]`
 
 use abw_bench::reports::table1_table;
-use abw_bench::{format_from_args, Format, Session};
+use abw_bench::{experiment, Args, Format, RunManifest};
 use abw_core::experiments::pairs_vs_trains::{self, PairsVsTrainsConfig};
 
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("table1") {
-        return;
-    }
-    let mut session = Session::start("table1");
-    let format = format_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" });
-    let config = if quick {
-        PairsVsTrainsConfig::quick()
-    } else {
-        PairsVsTrainsConfig::default()
-    };
+    experiment("table1", &[], PairsVsTrainsConfig::quick, run_and_print);
+}
+
+/// Runs the experiment with `config` and prints its table.
+fn run_and_print(args: &Args, _: &mut RunManifest, config: PairsVsTrainsConfig) {
+    let format = args.format();
     let result = pairs_vs_trains::run(&config);
 
     if format == Format::Text {
@@ -43,5 +35,4 @@ fn main() {
              traffic's packet-size granularity, trains average it out."
         );
     }
-    session.finish();
 }

@@ -6,41 +6,36 @@
 //! Usage: `tracking [--csv] [--quick] [--tools name,name,...]`
 
 use abw_bench::reports::tracking_table;
-use abw_bench::{f, format_from_args, Format, Session};
+use abw_bench::{experiment, f, Args, Format, RunManifest};
 use abw_core::experiments::tracking::{self, TrackingConfig};
 use abw_core::tools::registry;
 
+/// The binary's own value flag.
+const FLAGS: &[(&str, &str)] = &[("--tools", "NAME,NAME,...")];
+
+/// The registry names a `--tools` list names, in order.
+fn tools_from_list(list: &str) -> Result<Vec<&'static str>, String> {
+    list.split(',')
+        .map(|name| {
+            registry::find(name)
+                .map(|entry| entry.name)
+                .ok_or_else(|| format!("`{name}` is not a registered tool"))
+        })
+        .collect()
+}
+
 fn main() {
-    if abw_bench::scenario::maybe_run_scenario("tracking") {
-        return;
+    experiment("tracking", FLAGS, TrackingConfig::quick, run_and_print);
+}
+
+/// Runs the tracking experiment with `config`, its tools replaced by a
+/// `--tools` list, and prints its table.
+fn run_and_print(args: &Args, manifest: &mut RunManifest, mut config: TrackingConfig) {
+    if let Some(list) = args.value("--tools") {
+        config.tools = tools_from_list(list).unwrap_or_else(|e| args.usage_error(&e));
     }
-    let mut session = Session::start("tracking");
-    let format = format_from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut config = if quick {
-        TrackingConfig::quick()
-    } else {
-        TrackingConfig::default()
-    };
-    if let Some(list) = args
-        .iter()
-        .position(|a| a == "--tools")
-        .and_then(|i| args.get(i + 1))
-    {
-        config.tools = list
-            .split(',')
-            .map(|name| {
-                registry::find(name)
-                    .unwrap_or_else(|| panic!("`{name}` is not a registered tool"))
-                    .name
-            })
-            .collect();
-    }
-    session
-        .manifest()
-        .param_str("mode", if quick { "quick" } else { "full" })
-        .param_str("tools", &config.tools.join(","));
+    let format = args.format();
+    manifest.param_str("tools", &config.tools.join(","));
 
     let result = tracking::run(&config);
 
@@ -64,5 +59,34 @@ fn main() {
             (TrackingConfig::default().in_band_fraction * 100.0) as u32
         );
     }
-    session.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tools(line: &str) -> Result<Option<Vec<&'static str>>, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let args = Args::parse("tracking", &[], FLAGS, &argv)?;
+        args.value("--tools").map(tools_from_list).transpose()
+    }
+
+    #[test]
+    fn tools_take_registry_names_and_reject_others() {
+        assert_eq!(tools("--quick --csv"), Ok(None));
+        assert_eq!(
+            tools("--quick --tools spruce,pathload"),
+            Ok(Some(vec!["spruce", "pathload"]))
+        );
+        assert_eq!(
+            tools("--tools nosuch"),
+            Err("`nosuch` is not a registered tool".to_string())
+        );
+        assert!(tools("--tools spruce,").is_err());
+        let missing = tools("--quick --tools").unwrap_err();
+        assert!(
+            missing.starts_with("tracking: --tools needs a value\n"),
+            "{missing}"
+        );
+    }
 }

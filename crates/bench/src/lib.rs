@@ -1,13 +1,17 @@
 //! # abw-bench
 //!
 //! The experiment harness: one binary per figure/table of the paper
-//! (`fig1` … `fig7`, `table1`, `exp_faster`, `exp_capacity`, and the
-//! `all` runner). Performance is measured end to end by the separate
-//! `perfbench` package (see the root `BENCHMARK.json`).
+//! (`fig1` … `fig7`, `table1`, `exp_*`), the tool studies (`shootout`,
+//! `loss_sweep`, `tracking`), the `all` runner, and the `scenario` and
+//! `fuzz_scenarios` drivers of `.scn` specs. Performance is measured end
+//! to end by the separate `perfbench` package (see the root
+//! `BENCHMARK.json`).
 //!
 //! Binaries print the same rows/series the paper reports, as aligned
 //! text tables; pass `--csv` to any binary to get comma-separated output
-//! instead (for plotting).
+//! instead (for plotting). Every experiment binary's `main` is one call
+//! to [`experiment`], which owns the shared command line (`--csv`,
+//! `--quick`, `--scenario FILE`) and the [`Session`] around the run.
 //!
 //! ## Observability
 //!
@@ -25,11 +29,12 @@
 //!   the hot-path cost counters are printed to stderr.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use abw_obs::{JsonlRecorder, RunManifest};
+use abw_obs::JsonlRecorder;
+pub use abw_obs::RunManifest;
 
 pub mod reports;
 pub mod scenario;
@@ -173,6 +178,150 @@ pub fn format_from_args() -> Format {
     }
 }
 
+/// A binary's parsed command line: the switches it was given and the
+/// values of its value flags.
+#[derive(Debug)]
+pub struct Args {
+    name: String,
+    usage: String,
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+}
+
+impl Args {
+    /// Parses `argv` (the program name excluded) for the binary `name`.
+    ///
+    /// Every binary accepts `--csv`, `--quick` and `--scenario FILE`;
+    /// `switches` and the `(flag, metavar)` pairs of `value_flags` are
+    /// its own. A value flag takes the next argument as its value. An
+    /// unknown argument, or a value flag with nothing after it, is an
+    /// error whose text ends with the usage line.
+    pub fn parse(
+        name: &str,
+        switches: &[&str],
+        value_flags: &[(&str, &str)],
+        argv: &[String],
+    ) -> Result<Args, String> {
+        let switches: Vec<&str> = ["--csv", "--quick"]
+            .iter()
+            .chain(switches)
+            .copied()
+            .collect();
+        let value_flags: Vec<(&str, &str)> = [("--scenario", "FILE")]
+            .iter()
+            .chain(value_flags)
+            .copied()
+            .collect();
+        let mut usage = format!("usage: {name}");
+        for switch in &switches {
+            let _ = write!(usage, " [{switch}]");
+        }
+        for (flag, metavar) in &value_flags {
+            let _ = write!(usage, " [{flag} {metavar}]");
+        }
+        let mut args = Args {
+            name: name.to_string(),
+            usage,
+            switches: Vec::new(),
+            values: Vec::new(),
+        };
+        let mut argv = argv.iter();
+        while let Some(arg) = argv.next() {
+            if switches.contains(&arg.as_str()) {
+                args.switches.push(arg.clone());
+            } else if value_flags.iter().any(|(flag, _)| flag == arg) {
+                let value = argv
+                    .next()
+                    .ok_or_else(|| args.error(&format!("{arg} needs a value")))?;
+                args.values.push((arg.clone(), value.clone()));
+            } else {
+                return Err(args.error(&format!("unknown argument `{arg}`")));
+            }
+        }
+        Ok(args)
+    }
+
+    /// [`Args::parse`] over the process's command line; on an error it
+    /// prints the message and the usage line on stderr and exits with
+    /// status 2.
+    pub fn from_env(name: &str, switches: &[&str], value_flags: &[(&str, &str)]) -> Args {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(name, switches, value_flags, &argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// True when `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    /// The value of the first `flag` given, if any.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The output format `--csv` selects.
+    pub fn format(&self) -> Format {
+        if self.has("--csv") {
+            Format::Csv
+        } else {
+            Format::Text
+        }
+    }
+
+    /// The `--scenario FILE` spec to run instead of the binary's own
+    /// work, if one was given.
+    pub fn scenario(&self) -> Option<&Path> {
+        self.value("--scenario").map(Path::new)
+    }
+
+    /// Prints `msg` and the usage line on stderr and exits with status
+    /// 2: for a flag value the binary cannot use.
+    pub fn usage_error(&self, msg: &str) -> ! {
+        eprintln!("{}", self.error(msg));
+        std::process::exit(2)
+    }
+
+    fn error(&self, msg: &str) -> String {
+        format!("{}: {msg}\n{}", self.name, self.usage)
+    }
+}
+
+/// The `main` of every experiment binary.
+///
+/// It parses the command line ([`Args::from_env`] with the binary's own
+/// `value_flags`). With `--scenario FILE` it runs that spec instead of
+/// the experiment. Otherwise it opens a [`Session`] named `name`,
+/// records the `mode` param, picks the `quick` configuration under
+/// `--quick` and `C::default()` otherwise, hands both to `body` (which
+/// runs the experiment, prints it and may add params to the manifest),
+/// and finishes the session.
+pub fn experiment<C: Default>(
+    name: &str,
+    value_flags: &[(&str, &str)],
+    quick: fn() -> C,
+    body: impl FnOnce(&Args, &mut RunManifest, C),
+) {
+    let args = Args::from_env(name, &[], value_flags);
+    if let Some(spec) = args.scenario() {
+        scenario::run_scenario_file(name, spec);
+        return;
+    }
+    let mut session = Session::start(name);
+    let quick_mode = args.has("--quick");
+    session
+        .manifest()
+        .param_str("mode", if quick_mode { "quick" } else { "full" });
+    let config = if quick_mode { quick() } else { C::default() };
+    body(&args, session.manifest(), config);
+    session.finish();
+}
+
 /// A simple column-aligned table printer.
 pub struct Table {
     header: Vec<String>,
@@ -278,6 +427,57 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new(vec!["x"]);
         t.row(vec!["1", "2"]);
+    }
+
+    fn parse(line: &str, switches: &[&str], value_flags: &[(&str, &str)]) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        Args::parse("bin", switches, value_flags, &argv)
+    }
+
+    #[test]
+    fn args_accept_the_shared_flags() {
+        let args = parse("--quick --csv --scenario x.scn", &[], &[]).unwrap();
+        assert!(args.has("--quick"));
+        assert_eq!(args.format(), Format::Csv);
+        assert_eq!(args.scenario(), Some(Path::new("x.scn")));
+
+        let args = parse("", &[], &[]).unwrap();
+        assert!(!args.has("--quick"));
+        assert_eq!(args.format(), Format::Text);
+        assert_eq!(args.scenario(), None);
+    }
+
+    #[test]
+    fn args_accept_the_binarys_own_flags() {
+        let args = parse(
+            "--full --tools a,b --tools c",
+            &["--full"],
+            &[("--tools", "T")],
+        )
+        .unwrap();
+        assert!(args.has("--full"));
+        assert_eq!(args.value("--tools"), Some("a,b"), "the first value wins");
+        assert_eq!(args.value("--cross"), None);
+    }
+
+    #[test]
+    fn args_reject_unknown_flags_and_missing_values() {
+        let usage = "usage: bin [--csv] [--quick] [--scenario FILE] [--tools T]";
+        let flags = [("--tools", "T")];
+        for (line, msg) in [
+            ("--quik --csv", "unknown argument `--quik`"),
+            ("--bogus", "unknown argument `--bogus`"),
+            ("results.csv", "unknown argument `results.csv`"),
+            ("--full", "unknown argument `--full`"),
+            ("--quick --csv --scenario", "--scenario needs a value"),
+            ("--tools", "--tools needs a value"),
+        ] {
+            assert_eq!(
+                parse(line, &[], &flags).unwrap_err(),
+                format!("bin: {msg}\n{usage}"),
+                "{line}"
+            );
+        }
     }
 
     #[test]

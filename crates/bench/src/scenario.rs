@@ -1,11 +1,11 @@
 //! `--scenario <file>` support: run a declarative `.scn` spec instead
 //! of a binary's built-in experiment.
 //!
-//! Every experiment binary calls [`maybe_run_scenario`] first thing in
-//! `main`; when the flag is present the spec is loaded, validated and
-//! driven through the tool registry, and the binary's own experiment
-//! never runs. The dedicated `scenario` binary accepts the file as a
-//! positional argument as well.
+//! Every experiment binary's entry ([`crate::experiment`], and `all`)
+//! hands a `--scenario FILE` argument to [`run_scenario_file`]: the spec
+//! is loaded, validated and driven through the tool registry, and the
+//! binary's own experiment never runs. The dedicated `scenario` binary
+//! accepts the file as a positional argument as well.
 //!
 //! Parse errors print the `file:line:col:` diagnostic from
 //! [`abw_core::scenario::dsl::ScenarioSpec::parse`] and exit with
@@ -125,17 +125,6 @@ pub fn run_scenario_file(bin: &str, path: &Path) {
     }
     outcome_table(&outcomes).print(format);
     session.finish();
-}
-
-/// The early-exit hook for experiment binaries: when `--scenario
-/// <file>` is on the command line, runs that spec and returns `true`
-/// (the caller returns immediately, skipping its built-in experiment).
-pub fn maybe_run_scenario(bin: &str) -> bool {
-    let Some(path) = scenario_arg() else {
-        return false;
-    };
-    run_scenario_file(bin, &path);
-    true
 }
 
 #[cfg(test)]

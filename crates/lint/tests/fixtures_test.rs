@@ -135,17 +135,54 @@ fn arch_allow_fixtures_lint_clean() {
 
 #[test]
 fn layering_except_entries_are_exempt() {
-    // the deny fixture's import is legal from the sanctioned wiring
-    // site named in the edge's `except` list
+    // a wall-clock import is legal from the sites named in its edge's
+    // `except` list (the executor and the bench harness), and only there
     let config = LintConfig::embedded();
-    let source = read_fixture("l1_layering_deny.rs");
-    let findings = lint_source_configured(
-        &FileContext::lib("core"),
-        Path::new("crates/core/src/tools/mod.rs"),
-        &source,
-        &config,
+    let source = "use std::time::Instant;\n";
+    let lint = |crate_name: &str, rel: &str| {
+        lint_source_configured(
+            &FileContext::lib(crate_name),
+            Path::new(rel),
+            source,
+            &config,
+        )
+    };
+    for (crate_name, rel) in [
+        ("exec", "crates/exec/src/lib.rs"),
+        ("bench", "crates/bench/src/lib.rs"),
+    ] {
+        let findings = lint(crate_name, rel);
+        assert!(findings.is_empty(), "{rel}: {findings:?}");
+    }
+    let findings = lint("core", "crates/core/src/probe.rs");
+    assert!(
+        findings.iter().any(|f| f.rule == Rule::Layering),
+        "{findings:?}"
     );
-    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn no_tool_module_is_exempt_from_the_tools_edge() {
+    // estimators run only under a probe::Session: tools/mod.rs may no
+    // more reach the simulator, the driver or a Scenario than a tool can
+    let config = LintConfig::embedded();
+    let sources = [
+        read_fixture("l1_layering_deny.rs"),
+        "use crate::probe::Session;\n".to_string(),
+        "use crate::scenario::Scenario;\n".to_string(),
+    ];
+    for source in &sources {
+        let findings = lint_source_configured(
+            &FileContext::lib("core"),
+            Path::new("crates/core/src/tools/mod.rs"),
+            source,
+            &config,
+        );
+        assert!(
+            !findings.is_empty() && findings.iter().all(|f| f.rule == Rule::Layering),
+            "{source}: {findings:?}"
+        );
+    }
 }
 
 #[test]

@@ -24,9 +24,6 @@ use std::process::Command;
 use abw_bench::Args;
 use abw_exec::Executor;
 
-/// The switch `all` adds to the shared experiment flags.
-const SWITCHES: &[&str] = &["--full"];
-
 /// `traces/run.jsonl` + `fig1` → `traces/run-fig1.jsonl`.
 fn per_child_trace(base: &Path, bin: &str) -> PathBuf {
     let stem = base
@@ -41,9 +38,9 @@ fn per_child_trace(base: &Path, bin: &str) -> PathBuf {
 }
 
 fn main() {
-    let args = Args::from_env("all", SWITCHES, &[]);
-    if let Some(spec) = args.scenario() {
-        abw_bench::scenario::run_scenario_file("all", spec);
+    let args = Args::from_env("all", &["--full"]);
+    if let Some(spec) = args.value("--scenario") {
+        abw_bench::scenario::run_scenario_file("all", Path::new(spec));
         return;
     }
     let full = args.has("--full");
@@ -114,20 +111,18 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<Args, String> {
-        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        Args::parse("all", SWITCHES, &[], &argv)
-    }
-
     #[test]
     fn all_takes_full_and_the_shared_flags_only() {
+        let parse = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            Args::parse("all", &["--full"], &argv)
+        };
         assert!(parse("--full").unwrap().has("--full"));
-        assert!(!parse("").unwrap().has("--full"));
-        assert!(parse("--quick").is_ok());
+        assert!(!parse("--quick").unwrap().has("--full"));
         let spec = parse("--scenario x.scn --csv").unwrap();
-        assert_eq!(spec.scenario(), Some(Path::new("x.scn")));
-        assert!(parse("--ful").is_err());
-        assert!(parse("--full --bogus").is_err());
-        assert!(parse("--scenario").is_err());
+        assert_eq!(spec.value("--scenario"), Some("x.scn"));
+        for bad in ["--ful", "--full --bogus", "--scenario"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -9,16 +9,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::tight_vs_narrow::{self, TightVsNarrowConfig};
 
 fn main() {
-    experiment(
-        "exp_capacity",
-        &[],
-        TightVsNarrowConfig::quick,
-        run_and_print,
-    );
+    experiment("exp_capacity", &[], TightVsNarrowConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: TightVsNarrowConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: TightVsNarrowConfig) {
     let format = args.format();
     let result = tight_vs_narrow::run(&config);
 

@@ -8,16 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::latency_accuracy::{self, LatencyAccuracyConfig};
 
 fn main() {
-    experiment(
-        "exp_faster",
-        &[],
-        LatencyAccuracyConfig::quick,
-        run_and_print,
-    );
+    experiment("exp_faster", &[], LatencyAccuracyConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: LatencyAccuracyConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: LatencyAccuracyConfig) {
     let format = args.format();
     let result = latency_accuracy::run(&config);
 

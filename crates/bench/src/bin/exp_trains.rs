@@ -7,11 +7,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::train_length::{self, TrainLengthConfig};
 
 fn main() {
-    experiment("exp_trains", &[], TrainLengthConfig::quick, run_and_print);
+    experiment("exp_trains", &[], TrainLengthConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: TrainLengthConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: TrainLengthConfig) {
     let format = args.format();
     let result = train_length::run(&config);
 

@@ -8,16 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::trend_thresholds::{self, TrendThresholdsConfig};
 
 fn main() {
-    experiment(
-        "exp_trend",
-        &[],
-        TrendThresholdsConfig::quick,
-        run_and_print,
-    );
+    experiment("exp_trend", &[], TrendThresholdsConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: TrendThresholdsConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: TrendThresholdsConfig) {
     let format = args.format();
     let result = trend_thresholds::run(&config);
 

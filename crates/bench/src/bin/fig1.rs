@@ -8,11 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::variability::{self, VariabilityConfig};
 
 fn main() {
-    experiment("fig1", &[], VariabilityConfig::quick, run_and_print);
+    experiment("fig1", &[], VariabilityConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: VariabilityConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: VariabilityConfig) {
     let format = args.format();
     let result = variability::run(&config);
 

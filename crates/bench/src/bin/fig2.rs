@@ -8,11 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::timescale_knob::{self, TimescaleConfig};
 
 fn main() {
-    experiment("fig2", &[], TimescaleConfig::quick, run_and_print);
+    experiment("fig2", &[], TimescaleConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: TimescaleConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: TimescaleConfig) {
     let format = args.format();
     let result = timescale_knob::run(&config);
 

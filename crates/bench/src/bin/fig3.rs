@@ -8,11 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::burstiness::{self, BurstinessConfig};
 
 fn main() {
-    experiment("fig3", &[], BurstinessConfig::quick, run_and_print);
+    experiment("fig3", &[], BurstinessConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: BurstinessConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: BurstinessConfig) {
     let format = args.format();
     let result = burstiness::run(&config);
 

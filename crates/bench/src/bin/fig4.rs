@@ -8,11 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::multi_bottleneck::{self, MultiBottleneckConfig};
 
 fn main() {
-    experiment("fig4", &[], MultiBottleneckConfig::quick, run_and_print);
+    experiment("fig4", &[], MultiBottleneckConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: MultiBottleneckConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: MultiBottleneckConfig) {
     let format = args.format();
     let result = multi_bottleneck::run(&config);
 

@@ -10,11 +10,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::owd_vs_rate::{self, OwdVsRateConfig};
 
 fn main() {
-    experiment("fig5", &[], OwdVsRateConfig::quick, run_and_print);
+    experiment("fig5", &[], OwdVsRateConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: OwdVsRateConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: OwdVsRateConfig) {
     let format = args.format();
     let result = owd_vs_rate::run(&config);
 

@@ -8,11 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::variation_range::{self, VariationRangeConfig};
 
 fn main() {
-    experiment("fig6", &[], VariationRangeConfig::quick, run_and_print);
+    experiment("fig6", &[], VariationRangeConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: VariationRangeConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: VariationRangeConfig) {
     let format = args.format();
     let result = variation_range::run(&config);
 

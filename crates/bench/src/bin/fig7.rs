@@ -8,11 +8,11 @@ use abw_bench::{experiment, f, Args, Format, RunManifest, Table};
 use abw_core::experiments::tcp_throughput::{self, TcpThroughputConfig};
 
 fn main() {
-    experiment("fig7", &[], TcpThroughputConfig::quick, run_and_print);
+    experiment("fig7", &[], TcpThroughputConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: TcpThroughputConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: TcpThroughputConfig) {
     let format = args.format();
     let result = tcp_throughput::run(&config);
 

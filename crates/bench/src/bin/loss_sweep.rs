@@ -10,11 +10,11 @@ use abw_bench::{experiment, Args, Format, RunManifest};
 use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
 
 fn main() {
-    experiment("loss_sweep", &[], LossSweepConfig::quick, run_and_print);
+    experiment("loss_sweep", &[], LossSweepConfig::quick, report);
 }
 
 /// Runs the sweep with `config` and prints its table.
-fn run_and_print(args: &Args, manifest: &mut RunManifest, config: LossSweepConfig) {
+fn report(args: &Args, manifest: &mut RunManifest, config: LossSweepConfig) {
     let format = args.format();
     manifest.param_str(
         "loss_rates",

@@ -12,10 +12,7 @@ use abw_core::scenario::dsl::parse_cross_kind;
 use abw_core::scenario::CrossKind;
 
 /// The binary's own value flag.
-const FLAGS: &[(&str, &str)] = &[(
-    "--cross",
-    "cbr|poisson|pareto|pareto-on-off|pareto-interarrival",
-)];
+const FLAGS: &[&str] = &["--cross cbr|poisson|pareto|pareto-on-off|pareto-interarrival"];
 
 /// The cross model `--cross` names; Poisson when the flag is absent.
 fn cross_from_args(args: &Args) -> Result<CrossKind, String> {
@@ -27,12 +24,12 @@ fn cross_from_args(args: &Args) -> Result<CrossKind, String> {
 }
 
 fn main() {
-    experiment("shootout", FLAGS, ShootoutConfig::quick, run_and_print);
+    experiment("shootout", FLAGS, ShootoutConfig::quick, report);
 }
 
 /// Runs the shootout with `config` over the `--cross` model and prints
 /// its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: ShootoutConfig) {
+fn report(args: &Args, _: &mut RunManifest, config: ShootoutConfig) {
     let cross = cross_from_args(args).unwrap_or_else(|e| args.usage_error(&e));
     let format = args.format();
     let config = ShootoutConfig { cross, ..config };
@@ -65,7 +62,7 @@ mod tests {
 
     fn cross(line: &str) -> Result<CrossKind, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        cross_from_args(&Args::parse("shootout", &[], FLAGS, &argv)?)
+        cross_from_args(&Args::parse("shootout", FLAGS, &argv)?)
     }
 
     #[test]

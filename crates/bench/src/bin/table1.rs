@@ -9,11 +9,11 @@ use abw_bench::{experiment, Args, Format, RunManifest};
 use abw_core::experiments::pairs_vs_trains::{self, PairsVsTrainsConfig};
 
 fn main() {
-    experiment("table1", &[], PairsVsTrainsConfig::quick, run_and_print);
+    experiment("table1", &[], PairsVsTrainsConfig::quick, report);
 }
 
-/// Runs the experiment with `config` and prints its table.
-fn run_and_print(args: &Args, _: &mut RunManifest, config: PairsVsTrainsConfig) {
+/// Runs the experiment with `config` and prints its report.
+fn report(args: &Args, _: &mut RunManifest, config: PairsVsTrainsConfig) {
     let format = args.format();
     let result = pairs_vs_trains::run(&config);
 

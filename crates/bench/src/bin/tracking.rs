@@ -11,7 +11,7 @@ use abw_core::experiments::tracking::{self, TrackingConfig};
 use abw_core::tools::registry;
 
 /// The binary's own value flag.
-const FLAGS: &[(&str, &str)] = &[("--tools", "NAME,NAME,...")];
+const FLAGS: &[&str] = &["--tools NAME,NAME,..."];
 
 /// The registry names a `--tools` list names, in order.
 fn tools_from_list(list: &str) -> Result<Vec<&'static str>, String> {
@@ -25,12 +25,12 @@ fn tools_from_list(list: &str) -> Result<Vec<&'static str>, String> {
 }
 
 fn main() {
-    experiment("tracking", FLAGS, TrackingConfig::quick, run_and_print);
+    experiment("tracking", FLAGS, TrackingConfig::quick, report);
 }
 
 /// Runs the tracking experiment with `config`, its tools replaced by a
 /// `--tools` list, and prints its table.
-fn run_and_print(args: &Args, manifest: &mut RunManifest, mut config: TrackingConfig) {
+fn report(args: &Args, manifest: &mut RunManifest, mut config: TrackingConfig) {
     if let Some(list) = args.value("--tools") {
         config.tools = tools_from_list(list).unwrap_or_else(|e| args.usage_error(&e));
     }
@@ -67,19 +67,18 @@ mod tests {
 
     fn tools(line: &str) -> Result<Option<Vec<&'static str>>, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        let args = Args::parse("tracking", &[], FLAGS, &argv)?;
+        let args = Args::parse("tracking", FLAGS, &argv)?;
         args.value("--tools").map(tools_from_list).transpose()
     }
 
     #[test]
     fn tools_take_registry_names_and_reject_others() {
         assert_eq!(tools("--quick --csv"), Ok(None));
+        let pair = tools("--quick --tools spruce,pathload");
+        assert_eq!(pair, Ok(Some(vec!["spruce", "pathload"])));
+        let unknown = tools("--tools nosuch");
         assert_eq!(
-            tools("--quick --tools spruce,pathload"),
-            Ok(Some(vec!["spruce", "pathload"]))
-        );
-        assert_eq!(
-            tools("--tools nosuch"),
+            unknown,
             Err("`nosuch` is not a registered tool".to_string())
         );
         assert!(tools("--tools spruce,").is_err());

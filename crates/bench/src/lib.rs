@@ -9,9 +9,8 @@
 //!
 //! Binaries print the same rows/series the paper reports, as aligned
 //! text tables; pass `--csv` to any binary to get comma-separated output
-//! instead (for plotting). Every experiment binary's `main` is one call
-//! to [`experiment`], which owns the shared command line (`--csv`,
-//! `--quick`, `--scenario FILE`) and the [`Session`] around the run.
+//! instead (for plotting). Each experiment binary's `main` is one call
+//! to [`experiment`].
 //!
 //! ## Observability
 //!
@@ -178,91 +177,66 @@ pub fn format_from_args() -> Format {
     }
 }
 
-/// A binary's parsed command line: the switches it was given and the
-/// values of its value flags.
+/// A binary's parsed command line.
 #[derive(Debug)]
 pub struct Args {
     name: String,
     usage: String,
-    switches: Vec<String>,
-    values: Vec<(String, String)>,
+    given: Vec<(String, Option<String>)>,
 }
 
 impl Args {
     /// Parses `argv` (the program name excluded) for the binary `name`.
-    ///
     /// Every binary accepts `--csv`, `--quick` and `--scenario FILE`;
-    /// `switches` and the `(flag, metavar)` pairs of `value_flags` are
-    /// its own. A value flag takes the next argument as its value. An
-    /// unknown argument, or a value flag with nothing after it, is an
-    /// error whose text ends with the usage line.
-    pub fn parse(
-        name: &str,
-        switches: &[&str],
-        value_flags: &[(&str, &str)],
-        argv: &[String],
-    ) -> Result<Args, String> {
-        let switches: Vec<&str> = ["--csv", "--quick"]
-            .iter()
-            .chain(switches)
-            .copied()
-            .collect();
-        let value_flags: Vec<(&str, &str)> = [("--scenario", "FILE")]
-            .iter()
-            .chain(value_flags)
-            .copied()
-            .collect();
-        let mut usage = format!("usage: {name}");
-        for switch in &switches {
-            let _ = write!(usage, " [{switch}]");
-        }
-        for (flag, metavar) in &value_flags {
-            let _ = write!(usage, " [{flag} {metavar}]");
-        }
-        let mut args = Args {
-            name: name.to_string(),
-            usage,
-            switches: Vec::new(),
-            values: Vec::new(),
-        };
+    /// `flags` are its own, a value flag written with its metavar
+    /// (`"--tools NAME,..."`) and taking the next argument as its value.
+    /// An unknown argument, or a value flag with nothing after it, is an
+    /// error ending with the usage line.
+    pub fn parse(name: &str, flags: &[&str], argv: &[String]) -> Result<Args, String> {
+        let flags = [["--csv", "--quick", "--scenario FILE"].as_slice(), flags].concat();
+        let usage: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+        let usage = format!("usage: {name}{usage}");
+        let fail = |msg: String| Err(format!("{name}: {msg}\n{usage}"));
+        let mut given = Vec::new();
         let mut argv = argv.iter();
         while let Some(arg) = argv.next() {
-            if switches.contains(&arg.as_str()) {
-                args.switches.push(arg.clone());
-            } else if value_flags.iter().any(|(flag, _)| flag == arg) {
-                let value = argv
-                    .next()
-                    .ok_or_else(|| args.error(&format!("{arg} needs a value")))?;
-                args.values.push((arg.clone(), value.clone()));
+            let Some(flag) = flags
+                .iter()
+                .find(|f| f.split(' ').next() == Some(arg.as_str()))
+            else {
+                return fail(format!("unknown argument `{arg}`"));
+            };
+            let value = if !flag.contains(' ') {
+                None
+            } else if let Some(value) = argv.next() {
+                Some(value.clone())
             } else {
-                return Err(args.error(&format!("unknown argument `{arg}`")));
-            }
+                return fail(format!("{arg} needs a value"));
+            };
+            given.push((arg.clone(), value));
         }
-        Ok(args)
+        let name = name.to_string();
+        Ok(Args { name, usage, given })
     }
 
     /// [`Args::parse`] over the process's command line; on an error it
-    /// prints the message and the usage line on stderr and exits with
-    /// status 2.
-    pub fn from_env(name: &str, switches: &[&str], value_flags: &[(&str, &str)]) -> Args {
+    /// prints the message on stderr and exits with status 2.
+    pub fn from_env(name: &str, flags: &[&str]) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        Args::parse(name, switches, value_flags, &argv).unwrap_or_else(|e| {
+        Args::parse(name, flags, &argv).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2)
         })
     }
 
-    /// True when `switch` was given.
-    pub fn has(&self, switch: &str) -> bool {
-        self.switches.iter().any(|s| s == switch)
+    /// True when `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| f == flag)
     }
 
-    /// The value of the first `flag` given, if any.
+    /// The value given to the first `flag`, if any.
     pub fn value(&self, flag: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
+        self.given.iter().find(|(f, _)| f == flag)?.1.as_deref()
     }
 
     /// The output format `--csv` selects.
@@ -274,42 +248,29 @@ impl Args {
         }
     }
 
-    /// The `--scenario FILE` spec to run instead of the binary's own
-    /// work, if one was given.
-    pub fn scenario(&self) -> Option<&Path> {
-        self.value("--scenario").map(Path::new)
-    }
-
     /// Prints `msg` and the usage line on stderr and exits with status
-    /// 2: for a flag value the binary cannot use.
+    /// 2, for a flag value the binary cannot use.
     pub fn usage_error(&self, msg: &str) -> ! {
-        eprintln!("{}", self.error(msg));
+        eprintln!("{}: {msg}\n{}", self.name, self.usage);
         std::process::exit(2)
-    }
-
-    fn error(&self, msg: &str) -> String {
-        format!("{}: {msg}\n{}", self.name, self.usage)
     }
 }
 
-/// The `main` of every experiment binary.
-///
-/// It parses the command line ([`Args::from_env`] with the binary's own
-/// `value_flags`). With `--scenario FILE` it runs that spec instead of
-/// the experiment. Otherwise it opens a [`Session`] named `name`,
-/// records the `mode` param, picks the `quick` configuration under
-/// `--quick` and `C::default()` otherwise, hands both to `body` (which
-/// runs the experiment, prints it and may add params to the manifest),
-/// and finishes the session.
+/// The `main` of every experiment binary. It parses the command line
+/// with the binary's own `flags` and runs a `--scenario FILE` spec
+/// instead of the experiment when one is given. Otherwise it opens a
+/// [`Session`] named `name`, records the `mode` param, and hands the
+/// `quick` config (under `--quick`) or `C::default()` to `body`, which
+/// runs the experiment, prints it and may add params to the manifest.
 pub fn experiment<C: Default>(
     name: &str,
-    value_flags: &[(&str, &str)],
+    flags: &[&str],
     quick: fn() -> C,
     body: impl FnOnce(&Args, &mut RunManifest, C),
 ) {
-    let args = Args::from_env(name, &[], value_flags);
-    if let Some(spec) = args.scenario() {
-        scenario::run_scenario_file(name, spec);
+    let args = Args::from_env(name, flags);
+    if let Some(spec) = args.value("--scenario") {
+        scenario::run_scenario_file(name, Path::new(spec));
         return;
     }
     let mut session = Session::start(name);
@@ -429,54 +390,38 @@ mod tests {
         t.row(vec!["1", "2"]);
     }
 
-    fn parse(line: &str, switches: &[&str], value_flags: &[(&str, &str)]) -> Result<Args, String> {
+    fn parse(line: &str) -> Result<Args, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        Args::parse("bin", switches, value_flags, &argv)
+        Args::parse("bin", &["--full", "--tools T"], &argv)
     }
 
     #[test]
-    fn args_accept_the_shared_flags() {
-        let args = parse("--quick --csv --scenario x.scn", &[], &[]).unwrap();
-        assert!(args.has("--quick"));
+    fn args_take_the_shared_and_the_binarys_own_flags() {
+        let args = parse("--quick --csv --scenario x.scn --full --tools a,b --tools c").unwrap();
+        assert!(args.has("--quick") && args.has("--full"));
         assert_eq!(args.format(), Format::Csv);
-        assert_eq!(args.scenario(), Some(Path::new("x.scn")));
-
-        let args = parse("", &[], &[]).unwrap();
-        assert!(!args.has("--quick"));
-        assert_eq!(args.format(), Format::Text);
-        assert_eq!(args.scenario(), None);
-    }
-
-    #[test]
-    fn args_accept_the_binarys_own_flags() {
-        let args = parse(
-            "--full --tools a,b --tools c",
-            &["--full"],
-            &[("--tools", "T")],
-        )
-        .unwrap();
-        assert!(args.has("--full"));
+        assert_eq!(args.value("--scenario"), Some("x.scn"));
         assert_eq!(args.value("--tools"), Some("a,b"), "the first value wins");
-        assert_eq!(args.value("--cross"), None);
+        let args = parse("").unwrap();
+        assert!(!args.has("--quick"));
+        assert_eq!(
+            (args.format(), args.value("--scenario")),
+            (Format::Text, None)
+        );
     }
 
     #[test]
     fn args_reject_unknown_flags_and_missing_values() {
-        let usage = "usage: bin [--csv] [--quick] [--scenario FILE] [--tools T]";
-        let flags = [("--tools", "T")];
+        let usage = "usage: bin [--csv] [--quick] [--scenario FILE] [--full] [--tools T]";
         for (line, msg) in [
             ("--quik --csv", "unknown argument `--quik`"),
             ("--bogus", "unknown argument `--bogus`"),
             ("results.csv", "unknown argument `results.csv`"),
-            ("--full", "unknown argument `--full`"),
             ("--quick --csv --scenario", "--scenario needs a value"),
             ("--tools", "--tools needs a value"),
         ] {
-            assert_eq!(
-                parse(line, &[], &flags).unwrap_err(),
-                format!("bin: {msg}\n{usage}"),
-                "{line}"
-            );
+            let err = parse(line).unwrap_err();
+            assert_eq!(err, format!("bin: {msg}\n{usage}"), "{line}");
         }
     }
 

@@ -404,11 +404,8 @@ impl Session {
         dst: AgentId,
     ) -> Session {
         Session {
-            runner,
             route: Some(SessionRoute { path, hops, dst }),
-            load_agent: None,
-            round_start: None,
-            last: None,
+            ..Session::new(runner)
         }
     }
 

@@ -246,16 +246,16 @@ mod tests {
     use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
     use abw_netsim::SimDuration;
 
-    fn run_igi(cross: CrossKind) -> IgiReport {
+    fn scenario(cross: CrossKind) -> Scenario {
         let mut s = Scenario::single_hop(&SingleHopConfig {
             cross,
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        drive_igi(&mut s)
+        s
     }
 
-    fn drive_igi(s: &mut Scenario) -> IgiReport {
+    fn run_igi(s: &mut Scenario) -> IgiReport {
         let mut tool = Igi::new(IgiConfig::default()).estimator();
         let Verdict::Igi(r) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("IGI yields an IGI report")
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn converges_on_cbr() {
-        let r = run_igi(CrossKind::Cbr);
+        let r = run_igi(&mut scenario(CrossKind::Cbr));
         assert!(
             (r.ptr_bps - 25e6).abs() / 25e6 < 0.25,
             "PTR {:.2} Mb/s",
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn converges_on_poisson() {
-        let r = run_igi(CrossKind::Poisson);
+        let r = run_igi(&mut scenario(CrossKind::Poisson));
         // burstiness biases towards underestimation (Pitfall 6); accept a
         // wide band but require the right ballpark
         assert!(
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn turning_rate_tracks_ptr() {
-        let r = run_igi(CrossKind::Cbr);
+        let r = run_igi(&mut scenario(CrossKind::Cbr));
         // the PTR (output-side rate) can only lag the input rate at the
         // turning point
         assert!(r.ptr_bps <= r.turning_rate_bps * 1.05);
@@ -306,7 +306,7 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(100));
-        let r = drive_igi(&mut s);
+        let r = run_igi(&mut s);
         assert_eq!(r.iterations, 1, "48 Mb/s < C = 50 Mb/s: no queueing");
         assert!(r.igi_bps > 45e6);
     }
@@ -316,24 +316,10 @@ mod tests {
     /// which only the verdict variant reads differently.
     #[test]
     fn ptr_estimator_matches_igi_run() {
-        let drive = |ptr: bool| {
-            let mut s = Scenario::single_hop(&SingleHopConfig {
-                cross: CrossKind::Poisson,
-                ..SingleHopConfig::default()
-            });
-            s.warm_up(SimDuration::from_millis(500));
-            let igi = Igi::new(IgiConfig::default());
-            let mut tool = if ptr {
-                igi.ptr_estimator()
-            } else {
-                igi.estimator()
-            };
-            s.session().drive(&mut s.sim, &mut tool)
-        };
-        let Verdict::Igi(igi) = drive(false) else {
-            unreachable!("IGI yields an IGI report")
-        };
-        let Verdict::Ptr(ptr) = drive(true) else {
+        let igi = run_igi(&mut scenario(CrossKind::Poisson));
+        let mut s = scenario(CrossKind::Poisson);
+        let mut tool = Igi::new(IgiConfig::default()).ptr_estimator();
+        let Verdict::Ptr(ptr) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("PTR yields a PTR report")
         };
         assert_eq!(igi.igi_bps, ptr.igi_bps);

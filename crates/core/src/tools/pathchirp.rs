@@ -194,7 +194,7 @@ mod tests {
     use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
     use abw_netsim::SimDuration;
 
-    fn run_chirp(cross: CrossKind, chirps: u32) -> Estimate {
+    fn run_chirp(cross: CrossKind, chirps: u32) -> Verdict {
         let mut s = Scenario::single_hop(&SingleHopConfig {
             cross,
             ..SingleHopConfig::default()
@@ -205,29 +205,26 @@ mod tests {
             ..PathchirpConfig::default()
         })
         .estimator();
-        let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
-            unreachable!("pathChirp yields a point estimate")
-        };
-        est
+        s.session().drive(&mut s.sim, &mut tool)
     }
 
     #[test]
     fn tracks_avail_bw_on_cbr() {
-        let est = run_chirp(CrossKind::Cbr, 20);
+        let est = run_chirp(CrossKind::Cbr, 20).avail_bps();
         assert!(
-            (est.avail_bps - 25e6).abs() / 25e6 < 0.3,
+            (est - 25e6).abs() / 25e6 < 0.3,
             "estimate {:.2} Mb/s",
-            est.avail_bps / 1e6
+            est / 1e6
         );
     }
 
     #[test]
     fn tracks_avail_bw_on_poisson() {
-        let est = run_chirp(CrossKind::Poisson, 40);
+        let est = run_chirp(CrossKind::Poisson, 40).avail_bps();
         assert!(
-            (est.avail_bps - 25e6).abs() / 25e6 < 0.4,
+            (est - 25e6).abs() / 25e6 < 0.4,
             "estimate {:.2} Mb/s",
-            est.avail_bps / 1e6
+            est / 1e6
         );
     }
 
@@ -296,7 +293,6 @@ mod tests {
     fn efficiency_fewer_packets_than_pathload() {
         // one chirp probes ~22 rates with 24 packets; verify the packet
         // accounting reflects that efficiency
-        let est = run_chirp(CrossKind::Cbr, 10);
-        assert_eq!(est.probe_packets, 240);
+        assert_eq!(run_chirp(CrossKind::Cbr, 10).probe_packets(), 240);
     }
 }

@@ -269,6 +269,22 @@ mod tests {
     use crate::fluid::output_rate;
     use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
 
+    /// Drives TOPP with 5 ms stream gaps on the CBR-loaded canonical hop.
+    fn run_on_cbr(config: ToppConfig) -> ToppReport {
+        let mut s = Scenario::single_hop(&SingleHopConfig {
+            cross: CrossKind::Cbr,
+            ..SingleHopConfig::default()
+        });
+        s.warm_up(SimDuration::from_millis(300));
+        let mut session = s.session();
+        session.runner_mut().stream_gap = SimDuration::from_millis(5);
+        let mut tool = Topp::new(config).estimator();
+        let Verdict::Topp(report) = session.drive(&mut s.sim, &mut tool) else {
+            unreachable!("TOPP yields a TOPP report")
+        };
+        report
+    }
+
     /// Analysis on synthetic fluid-model points must recover A and Ct.
     #[test]
     fn analyse_recovers_fluid_parameters() {
@@ -296,21 +312,10 @@ mod tests {
 
     #[test]
     fn end_to_end_on_cbr() {
-        let mut s = Scenario::single_hop(&SingleHopConfig {
-            cross: CrossKind::Cbr,
-            ..SingleHopConfig::default()
-        });
-        s.warm_up(SimDuration::from_millis(300));
-        let mut session = s.session();
-        session.runner_mut().stream_gap = SimDuration::from_millis(5);
-        let mut tool = Topp::new(ToppConfig {
+        let report = run_on_cbr(ToppConfig {
             step_bps: 2e6,
             ..ToppConfig::default()
-        })
-        .estimator();
-        let Verdict::Topp(report) = session.drive(&mut s.sim, &mut tool) else {
-            unreachable!("TOPP yields a TOPP report")
-        };
+        });
         assert!(
             (report.avail_bps - 25e6).abs() / 25e6 < 0.25,
             "A = {:.2} Mb/s",
@@ -322,22 +327,11 @@ mod tests {
 
     #[test]
     fn turning_rate_bounds_avail() {
-        let mut s = Scenario::single_hop(&SingleHopConfig {
-            cross: CrossKind::Cbr,
-            ..SingleHopConfig::default()
-        });
-        s.warm_up(SimDuration::from_millis(300));
-        let mut session = s.session();
-        session.runner_mut().stream_gap = SimDuration::from_millis(5);
-        let mut tool = Topp::new(ToppConfig {
+        let report = run_on_cbr(ToppConfig {
             step_bps: 3e6,
             streams_per_rate: 3,
             ..ToppConfig::default()
-        })
-        .estimator();
-        let Verdict::Topp(report) = session.drive(&mut s.sim, &mut tool) else {
-            unreachable!("TOPP yields a TOPP report")
-        };
+        });
         assert!(report.turning_rate_bps >= report.avail_bps * 0.5);
     }
 }

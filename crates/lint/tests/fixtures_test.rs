@@ -135,25 +135,15 @@ fn arch_allow_fixtures_lint_clean() {
 
 #[test]
 fn layering_except_entries_are_exempt() {
-    // a wall-clock import is legal from the sites named in its edge's
-    // `except` list (the executor and the bench harness), and only there
+    // a wall-clock import is legal only from the sites its edge's
+    // `except` list names (the executor and the bench harness)
     let config = LintConfig::embedded();
-    let source = "use std::time::Instant;\n";
-    let lint = |crate_name: &str, rel: &str| {
-        lint_source_configured(
-            &FileContext::lib(crate_name),
-            Path::new(rel),
-            source,
-            &config,
-        )
+    let lint = |krate: &str, rel: &str| {
+        let source = "use std::time::Instant;\n";
+        lint_source_configured(&FileContext::lib(krate), Path::new(rel), source, &config)
     };
-    for (crate_name, rel) in [
-        ("exec", "crates/exec/src/lib.rs"),
-        ("bench", "crates/bench/src/lib.rs"),
-    ] {
-        let findings = lint(crate_name, rel);
-        assert!(findings.is_empty(), "{rel}: {findings:?}");
-    }
+    assert!(lint("exec", "crates/exec/src/lib.rs").is_empty());
+    assert!(lint("bench", "crates/bench/src/lib.rs").is_empty());
     let findings = lint("core", "crates/core/src/probe.rs");
     assert!(
         findings.iter().any(|f| f.rule == Rule::Layering),
@@ -163,25 +153,19 @@ fn layering_except_entries_are_exempt() {
 
 #[test]
 fn no_tool_module_is_exempt_from_the_tools_edge() {
-    // estimators run only under a probe::Session: tools/mod.rs may no
-    // more reach the simulator, the driver or a Scenario than a tool can
+    // tools/mod.rs may no more reach the simulator, the session driver
+    // or a Scenario than any tool can
     let config = LintConfig::embedded();
-    let sources = [
-        read_fixture("l1_layering_deny.rs"),
-        "use crate::probe::Session;\n".to_string(),
-        "use crate::scenario::Scenario;\n".to_string(),
-    ];
-    for source in &sources {
-        let findings = lint_source_configured(
-            &FileContext::lib("core"),
-            Path::new("crates/core/src/tools/mod.rs"),
-            source,
-            &config,
-        );
-        assert!(
-            !findings.is_empty() && findings.iter().all(|f| f.rule == Rule::Layering),
-            "{source}: {findings:?}"
-        );
+    for import in [
+        "abw_netsim::Simulator",
+        "crate::probe::Session",
+        "crate::scenario::Scenario",
+    ] {
+        let ctx = FileContext::lib("core");
+        let rel = Path::new("crates/core/src/tools/mod.rs");
+        let findings = lint_source_configured(&ctx, rel, &format!("use {import};\n"), &config);
+        let layering = !findings.is_empty() && findings.iter().all(|f| f.rule == Rule::Layering);
+        assert!(layering, "{import}: {findings:?}");
     }
 }
 

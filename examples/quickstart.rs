@@ -43,15 +43,14 @@ fn main() {
     // 3. iterative probing (Pathload): no capacity needed; binary-search
     //    on the rate with OWD trend tests, reports a variation range
     let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
-    let Verdict::Pathload(pathload) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
-        unreachable!("Pathload yields a Pathload report")
-    };
+    let pathload = scenario.session().drive(&mut scenario.sim, &mut tool);
+    let (lo, hi) = pathload.range_bps().expect("Pathload reports a range");
     println!(
         "pathload:        A in [{:.2}, {:.2}] Mb/s  ({} packets, {:.2} s)",
-        pathload.range_bps.0 / 1e6,
-        pathload.range_bps.1 / 1e6,
-        pathload.probe_packets,
-        pathload.elapsed_secs,
+        lo / 1e6,
+        hi / 1e6,
+        pathload.probe_packets(),
+        pathload.elapsed_secs(),
     );
 
     // 4. the ground truth, from the link's exact busy periods — over a

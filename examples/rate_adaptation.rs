@@ -18,7 +18,6 @@ use abwe::core::probe::ProbeRunner;
 use abwe::core::scenario::{CrossKind, Scenario, SingleHopConfig};
 use abwe::core::stream::StreamSpec;
 use abwe::core::tools::pathload::{Pathload, PathloadConfig};
-use abwe::core::tools::Verdict;
 use abwe::netsim::SimDuration;
 use abwe::stats::trend::median;
 
@@ -30,17 +29,15 @@ fn main() {
     });
     scenario.warm_up(SimDuration::from_millis(500));
     let mut tool = Pathload::new(PathloadConfig::default()).estimator();
-    let Verdict::Pathload(report) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
-        unreachable!("Pathload yields a Pathload report")
-    };
-    let (lo, hi) = report.range_bps;
+    let report = scenario.session().drive(&mut scenario.sim, &mut tool);
+    let (lo, hi) = report.range_bps().expect("Pathload reports a range");
     println!(
         "Pathload on the 50/25 Mb/s Pareto path: range [{:.1}, {:.1}] Mb/s, \
          {} probe packets, {:.1} s of measurement\n",
         lo / 1e6,
         hi / 1e6,
-        report.probe_packets,
-        report.elapsed_secs,
+        report.probe_packets(),
+        report.elapsed_secs(),
     );
 
     println!(

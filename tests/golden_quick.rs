@@ -86,20 +86,11 @@ fn loss_sweep_quick_csv_matches_golden() {
 /// `f64`'s `Debug` output round-trips, so the file pins every bit.
 #[test]
 fn session_driven_experiments_match_golden() {
-    let lines = [
-        format!("fig2 {:?}", timescale_knob::run(&TimescaleConfig::quick())),
-        format!(
-            "fig6 {:?}",
-            variation_range::run(&VariationRangeConfig::quick())
-        ),
-        format!(
-            "exp_capacity {:?}",
-            tight_vs_narrow::run(&TightVsNarrowConfig::quick())
-        ),
-        format!(
-            "exp_faster {:?}",
-            latency_accuracy::run(&LatencyAccuracyConfig::quick())
-        ),
-    ];
-    check_golden("session_experiments_quick.txt", &(lines.join("\n") + "\n"));
+    let fig2 = timescale_knob::run(&TimescaleConfig::quick());
+    let fig6 = variation_range::run(&VariationRangeConfig::quick());
+    let capacity = tight_vs_narrow::run(&TightVsNarrowConfig::quick());
+    let faster = latency_accuracy::run(&LatencyAccuracyConfig::quick());
+    let text =
+        format!("fig2 {fig2:?}\nfig6 {fig6:?}\nexp_capacity {capacity:?}\nexp_faster {faster:?}\n");
+    check_golden("session_experiments_quick.txt", &text);
 }

@@ -108,8 +108,7 @@ pub fn run(config: &LatencyAccuracyConfig) -> LatencyAccuracyResult {
                     packet_size: 1500,
                     stream_duration: SimDuration::from_millis(duration_ms),
                     streams,
-                })
-                .estimator();
+                });
                 let verdict = s.session().drive(&mut s.sim, &mut tool);
                 errors.push(relative_error(verdict.avail_bps(), truth).abs());
                 estimates.push(verdict.avail_bps());

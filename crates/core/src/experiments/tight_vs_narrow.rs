@@ -83,7 +83,7 @@ pub fn run(config: &TightVsNarrowConfig) -> TightVsNarrowResult {
     // one session for all three tools, so stream ids keep counting and
     // no straggler of an earlier stream can join a later one's records
     let mut session = s.session();
-    let mut capacity = CapacityProber::new(CapacityConfig::default()).estimator();
+    let mut capacity = CapacityProber::new(CapacityConfig::default());
     let Verdict::Capacity(cap) = session.drive(&mut s.sim, &mut capacity) else {
         unreachable!("the capacity prober yields a capacity report")
     };
@@ -96,8 +96,7 @@ pub fn run(config: &TightVsNarrowConfig) -> TightVsNarrowResult {
             packet_size: 1500,
             stream_duration: SimDuration::from_millis(100),
             streams: config.streams,
-        })
-        .estimator();
+        });
         session.drive(&mut s.sim, &mut tool).avail_bps()
     };
     // even a perfect capacity tool only gives Cn: compare the two inputs

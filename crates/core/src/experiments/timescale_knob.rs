@@ -91,8 +91,7 @@ pub fn run(config: &TimescaleConfig) -> TimescaleResult {
                 packet_size: 1500,
                 stream_duration: SimDuration::from_millis(ms),
                 streams: config.streams,
-            })
-            .estimator();
+            });
             s.session().drive(&mut s.sim, &mut tool);
             let sample_stats = abw_stats::running::Running::from_samples(&tool.into_samples());
 

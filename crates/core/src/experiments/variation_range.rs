@@ -116,7 +116,7 @@ pub fn run(config: &VariationRangeConfig) -> VariationRangeResult {
         abw_netsim::FlowId(u32::MAX),
     )));
     sim.run_for(config.trace.warmup);
-    let mut tool = Pathload::new(config.pathload.clone()).estimator();
+    let mut tool = Pathload::new(config.pathload.clone());
     let mut session = Session::new(ProbeRunner::new(sender, receiver));
     let Verdict::Pathload(report) = session.drive(&mut sim, &mut tool) else {
         unreachable!("Pathload yields a Pathload report")

@@ -34,7 +34,7 @@
 //!     ..SingleHopConfig::default()
 //! });
 //! // a session drives the estimator over the scenario's endpoints
-//! let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+//! let mut tool = Pathload::new(PathloadConfig::quick());
 //! let verdict = scenario.session().drive(&mut scenario.sim, &mut tool);
 //! let (lo, hi) = verdict.range_bps().expect("Pathload reports a range");
 //! assert!(lo < hi);

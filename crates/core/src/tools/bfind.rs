@@ -77,26 +77,32 @@ pub struct BfindReport {
     pub probe_packets: u64,
 }
 
-/// The BFind estimator.
+/// BFind as a decision state machine: a zero-rate baseline epoch, then a
+/// linear load ramp until some hop's median RTT inflates past the
+/// baseline.
 #[derive(Debug, Clone)]
 pub struct Bfind {
     config: BfindConfig,
+    /// Per-hop median RTTs of the no-load epoch; `None` until observed.
+    baseline: Option<Vec<f64>>,
+    /// Load rate of the epoch in flight, bits/s.
+    rate_bps: f64,
+    epochs: Vec<BfindEpoch>,
+    packets: u64,
+    /// `(avail, tight_hop)` once some hop flagged.
+    result: Option<(f64, usize)>,
+    events: Vec<ToolEvent>,
 }
 
 impl Bfind {
-    /// Creates a BFind instance.
+    /// A fresh single-shot BFind round. Requires a *routed* session
+    /// ([`crate::scenario::Scenario::session`]) because the load ramp
+    /// installs its own probing agent.
     pub fn new(config: BfindConfig) -> Self {
         assert!(config.rate_step_bps > 0.0);
         assert!(config.max_rate_bps > config.start_rate_bps);
-        Bfind { config }
-    }
-
-    /// The resumable state machine for one estimation round. Requires a
-    /// *routed* session ([`crate::scenario::Scenario::session`]) because
-    /// the load ramp installs its own probing agent.
-    pub fn estimator(&self) -> BfindEstimator {
-        BfindEstimator {
-            config: self.config.clone(),
+        Bfind {
+            config,
             baseline: None,
             rate_bps: 0.0,
             epochs: Vec::new(),
@@ -117,31 +123,11 @@ impl Bfind {
     }
 }
 
-/// BFind as a decision state machine: a zero-rate baseline epoch, then a
-/// linear load ramp until some hop's median RTT inflates past the
-/// baseline.
-#[derive(Debug, Clone)]
-pub struct BfindEstimator {
-    config: BfindConfig,
-    /// Per-hop median RTTs of the no-load epoch; `None` until observed.
-    baseline: Option<Vec<f64>>,
-    /// Load rate of the epoch in flight, bits/s.
-    rate_bps: f64,
-    epochs: Vec<BfindEpoch>,
-    packets: u64,
-    /// `(avail, tight_hop)` once some hop flagged.
-    result: Option<(f64, usize)>,
-    events: Vec<ToolEvent>,
-}
-
-impl Estimator for BfindEstimator {
+impl Estimator for Bfind {
     fn next(&mut self, last: Option<&Observation>) -> Action {
-        let tool = Bfind {
-            config: self.config.clone(),
-        };
         let Some(obs) = last else {
             // baseline epoch with no load
-            return Action::Send(tool.ramp(0.0));
+            return Action::Send(self.ramp(0.0));
         };
         // lint: allow(panic_free) -- reply kind matches the request this estimator issued
         let sample = obs.load_ramp().expect("BFind sends load ramps");
@@ -151,7 +137,7 @@ impl Estimator for BfindEstimator {
         let Some(baseline) = &self.baseline else {
             self.baseline = Some(rtts);
             self.rate_bps = self.config.start_rate_bps;
-            return Action::Send(tool.ramp(self.rate_bps));
+            return Action::Send(self.ramp(self.rate_bps));
         };
 
         self.epochs.push(BfindEpoch {
@@ -183,7 +169,7 @@ impl Estimator for BfindEstimator {
         } else {
             self.rate_bps += self.config.rate_step_bps;
             if self.rate_bps <= self.config.max_rate_bps {
-                return Action::Send(tool.ramp(self.rate_bps));
+                return Action::Send(self.ramp(self.rate_bps));
             }
         }
 
@@ -216,7 +202,7 @@ mod tests {
     use abw_traffic::SizeDist;
 
     fn run_bfind(s: &mut Scenario, config: BfindConfig) -> BfindReport {
-        let mut tool = Bfind::new(config).estimator();
+        let mut tool = Bfind::new(config);
         let Verdict::Bfind(report) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("BFind yields a BFind report")
         };

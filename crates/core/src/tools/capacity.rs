@@ -62,39 +62,11 @@ pub struct CapacityReport {
     pub probe_packets: u64,
 }
 
-/// The packet-pair capacity prober.
+/// The packet-pair capacity prober as a decision state machine:
+/// exponentially spaced back-to-back pairs, then a histogram-mode search
+/// over the per-pair dispersion estimates.
 #[derive(Debug, Clone)]
 pub struct CapacityProber {
-    config: CapacityConfig,
-}
-
-impl CapacityProber {
-    /// Creates a capacity prober.
-    pub fn new(config: CapacityConfig) -> Self {
-        assert!(config.pairs >= 1 && config.bins >= 2);
-        CapacityProber { config }
-    }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> CapacityEstimator {
-        CapacityEstimator {
-            config: self.config.clone(),
-            rng: StdRng::seed_from_u64(self.config.seed),
-            spec: StreamSpec::Pair {
-                rate_bps: self.config.pair_rate_bps,
-                size: self.config.packet_size,
-            },
-            sent: 0,
-            estimates: Vec::new(),
-        }
-    }
-}
-
-/// The capacity probe as a decision state machine: exponentially spaced
-/// back-to-back pairs, then a histogram-mode search over the per-pair
-/// dispersion estimates.
-#[derive(Debug, Clone)]
-pub struct CapacityEstimator {
     config: CapacityConfig,
     rng: StdRng,
     spec: StreamSpec,
@@ -102,7 +74,24 @@ pub struct CapacityEstimator {
     estimates: Vec<f64>,
 }
 
-impl Estimator for CapacityEstimator {
+impl CapacityProber {
+    /// A fresh single-shot capacity probe.
+    pub fn new(config: CapacityConfig) -> Self {
+        assert!(config.pairs >= 1 && config.bins >= 2);
+        CapacityProber {
+            rng: StdRng::seed_from_u64(config.seed),
+            spec: StreamSpec::Pair {
+                rate_bps: config.pair_rate_bps,
+                size: config.packet_size,
+            },
+            config,
+            sent: 0,
+            estimates: Vec::new(),
+        }
+    }
+}
+
+impl Estimator for CapacityProber {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
@@ -157,7 +146,7 @@ mod tests {
     use abw_netsim::SimDuration;
 
     fn run_capacity(s: &mut Scenario, config: CapacityConfig) -> CapacityReport {
-        let mut tool = CapacityProber::new(config).estimator();
+        let mut tool = CapacityProber::new(config);
         let Verdict::Capacity(report) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("the capacity prober yields a capacity report")
         };

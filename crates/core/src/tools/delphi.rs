@@ -20,7 +20,7 @@ use abw_stats::running::Running;
 
 use crate::fluid::direct_probing_estimate;
 use crate::stream::StreamSpec;
-use crate::tools::{Action, Estimate, Estimator, Observation, ProbeSpec, ToolEvent, Verdict};
+use crate::tools::{Action, Estimator, Observation, ProbeSpec, ToolEvent, Verdict};
 
 /// Delphi configuration.
 #[derive(Debug, Clone)]
@@ -57,12 +57,6 @@ impl DelphiConfig {
     }
 }
 
-/// The Delphi estimator.
-#[derive(Debug, Clone)]
-pub struct Delphi {
-    config: DelphiConfig,
-}
-
 /// Per-train record of a Delphi run, for studying the adaptation.
 #[derive(Debug, Clone, Copy)]
 pub struct DelphiStep {
@@ -90,50 +84,11 @@ pub struct DelphiReport {
     pub elapsed_secs: f64,
 }
 
-impl DelphiReport {
-    /// As a plain [`Estimate`].
-    pub fn as_estimate(&self) -> Estimate {
-        Estimate {
-            avail_bps: self.avail_bps,
-            samples: self.samples,
-            probe_packets: self.probe_packets,
-            elapsed_secs: self.elapsed_secs,
-        }
-    }
-}
-
-impl Delphi {
-    /// Creates a Delphi instance.
-    pub fn new(config: DelphiConfig) -> Self {
-        assert!(config.headroom > 1.0, "headroom must keep Ri above A");
-        assert!(
-            (0.0..=1.0).contains(&config.alpha),
-            "EWMA weight out of range"
-        );
-        assert!(config.trains >= 1);
-        Delphi { config }
-    }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> DelphiEstimator {
-        DelphiEstimator {
-            config: self.config.clone(),
-            estimate_bps: self.config.initial_rate_bps / self.config.headroom,
-            rate_bps: self.config.initial_rate_bps,
-            samples: Running::new(),
-            steps: Vec::with_capacity(self.config.trains as usize),
-            packets: 0,
-            sent: 0,
-            events: Vec::new(),
-        }
-    }
-}
-
 /// Delphi as a decision state machine: each observed train yields a
 /// sample that updates the EWMA tracker, which in turn sets the next
 /// train's input rate.
 #[derive(Debug, Clone)]
-pub struct DelphiEstimator {
+pub struct Delphi {
     config: DelphiConfig,
     estimate_bps: f64,
     /// Input rate of the train in flight (or about to be sent).
@@ -145,7 +100,29 @@ pub struct DelphiEstimator {
     events: Vec<ToolEvent>,
 }
 
-impl Estimator for DelphiEstimator {
+impl Delphi {
+    /// A fresh single-shot Delphi round.
+    pub fn new(config: DelphiConfig) -> Self {
+        assert!(config.headroom > 1.0, "headroom must keep Ri above A");
+        assert!(
+            (0.0..=1.0).contains(&config.alpha),
+            "EWMA weight out of range"
+        );
+        assert!(config.trains >= 1);
+        Delphi {
+            estimate_bps: config.initial_rate_bps / config.headroom,
+            rate_bps: config.initial_rate_bps,
+            samples: Running::new(),
+            steps: Vec::with_capacity(config.trains as usize),
+            packets: 0,
+            sent: 0,
+            events: Vec::new(),
+            config,
+        }
+    }
+}
+
+impl Estimator for Delphi {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         let ct = self.config.tight_capacity_bps;
         if let Some(obs) = last {
@@ -225,7 +202,7 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut tool = Delphi::new(DelphiConfig::new(50e6)).estimator();
+        let mut tool = Delphi::new(DelphiConfig::new(50e6));
         let Verdict::Delphi(r) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("Delphi yields a Delphi report")
         };

@@ -45,17 +45,35 @@ impl DirectConfig {
     }
 }
 
-/// Direct probing with periodic trains (Delphi's sampling structure).
+/// Direct probing with periodic trains (Delphi's sampling structure), as
+/// a decision state machine: send `streams` identical periodic trains,
+/// turn each into an Equation 9 sample, report the mean.
 #[derive(Debug, Clone)]
 pub struct DirectProber {
     config: DirectConfig,
+    spec: StreamSpec,
+    sent: u32,
+    samples: Running,
+    raw: Vec<f64>,
+    packets: u64,
 }
 
 impl DirectProber {
-    /// Creates a prober with the given configuration.
+    /// A fresh single-shot prober with the given configuration.
     pub fn new(config: DirectConfig) -> Self {
         assert!(config.streams >= 1, "need at least one stream");
-        DirectProber { config }
+        DirectProber {
+            spec: StreamSpec::periodic_for_duration(
+                config.input_rate_bps,
+                config.packet_size,
+                config.stream_duration,
+            ),
+            config,
+            sent: 0,
+            samples: Running::new(),
+            raw: Vec::new(),
+            packets: 0,
+        }
     }
 
     /// One avail-bw sample from a completed stream (Equation 9); `None`
@@ -69,36 +87,6 @@ impl DirectProber {
         ))
     }
 
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> DirectEstimator {
-        DirectEstimator {
-            prober: self.clone(),
-            spec: StreamSpec::periodic_for_duration(
-                self.config.input_rate_bps,
-                self.config.packet_size,
-                self.config.stream_duration,
-            ),
-            sent: 0,
-            samples: Running::new(),
-            raw: Vec::new(),
-            packets: 0,
-        }
-    }
-}
-
-/// Direct probing as a decision state machine: send `streams` identical
-/// periodic trains, turn each into an Equation 9 sample, report the mean.
-#[derive(Debug, Clone)]
-pub struct DirectEstimator {
-    prober: DirectProber,
-    spec: StreamSpec,
-    sent: u32,
-    samples: Running,
-    raw: Vec<f64>,
-    packets: u64,
-}
-
-impl DirectEstimator {
     /// The raw per-stream samples, in probing order — for experiments
     /// that study the sample distribution rather than the mean.
     pub fn into_samples(self) -> Vec<f64> {
@@ -106,18 +94,18 @@ impl DirectEstimator {
     }
 }
 
-impl Estimator for DirectEstimator {
+impl Estimator for DirectProber {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
             let result = obs.stream().expect("direct probing sends streams");
             self.packets += result.spec.count() as u64;
-            if let Some(a) = self.prober.sample(result) {
+            if let Some(a) = self.sample(result) {
                 self.samples.push(a);
                 self.raw.push(a);
             }
         }
-        if self.sent < self.prober.config.streams {
+        if self.sent < self.config.streams {
             self.sent += 1;
             Action::Send(ProbeSpec::stream(self.spec.clone()))
         } else {
@@ -145,8 +133,7 @@ mod tests {
         let mut tool = DirectProber::new(DirectConfig {
             streams,
             ..DirectConfig::canonical()
-        })
-        .estimator();
+        });
         let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("direct probing yields a point estimate")
         };
@@ -186,8 +173,7 @@ mod tests {
             streams: 7,
             stream_duration: SimDuration::from_millis(25),
             ..DirectConfig::canonical()
-        })
-        .estimator();
+        });
         s.session().drive(&mut s.sim, &mut tool);
         assert_eq!(tool.into_samples().len(), 7);
     }

@@ -68,18 +68,49 @@ pub struct IgiReport {
     pub probe_packets: u64,
 }
 
-/// The IGI/PTR estimator.
+/// IGI/PTR as a decision state machine: grow the input gap train by
+/// train until the turning point, then report via the IGI formula (or
+/// the train rate, in PTR mode).
 #[derive(Debug, Clone)]
 pub struct Igi {
     config: IgiConfig,
+    /// Report as [`Verdict::Ptr`] instead of [`Verdict::Igi`].
+    ptr: bool,
+    /// Input rate of the train in flight (or about to be sent).
+    rate_bps: f64,
+    /// Trains sent so far (the 1-based iteration counter).
+    sent: u32,
+    packets: u64,
+    /// Most recent train that produced gaps, for the exhausted case:
+    /// `(igi, ptr, rate, iteration)`.
+    last: Option<(f64, f64, f64, u32)>,
+    events: Vec<ToolEvent>,
 }
 
 impl Igi {
-    /// Creates an IGI/PTR instance.
+    /// A fresh single-shot round reporting the IGI estimate.
     pub fn new(config: IgiConfig) -> Self {
         assert!(config.gap_growth > 1.0, "gap must grow between iterations");
         assert!(config.packets_per_train >= 3);
-        Igi { config }
+        Igi {
+            rate_bps: config.initial_rate_bps,
+            config,
+            ptr: false,
+            sent: 0,
+            packets: 0,
+            last: None,
+            events: Vec::new(),
+        }
+    }
+
+    /// A fresh single-shot round reporting the PTR estimate. The run is
+    /// identical to [`Igi::new`]'s; only the [`Verdict`] variant (and so
+    /// the registry's headline number) differs.
+    pub fn ptr(config: IgiConfig) -> Self {
+        Igi {
+            ptr: true,
+            ..Igi::new(config)
+        }
     }
 
     /// The IGI competing-rate formula applied to one train.
@@ -116,51 +147,6 @@ impl Igi {
         Some((igi, ptr))
     }
 
-    /// The resumable state machine reporting the IGI estimate.
-    pub fn estimator(&self) -> IgiEstimator {
-        self.make_estimator(false)
-    }
-
-    /// The resumable state machine reporting the PTR estimate. The run is
-    /// identical to [`Igi::estimator`]; only the [`Verdict`] variant (and
-    /// so the registry's headline number) differs.
-    pub fn ptr_estimator(&self) -> IgiEstimator {
-        self.make_estimator(true)
-    }
-
-    fn make_estimator(&self, ptr: bool) -> IgiEstimator {
-        IgiEstimator {
-            tool: self.clone(),
-            ptr,
-            rate_bps: self.config.initial_rate_bps,
-            sent: 0,
-            packets: 0,
-            last: None,
-            events: Vec::new(),
-        }
-    }
-}
-
-/// IGI/PTR as a decision state machine: grow the input gap train by
-/// train until the turning point, then report via the IGI formula (or
-/// the train rate, in PTR mode).
-#[derive(Debug, Clone)]
-pub struct IgiEstimator {
-    tool: Igi,
-    /// Report as [`Verdict::Ptr`] instead of [`Verdict::Igi`].
-    ptr: bool,
-    /// Input rate of the train in flight (or about to be sent).
-    rate_bps: f64,
-    /// Trains sent so far (the 1-based iteration counter).
-    sent: u32,
-    packets: u64,
-    /// Most recent train that produced gaps, for the exhausted case:
-    /// `(igi, ptr, rate, iteration)`.
-    last: Option<(f64, f64, f64, u32)>,
-    events: Vec<ToolEvent>,
-}
-
-impl IgiEstimator {
     fn verdict(&self, report: IgiReport) -> Verdict {
         if self.ptr {
             Verdict::Ptr(report)
@@ -170,16 +156,16 @@ impl IgiEstimator {
     }
 }
 
-impl Estimator for IgiEstimator {
+impl Estimator for Igi {
     fn next(&mut self, last: Option<&Observation>) -> Action {
-        let config = &self.tool.config;
+        let config = &self.config;
         let l_bits = config.packet_size as f64 * 8.0;
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
             let result = obs.stream().expect("IGI sends trains");
             self.packets += result.spec.count() as u64;
             let g_in = l_bits / self.rate_bps;
-            if let Some((igi, ptr)) = self.tool.analyse_train(result, g_in) {
+            if let Some((igi, ptr)) = self.analyse_train(result, g_in) {
                 self.last = Some((igi, ptr, self.rate_bps, self.sent));
                 // turning point: output gaps no longer exceed input gaps
                 let gaps = result.pair_gaps();
@@ -256,7 +242,7 @@ mod tests {
     }
 
     fn run_igi(s: &mut Scenario) -> IgiReport {
-        let mut tool = Igi::new(IgiConfig::default()).estimator();
+        let mut tool = Igi::new(IgiConfig::default());
         let Verdict::Igi(r) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("IGI yields an IGI report")
         };
@@ -315,10 +301,10 @@ mod tests {
     /// two estimators send the same trains and build the same report,
     /// which only the verdict variant reads differently.
     #[test]
-    fn ptr_estimator_matches_igi_run() {
+    fn ptr_run_matches_igi_run() {
         let igi = run_igi(&mut scenario(CrossKind::Poisson));
         let mut s = scenario(CrossKind::Poisson);
-        let mut tool = Igi::new(IgiConfig::default()).ptr_estimator();
+        let mut tool = Igi::ptr(IgiConfig::default());
         let Verdict::Ptr(ptr) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("PTR yields a PTR report")
         };

@@ -37,11 +37,14 @@
 //! tool can keep re-estimating against time-varying cross traffic (the
 //! `tracking` experiment).
 //!
-//! Tools are instantiated by name through the [`registry`] or built from
-//! their configs (`Pathload::new(config).estimator()`), and run only
-//! under a session: [`Scenario::session`](crate::scenario::Scenario::session)
-//! then [`Session::drive`](crate::probe::Session::drive). A caller that
-//! needs a tool's own report matches its [`Verdict`] variant. The state
+//! Each tool is one type: `X::new(config)` checks the config and returns
+//! a fresh single-shot estimator (`Pathload::new(config)`; IGI and PTR
+//! share one machine, built by `Igi::new` and `Igi::ptr`). Tools are
+//! instantiated by name through the [`registry`] or from their configs,
+//! and run only under a session:
+//! [`Scenario::session`](crate::scenario::Scenario::session) then
+//! [`Session::drive`](crate::probe::Session::drive). A caller that needs
+//! a tool's own report matches its [`Verdict`] variant. The state
 //! machines reproduce the pre-refactor blocking implementations bit for
 //! bit (pinned by `tests/golden_tools.rs`).
 

@@ -49,18 +49,39 @@ impl Default for PathchirpConfig {
     }
 }
 
-/// The pathChirp estimator.
+/// pathChirp as a decision state machine: send `chirps` identical chirp
+/// streams, run the excursion analysis on each, report the mean.
 #[derive(Debug, Clone)]
 pub struct Pathchirp {
     config: PathchirpConfig,
+    spec: StreamSpec,
+    sent: u32,
+    /// Chirps observed so far (the trace-event iteration counter).
+    processed: u32,
+    samples: Running,
+    packets: u64,
+    events: Vec<ToolEvent>,
 }
 
 impl Pathchirp {
-    /// Creates a pathChirp instance.
+    /// A fresh single-shot pathChirp round.
     pub fn new(config: PathchirpConfig) -> Self {
         assert!(config.gamma > 1.0, "gamma must exceed 1");
         assert!(config.packets_per_chirp >= 4, "chirp too short");
-        Pathchirp { config }
+        Pathchirp {
+            spec: StreamSpec::Chirp {
+                start_rate_bps: config.start_rate_bps,
+                gamma: config.gamma,
+                size: config.packet_size,
+                count: config.packets_per_chirp,
+            },
+            config,
+            sent: 0,
+            processed: 0,
+            samples: Running::new(),
+            packets: 0,
+            events: Vec::new(),
+        }
     }
 
     /// The per-chirp avail-bw estimate from one received chirp.
@@ -74,32 +95,7 @@ impl Pathchirp {
     /// * when no such point exists the chirp never overloaded the path
     ///   and the estimate is the highest rate probed.
     pub fn chirp_estimate(&self, result: &StreamResult) -> Option<f64> {
-        if result.received() < 4 {
-            return None;
-        }
-        let owds = result.relative_owds();
-        // pair k = adjacent received packets with consecutive seqs: the
-        // probing rate from the pair's send gap, the queueing-delay
-        // signature from the relative OWD of the pair's second packet.
-        // Pairing the two by record position keeps them aligned when
-        // loss punches holes in the chirp — a raw `owds[1..]` drifts
-        // one slot per lost packet.
-        let pairs: Vec<(f64, f64)> = result
-            .records
-            .windows(2)
-            .enumerate()
-            .filter_map(|(i, w)| match w {
-                [a, b] if b.seq == a.seq + 1 => {
-                    let g_in = b.sent_at.since(a.sent_at).as_secs_f64();
-                    let rate = self.config.packet_size as f64 * 8.0 / g_in;
-                    owds.get(i + 1).map(|&q| (rate, q))
-                }
-                _ => None,
-            })
-            .collect();
-        if pairs.is_empty() {
-            return None;
-        }
+        let pairs = chirp_pairs(result, self.config.packet_size)?;
 
         // last start of a run that stays above the threshold to the end
         let mut j_star = None;
@@ -116,47 +112,15 @@ impl Pathchirp {
             None => pairs.last().map(|p| p.0),
         }
     }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> PathchirpEstimator {
-        PathchirpEstimator {
-            tool: self.clone(),
-            spec: StreamSpec::Chirp {
-                start_rate_bps: self.config.start_rate_bps,
-                gamma: self.config.gamma,
-                size: self.config.packet_size,
-                count: self.config.packets_per_chirp,
-            },
-            sent: 0,
-            processed: 0,
-            samples: Running::new(),
-            packets: 0,
-            events: Vec::new(),
-        }
-    }
 }
 
-/// pathChirp as a decision state machine: send `chirps` identical chirp
-/// streams, run the excursion analysis on each, report the mean.
-#[derive(Debug, Clone)]
-pub struct PathchirpEstimator {
-    tool: Pathchirp,
-    spec: StreamSpec,
-    sent: u32,
-    /// Chirps observed so far (the trace-event iteration counter).
-    processed: u32,
-    samples: Running,
-    packets: u64,
-    events: Vec<ToolEvent>,
-}
-
-impl Estimator for PathchirpEstimator {
+impl Estimator for Pathchirp {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
             let result = obs.stream().expect("pathChirp sends chirps");
             self.packets += result.spec.count() as u64;
-            if let Some(e) = self.tool.chirp_estimate(result) {
+            if let Some(e) = self.chirp_estimate(result) {
                 self.samples.push(e);
                 self.events.push(ToolEvent::new(
                     "pathchirp.chirp",
@@ -170,7 +134,7 @@ impl Estimator for PathchirpEstimator {
             }
             self.processed += 1;
         }
-        if self.sent < self.tool.config.chirps {
+        if self.sent < self.config.chirps {
             self.sent += 1;
             Action::Send(ProbeSpec::stream(self.spec.clone()))
         } else {
@@ -188,6 +152,37 @@ impl Estimator for PathchirpEstimator {
     }
 }
 
+/// The per-pair `(probing rate, queueing delay)` series of one received
+/// chirp, shared by pathChirp and S-chirp; `None` when fewer than 4
+/// packets arrived or no consecutive pair survived.
+///
+/// Pair k is two adjacent received packets with consecutive seqs: the
+/// probing rate comes from the pair's send gap, the queueing-delay
+/// signature from the relative OWD of the pair's second packet. Pairing
+/// the two by record position keeps them aligned when loss punches
+/// holes in the chirp — a raw `owds[1..]` drifts one slot per lost
+/// packet.
+pub(crate) fn chirp_pairs(result: &StreamResult, packet_size: u32) -> Option<Vec<(f64, f64)>> {
+    if result.received() < 4 {
+        return None;
+    }
+    let owds = result.relative_owds();
+    let pairs: Vec<(f64, f64)> = result
+        .records
+        .windows(2)
+        .enumerate()
+        .filter_map(|(i, w)| match w {
+            [a, b] if b.seq == a.seq + 1 => {
+                let g_in = b.sent_at.since(a.sent_at).as_secs_f64();
+                let rate = packet_size as f64 * 8.0 / g_in;
+                owds.get(i + 1).map(|&q| (rate, q))
+            }
+            _ => None,
+        })
+        .collect();
+    (!pairs.is_empty()).then_some(pairs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,8 +198,7 @@ mod tests {
         let mut tool = Pathchirp::new(PathchirpConfig {
             chirps,
             ..PathchirpConfig::default()
-        })
-        .estimator();
+        });
         s.session().drive(&mut s.sim, &mut tool)
     }
 
@@ -240,7 +234,7 @@ mod tests {
             ..PathchirpConfig::default()
         };
         let top_rate = cfg.start_rate_bps * cfg.gamma.powi(cfg.packets_per_chirp as i32 - 2);
-        let mut tool = Pathchirp::new(cfg).estimator();
+        let mut tool = Pathchirp::new(cfg);
         let est = s.session().drive(&mut s.sim, &mut tool).avail_bps();
         // on an idle 50 Mb/s link the chirp's top rates exceed the
         // capacity, so an excursion forms near the capacity — the

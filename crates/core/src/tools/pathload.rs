@@ -16,7 +16,7 @@ use abw_stats::trend::{TrendAnalyzer, TrendVerdict};
 
 use crate::probe::StreamResult;
 use crate::stream::StreamSpec;
-use crate::tools::{Action, Estimator, Observation, ProbeSpec, RangeEstimate, ToolEvent, Verdict};
+use crate::tools::{Action, Estimator, Observation, ProbeSpec, ToolEvent, Verdict};
 
 /// Pathload configuration.
 #[derive(Debug, Clone)]
@@ -108,49 +108,6 @@ pub struct PathloadReport {
     pub elapsed_secs: f64,
 }
 
-impl PathloadReport {
-    /// The range as a [`RangeEstimate`].
-    pub fn as_range(&self) -> RangeEstimate {
-        RangeEstimate::new(
-            self.range_bps.0,
-            self.range_bps.1,
-            self.probe_packets,
-            self.elapsed_secs,
-        )
-    }
-}
-
-/// The Pathload estimator.
-#[derive(Debug, Clone)]
-pub struct Pathload {
-    config: PathloadConfig,
-}
-
-impl Pathload {
-    /// Creates a Pathload instance.
-    pub fn new(config: PathloadConfig) -> Self {
-        assert!(config.max_rate_bps > config.min_rate_bps);
-        assert!(config.resolution_bps > 0.0);
-        assert!(config.streams_per_fleet >= 1);
-        Pathload { config }
-    }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> PathloadEstimator {
-        PathloadEstimator {
-            config: self.config.clone(),
-            lo_bps: self.config.min_rate_bps,
-            hi_bps: self.config.max_rate_bps,
-            grey_lo_bps: f64::INFINITY,
-            grey_hi_bps: f64::NEG_INFINITY,
-            fleets: Vec::new(),
-            packets: 0,
-            fleet: None,
-            events: Vec::new(),
-        }
-    }
-}
-
 /// One fleet of identical-rate streams, as a sub-machine of the binary
 /// search: hand out stream specs until the fleet is complete, collect
 /// trend votes, then tally the verdict.
@@ -223,7 +180,7 @@ impl FleetMachine {
 /// each probe of the search being a full fleet (run by an internal
 /// `FleetMachine`).
 #[derive(Debug, Clone)]
-pub struct PathloadEstimator {
+pub struct Pathload {
     config: PathloadConfig,
     lo_bps: f64,
     hi_bps: f64,
@@ -237,7 +194,27 @@ pub struct PathloadEstimator {
     events: Vec<ToolEvent>,
 }
 
-impl Estimator for PathloadEstimator {
+impl Pathload {
+    /// A fresh single-shot Pathload round.
+    pub fn new(config: PathloadConfig) -> Self {
+        assert!(config.max_rate_bps > config.min_rate_bps);
+        assert!(config.resolution_bps > 0.0);
+        assert!(config.streams_per_fleet >= 1);
+        Pathload {
+            lo_bps: config.min_rate_bps,
+            hi_bps: config.max_rate_bps,
+            grey_lo_bps: f64::INFINITY,
+            grey_hi_bps: f64::NEG_INFINITY,
+            fleets: Vec::new(),
+            packets: 0,
+            fleet: None,
+            events: Vec::new(),
+            config,
+        }
+    }
+}
+
+impl Estimator for Pathload {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
@@ -338,7 +315,7 @@ mod tests {
 
     fn run_quick(cross: CrossKind) -> PathloadReport {
         let mut s = scenario(cross);
-        let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+        let mut tool = Pathload::new(PathloadConfig::quick());
         let Verdict::Pathload(report) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("Pathload yields a Pathload report")
         };
@@ -395,14 +372,5 @@ mod tests {
         let (above, frac_a, _) = run_one_fleet(&mut s, &mut runner, &config, 40e6);
         assert_eq!(below, FleetVerdict::Below, "15 Mb/s fraction {frac_b}");
         assert_eq!(above, FleetVerdict::Above, "40 Mb/s fraction {frac_a}");
-    }
-
-    #[test]
-    fn report_converts_to_range_estimate() {
-        let report = run_quick(CrossKind::Cbr);
-        let range = report.as_range();
-        assert!(range.range_bps.0 <= range.midpoint_bps);
-        assert!(range.midpoint_bps <= range.range_bps.1);
-        assert_eq!(range.probe_packets, report.probe_packets);
     }
 }

@@ -116,14 +116,11 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "periodic trains inverted with Equation 9",
         paper_section: "§2.2 (direct probing)",
         constructor: |c| {
-            Box::new(
-                DirectProber::new(DirectConfig {
-                    tight_capacity_bps: c.tight_capacity_bps,
-                    streams: if c.quick { 20 } else { 100 },
-                    ..DirectConfig::canonical()
-                })
-                .estimator(),
-            )
+            Box::new(DirectProber::new(DirectConfig {
+                tight_capacity_bps: c.tight_capacity_bps,
+                streams: if c.quick { 20 } else { 100 },
+                ..DirectConfig::canonical()
+            }))
         },
     },
     ToolEntry {
@@ -132,13 +129,10 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "adaptive trains whose input rate tracks the estimate",
         paper_section: "§2.2 (direct probing)",
         constructor: |c| {
-            Box::new(
-                Delphi::new(DelphiConfig {
-                    trains: if c.quick { 15 } else { 40 },
-                    ..DelphiConfig::new(c.tight_capacity_bps)
-                })
-                .estimator(),
-            )
+            Box::new(Delphi::new(DelphiConfig {
+                trains: if c.quick { 15 } else { 40 },
+                ..DelphiConfig::new(c.tight_capacity_bps)
+            }))
         },
     },
     ToolEntry {
@@ -147,13 +141,10 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "Poisson-spaced packet pairs at the tight-link rate",
         paper_section: "§2.2 (direct probing)",
         constructor: |c| {
-            Box::new(
-                Spruce::new(SpruceConfig {
-                    pairs: if c.quick { 50 } else { 100 },
-                    ..SpruceConfig::new(c.tight_capacity_bps)
-                })
-                .estimator(),
-            )
+            Box::new(Spruce::new(SpruceConfig {
+                pairs: if c.quick { 50 } else { 100 },
+                ..SpruceConfig::new(c.tight_capacity_bps)
+            }))
         },
     },
     ToolEntry {
@@ -162,15 +153,12 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "linear rate sweep with regression on Ri/Ro",
         paper_section: "§2.3 (iterative probing)",
         constructor: |c| {
-            Box::new(
-                Topp::new(ToppConfig {
-                    step_bps: if c.quick { 3e6 } else { 1e6 },
-                    streams_per_rate: if c.quick { 3 } else { 6 },
-                    stream_gap: Some(SimDuration::from_millis(5)),
-                    ..ToppConfig::default()
-                })
-                .estimator(),
-            )
+            Box::new(Topp::new(ToppConfig {
+                step_bps: if c.quick { 3e6 } else { 1e6 },
+                streams_per_rate: if c.quick { 3 } else { 6 },
+                stream_gap: Some(SimDuration::from_millis(5)),
+                ..ToppConfig::default()
+            }))
         },
     },
     ToolEntry {
@@ -179,14 +167,11 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "binary rate search with PCT/PDT trend tests",
         paper_section: "§2.3 (iterative probing), §3.9 (variation range)",
         constructor: |c| {
-            Box::new(
-                Pathload::new(if c.quick {
-                    PathloadConfig::quick()
-                } else {
-                    PathloadConfig::default()
-                })
-                .estimator(),
-            )
+            Box::new(Pathload::new(if c.quick {
+                PathloadConfig::quick()
+            } else {
+                PathloadConfig::default()
+            }))
         },
     },
     ToolEntry {
@@ -195,13 +180,10 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "exponentially spaced chirps with excursion analysis",
         paper_section: "§2.3 (iterative probing)",
         constructor: |c| {
-            Box::new(
-                Pathchirp::new(PathchirpConfig {
-                    chirps: if c.quick { 15 } else { 30 },
-                    ..PathchirpConfig::default()
-                })
-                .estimator(),
-            )
+            Box::new(Pathchirp::new(PathchirpConfig {
+                chirps: if c.quick { 15 } else { 30 },
+                ..PathchirpConfig::default()
+            }))
         },
     },
     // Sends pathChirp's exact chirp stream (same start rate, gamma,
@@ -215,13 +197,10 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "smoothed chirps (Pásztor's S-chirp)",
         paper_section: "§2.3 (iterative probing)",
         constructor: |c| {
-            Box::new(
-                Schirp::new(SchirpConfig {
-                    chirps: if c.quick { 15 } else { 30 },
-                    ..SchirpConfig::default()
-                })
-                .estimator(),
-            )
+            Box::new(Schirp::new(SchirpConfig {
+                chirps: if c.quick { 15 } else { 30 },
+                ..SchirpConfig::default()
+            }))
         },
     },
     ToolEntry {
@@ -230,18 +209,15 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "gap-increase trains, IGI formula at the turning point",
         paper_section: "§2.3 (the tool the paper calls hard to classify)",
         constructor: |c| {
-            Box::new(
-                Igi::new(IgiConfig {
-                    tight_capacity_bps: c.tight_capacity_bps,
-                    ..IgiConfig::default()
-                })
-                .estimator(),
-            )
+            Box::new(Igi::new(IgiConfig {
+                tight_capacity_bps: c.tight_capacity_bps,
+                ..IgiConfig::default()
+            }))
         },
     },
-    // Shares the Igi probing engine with the entry above — only the
-    // estimator differs, so its perf-harness cost rows (probe packets,
-    // events) are byte-identical to `igi`'s by construction. Pinned by
+    // Runs the same Igi state machine as the entry above — only the
+    // verdict variant differs, so its perf-harness cost rows (probe
+    // packets, events) are byte-identical to `igi`'s by construction. Pinned by
     // `shared_engine_tool_pairs_have_identical_probe_cost`.
     ToolEntry {
         name: "ptr",
@@ -249,13 +225,10 @@ static TOOLS: [ToolEntry; 11] = [
         summary: "gap-increase trains, turning-point train rate",
         paper_section: "§2.3 (iterative probing)",
         constructor: |c| {
-            Box::new(
-                Igi::new(IgiConfig {
-                    tight_capacity_bps: c.tight_capacity_bps,
-                    ..IgiConfig::default()
-                })
-                .ptr_estimator(),
-            )
+            Box::new(Igi::ptr(IgiConfig {
+                tight_capacity_bps: c.tight_capacity_bps,
+                ..IgiConfig::default()
+            }))
         },
     },
     ToolEntry {
@@ -263,14 +236,14 @@ static TOOLS: [ToolEntry; 11] = [
         module: "bfind",
         summary: "sender-only load ramp with per-hop RTT monitoring",
         paper_section: "§2.3 (iterative probing, no receiver needed)",
-        constructor: |_| Box::new(Bfind::new(BfindConfig::default()).estimator()),
+        constructor: |_| Box::new(Bfind::new(BfindConfig::default())),
     },
     ToolEntry {
         name: "capacity",
         module: "capacity",
         summary: "bprobe-style pair dispersion (measures Cn, Pitfall 5)",
         paper_section: "§3.5 (Pitfall 5: narrow vs tight link)",
-        constructor: |_| Box::new(CapacityProber::new(CapacityConfig::default()).estimator()),
+        constructor: |_| Box::new(CapacityProber::new(CapacityConfig::default())),
     },
 ];
 

@@ -14,6 +14,7 @@ use abw_stats::running::Running;
 
 use crate::probe::StreamResult;
 use crate::stream::StreamSpec;
+use crate::tools::pathchirp::chirp_pairs;
 use crate::tools::{Action, Estimate, Estimator, Observation, ProbeSpec, Verdict};
 
 /// S-chirp configuration.
@@ -51,19 +52,35 @@ impl Default for SchirpConfig {
     }
 }
 
-/// The S-chirp estimator.
+/// S-chirp as a decision state machine: send the configured chirps and
+/// average the per-chirp onset estimates.
 #[derive(Debug, Clone)]
 pub struct Schirp {
     config: SchirpConfig,
+    spec: StreamSpec,
+    sent: u32,
+    samples: Running,
+    packets: u64,
 }
 
 impl Schirp {
-    /// Creates an S-chirp instance.
+    /// A fresh single-shot S-chirp round.
     pub fn new(config: SchirpConfig) -> Self {
         assert!(config.gamma > 1.0);
         assert!(config.smoothing_window >= 1);
         assert!(config.packets_per_chirp >= 4);
-        Schirp { config }
+        Schirp {
+            spec: StreamSpec::Chirp {
+                start_rate_bps: config.start_rate_bps,
+                gamma: config.gamma,
+                size: config.packet_size,
+                count: config.packets_per_chirp,
+            },
+            config,
+            sent: 0,
+            samples: Running::new(),
+            packets: 0,
+        }
     }
 
     /// Centered moving average with the configured window.
@@ -82,29 +99,9 @@ impl Schirp {
     /// The per-chirp estimate: the pair rate at the onset of a sustained
     /// increase in the smoothed queueing-delay series.
     pub fn chirp_estimate(&self, result: &StreamResult) -> Option<f64> {
-        if result.received() < 4 {
-            return None;
-        }
-        let owds = result.relative_owds();
-        // per-pair (rate, delay) aligned by record position, so loss in
-        // the chirp cannot shift the delay series against the rates
-        // (see the same construction in pathChirp)
-        let (rates, q_raw): (Vec<f64>, Vec<f64>) = result
-            .records
-            .windows(2)
-            .enumerate()
-            .filter_map(|(i, w)| match w {
-                [a, b] if b.seq == a.seq + 1 => {
-                    let g_in = b.sent_at.since(a.sent_at).as_secs_f64();
-                    let rate = self.config.packet_size as f64 * 8.0 / g_in;
-                    owds.get(i + 1).map(|&q| (rate, q))
-                }
-                _ => None,
-            })
-            .unzip();
-        if rates.is_empty() {
-            return None;
-        }
+        // per-pair (rate, delay), built exactly as pathChirp builds them
+        let pairs = chirp_pairs(result, self.config.packet_size)?;
+        let q_raw: Vec<f64> = pairs.iter().map(|&(_, q)| q).collect();
         let q = self.smooth(&q_raw);
 
         // onset: the last index from which the smoothed delays increase
@@ -116,51 +113,24 @@ impl Schirp {
                 _ => break,
             }
         }
-        match onset {
-            Some(j) => rates.get(j).or(rates.last()).copied(),
-            None => rates.last().copied(),
-        }
-    }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> SchirpEstimator {
-        SchirpEstimator {
-            tool: self.clone(),
-            spec: StreamSpec::Chirp {
-                start_rate_bps: self.config.start_rate_bps,
-                gamma: self.config.gamma,
-                size: self.config.packet_size,
-                count: self.config.packets_per_chirp,
-            },
-            sent: 0,
-            samples: Running::new(),
-            packets: 0,
-        }
+        onset
+            .and_then(|j| pairs.get(j))
+            .or(pairs.last())
+            .map(|&(rate, _)| rate)
     }
 }
 
-/// S-chirp as a decision state machine: send the configured chirps and
-/// average the per-chirp onset estimates.
-#[derive(Debug, Clone)]
-pub struct SchirpEstimator {
-    tool: Schirp,
-    spec: StreamSpec,
-    sent: u32,
-    samples: Running,
-    packets: u64,
-}
-
-impl Estimator for SchirpEstimator {
+impl Estimator for Schirp {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
             let result = obs.stream().expect("S-chirp sends chirps");
             self.packets += result.spec.count() as u64;
-            if let Some(e) = self.tool.chirp_estimate(result) {
+            if let Some(e) = self.chirp_estimate(result) {
                 self.samples.push(e);
             }
         }
-        if self.sent < self.tool.config.chirps {
+        if self.sent < self.config.chirps {
             self.sent += 1;
             Action::Send(ProbeSpec::stream(self.spec.clone()))
         } else {
@@ -186,7 +156,7 @@ mod tests {
             ..SingleHopConfig::default()
         });
         s.warm_up(SimDuration::from_millis(500));
-        let mut tool = Schirp::new(SchirpConfig::default()).estimator();
+        let mut tool = Schirp::new(SchirpConfig::default());
         s.session().drive(&mut s.sim, &mut tool).avail_bps()
     }
 

@@ -53,17 +53,37 @@ impl SpruceConfig {
     }
 }
 
-/// The Spruce estimator.
+/// Spruce as a decision state machine: each pair is requested with its
+/// own exponentially drawn pre-gap (Poisson sampling of the avail-bw
+/// process); negative samples are clamped to zero as in the published
+/// tool.
 #[derive(Debug, Clone)]
 pub struct Spruce {
     config: SpruceConfig,
+    rng: StdRng,
+    spec: StreamSpec,
+    sent: u32,
+    samples: Running,
+    packets: u64,
+    events: Vec<ToolEvent>,
 }
 
 impl Spruce {
-    /// Creates a Spruce instance.
+    /// A fresh single-shot Spruce round.
     pub fn new(config: SpruceConfig) -> Self {
         assert!(config.pairs >= 1, "need at least one pair");
-        Spruce { config }
+        Spruce {
+            rng: StdRng::seed_from_u64(config.seed),
+            spec: StreamSpec::Pair {
+                rate_bps: config.tight_capacity_bps,
+                size: config.packet_size,
+            },
+            config,
+            sent: 0,
+            samples: Running::new(),
+            packets: 0,
+            events: Vec::new(),
+        }
     }
 
     /// The avail-bw sample of one received pair; `None` when either
@@ -73,46 +93,15 @@ impl Spruce {
         let &(gap_in, gap_out) = gaps.first()?;
         Some(self.config.tight_capacity_bps * (1.0 - (gap_out - gap_in) / gap_in))
     }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> SpruceEstimator {
-        SpruceEstimator {
-            tool: self.clone(),
-            rng: StdRng::seed_from_u64(self.config.seed),
-            spec: StreamSpec::Pair {
-                rate_bps: self.config.tight_capacity_bps,
-                size: self.config.packet_size,
-            },
-            sent: 0,
-            samples: Running::new(),
-            packets: 0,
-            events: Vec::new(),
-        }
-    }
 }
 
-/// Spruce as a decision state machine: each pair is requested with its
-/// own exponentially drawn pre-gap (Poisson sampling of the avail-bw
-/// process); negative samples are clamped to zero as in the published
-/// tool.
-#[derive(Debug, Clone)]
-pub struct SpruceEstimator {
-    tool: Spruce,
-    rng: StdRng,
-    spec: StreamSpec,
-    sent: u32,
-    samples: Running,
-    packets: u64,
-    events: Vec<ToolEvent>,
-}
-
-impl Estimator for SpruceEstimator {
+impl Estimator for Spruce {
     fn next(&mut self, last: Option<&Observation>) -> Action {
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
             let result = obs.stream().expect("Spruce sends pairs");
             self.packets += 2;
-            if let Some(a) = self.tool.sample(result) {
+            if let Some(a) = self.sample(result) {
                 self.samples.push(a.max(0.0));
                 self.events.push(ToolEvent::new(
                     "spruce.pair",
@@ -124,11 +113,11 @@ impl Estimator for SpruceEstimator {
                 ));
             }
         }
-        if self.sent < self.tool.config.pairs {
+        if self.sent < self.config.pairs {
             self.sent += 1;
             let gap = SimDuration::from_secs_f64(exp_variate(
                 &mut self.rng,
-                self.tool.config.mean_pair_gap.as_secs_f64(),
+                self.config.mean_pair_gap.as_secs_f64(),
             ));
             Action::Send(ProbeSpec::Stream {
                 spec: self.spec.clone(),
@@ -165,8 +154,7 @@ mod tests {
         let mut tool = Spruce::new(SpruceConfig {
             pairs,
             ..SpruceConfig::new(50e6)
-        })
-        .estimator();
+        });
         let Verdict::Point(est) = s.session().drive(&mut s.sim, &mut tool) else {
             unreachable!("Spruce yields a point estimate")
         };
@@ -215,8 +203,7 @@ mod tests {
         let mut tool = Spruce::new(SpruceConfig {
             pairs: 10,
             ..SpruceConfig::new(50e6)
-        })
-        .estimator();
+        });
         let est = s.session().drive(&mut s.sim, &mut tool).avail_bps();
         // idle link: gap unchanged → A = Ct
         assert!(

@@ -86,26 +86,36 @@ pub struct ToppReport {
     pub probe_packets: u64,
 }
 
-/// The TOPP estimator.
+/// TOPP as a decision state machine: sweep the offered rate linearly,
+/// averaging the output dispersion over `streams_per_rate` trains per
+/// rate, then run the turning-point analysis.
 #[derive(Debug, Clone)]
 pub struct Topp {
     config: ToppConfig,
+    /// Offered rate of the current round.
+    rate_bps: f64,
+    /// Trains observed so far at the current rate.
+    in_round: u32,
+    /// Output-gap accumulator of the current round. Averaging the
+    /// *dispersion* gaps, then converting to a rate `Ro = L / mean(g_out)`,
+    /// avoids the upward Jensen bias of averaging per-gap rates `L/g_out`,
+    /// which at low probing rates (long gaps, many interleaved cross
+    /// packets) fabricates expansion.
+    gout: Running,
+    points: Vec<ToppPoint>,
+    packets: u64,
+    events: Vec<ToolEvent>,
 }
 
 impl Topp {
-    /// Creates a TOPP instance.
+    /// A fresh single-shot TOPP sweep.
     pub fn new(config: ToppConfig) -> Self {
         assert!(config.min_rate_bps > 0.0);
         assert!(config.max_rate_bps > config.min_rate_bps);
         assert!(config.step_bps > 0.0);
-        Topp { config }
-    }
-
-    /// The resumable state machine for one estimation round.
-    pub fn estimator(&self) -> ToppEstimator {
-        ToppEstimator {
-            tool: self.clone(),
-            rate_bps: self.config.min_rate_bps,
+        Topp {
+            rate_bps: config.min_rate_bps,
+            config,
             in_round: 0,
             gout: Running::new(),
             points: Vec::new(),
@@ -172,30 +182,9 @@ impl Topp {
     }
 }
 
-/// TOPP as a decision state machine: sweep the offered rate linearly,
-/// averaging the output dispersion over `streams_per_rate` trains per
-/// rate, then run the turning-point analysis.
-#[derive(Debug, Clone)]
-pub struct ToppEstimator {
-    tool: Topp,
-    /// Offered rate of the current round.
-    rate_bps: f64,
-    /// Trains observed so far at the current rate.
-    in_round: u32,
-    /// Output-gap accumulator of the current round. Averaging the
-    /// *dispersion* gaps, then converting to a rate `Ro = L / mean(g_out)`,
-    /// avoids the upward Jensen bias of averaging per-gap rates `L/g_out`,
-    /// which at low probing rates (long gaps, many interleaved cross
-    /// packets) fabricates expansion.
-    gout: Running,
-    points: Vec<ToppPoint>,
-    packets: u64,
-    events: Vec<ToolEvent>,
-}
-
-impl Estimator for ToppEstimator {
+impl Estimator for Topp {
     fn next(&mut self, last: Option<&Observation>) -> Action {
-        let config = &self.tool.config;
+        let config = &self.config;
         if let Some(obs) = last {
             // lint: allow(panic_free) -- reply kind matches the request this estimator issued
             let result = obs.stream().expect("TOPP sends trains");
@@ -239,9 +228,8 @@ impl Estimator for ToppEstimator {
                 pre_gap: config.stream_gap,
             })
         } else {
-            let report = self
-                .tool
-                .analyse(std::mem::take(&mut self.points), self.packets);
+            let points = std::mem::take(&mut self.points);
+            let report = self.analyse(points, self.packets);
             self.events.push(ToolEvent::new(
                 "topp.result",
                 vec![
@@ -278,7 +266,7 @@ mod tests {
         s.warm_up(SimDuration::from_millis(300));
         let mut session = s.session();
         session.runner_mut().stream_gap = SimDuration::from_millis(5);
-        let mut tool = Topp::new(config).estimator();
+        let mut tool = Topp::new(config);
         let Verdict::Topp(report) = session.drive(&mut s.sim, &mut tool) else {
             unreachable!("TOPP yields a TOPP report")
         };

@@ -33,7 +33,7 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    let mut tool = Bfind::new(BfindConfig::default()).estimator();
+    let mut tool = Bfind::new(BfindConfig::default());
     let Verdict::Bfind(report) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
         unreachable!("BFind yields a BFind report")
     };

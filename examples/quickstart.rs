@@ -27,7 +27,7 @@ fn main() {
     // 2. direct probing (Delphi-style): needs the tight-link capacity,
     //    inverts Equation 9 per stream, averages the samples; a session
     //    drives the tool's probing over the scenario's endpoints
-    let mut tool = DirectProber::new(DirectConfig::canonical()).estimator();
+    let mut tool = DirectProber::new(DirectConfig::canonical());
     let Verdict::Point(direct) = scenario.session().drive(&mut scenario.sim, &mut tool) else {
         unreachable!("direct probing yields a point estimate")
     };
@@ -42,7 +42,7 @@ fn main() {
 
     // 3. iterative probing (Pathload): no capacity needed; binary-search
     //    on the rate with OWD trend tests, reports a variation range
-    let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+    let mut tool = Pathload::new(PathloadConfig::quick());
     let pathload = scenario.session().drive(&mut scenario.sim, &mut tool);
     let (lo, hi) = pathload.range_bps().expect("Pathload reports a range");
     println!(

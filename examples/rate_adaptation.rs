@@ -28,7 +28,7 @@ fn main() {
         ..SingleHopConfig::default()
     });
     scenario.warm_up(SimDuration::from_millis(500));
-    let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+    let mut tool = Pathload::new(PathloadConfig::default());
     let report = scenario.session().drive(&mut scenario.sim, &mut tool);
     let (lo, hi) = report.range_bps().expect("Pathload reports a range");
     println!(

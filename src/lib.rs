@@ -36,7 +36,7 @@
 //! scenario.warm_up(SimDuration::from_millis(300));
 //!
 //! // Pathload reports a variation range (R_L, R_H), not a point
-//! let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+//! let mut tool = Pathload::new(PathloadConfig::quick());
 //! let verdict = scenario.session().drive(&mut scenario.sim, &mut tool);
 //! let (lo, hi) = verdict.range_bps().expect("Pathload reports a range");
 //! assert!(lo < hi);
@@ -44,6 +44,11 @@
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! binaries that regenerate each of the paper's figures and tables.
+
+// Compiles and runs the README's Rust blocks as doctests.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
 
 pub use abw_core as core;
 pub use abw_netsim as netsim;

@@ -44,7 +44,7 @@ fn identical_seeds_identical_streams() {
 fn identical_seeds_identical_pathload_ranges() {
     let run = |seed| {
         let mut s = scenario(seed);
-        let mut tool = Pathload::new(PathloadConfig::quick()).estimator();
+        let mut tool = Pathload::new(PathloadConfig::quick());
         s.session().drive(&mut s.sim, &mut tool).range_bps()
     };
     assert_eq!(run(3), run(3));

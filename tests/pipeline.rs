@@ -48,8 +48,7 @@ fn probing_estimate_matches_ground_truth_not_just_configuration() {
     let mut tool = DirectProber::new(DirectConfig {
         streams: 60,
         ..DirectConfig::canonical()
-    })
-    .estimator();
+    });
     let est = s.session().drive(&mut s.sim, &mut tool).avail_bps();
     assert!(
         relative_error(est, 25e6).abs() < 0.10,

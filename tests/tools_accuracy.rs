@@ -43,31 +43,30 @@ fn all_tools_agree_on_poisson_cross_traffic() {
     let mut direct = DirectProber::new(DirectConfig {
         streams: 40,
         ..DirectConfig::canonical()
-    })
-    .estimator();
+    });
     results.push(("direct", poisson(1, &mut direct).avail_bps(), 0.12));
     // pair quantisation with 1500 B cross packets biases Spruce up
-    let mut spruce = Spruce::new(SpruceConfig::new(50e6)).estimator();
+    let mut spruce = Spruce::new(SpruceConfig::new(50e6));
     results.push(("spruce", poisson(2, &mut spruce).avail_bps(), 0.45));
     {
         let mut s = scenario(CrossKind::Poisson, 3);
         let mut session = s.session();
         session.runner_mut().stream_gap = SimDuration::from_millis(5);
-        let mut topp = Topp::new(ToppConfig::default()).estimator();
+        let mut topp = Topp::new(ToppConfig::default());
         let est = session.drive(&mut s.sim, &mut topp).avail_bps();
         results.push(("topp", est, 0.35));
     }
     // the range midpoint
-    let mut pathload = Pathload::new(PathloadConfig::default()).estimator();
+    let mut pathload = Pathload::new(PathloadConfig::default());
     results.push(("pathload", poisson(4, &mut pathload).avail_bps(), 0.25));
-    let mut pathchirp = Pathchirp::new(PathchirpConfig::default()).estimator();
+    let mut pathchirp = Pathchirp::new(PathchirpConfig::default());
     results.push(("pathchirp", poisson(5, &mut pathchirp).avail_bps(), 0.40));
-    let Verdict::Igi(rep) = poisson(6, &mut Igi::new(IgiConfig::default()).estimator()) else {
+    let Verdict::Igi(rep) = poisson(6, &mut Igi::new(IgiConfig::default())) else {
         unreachable!("IGI yields an IGI report")
     };
     results.push(("igi", rep.igi_bps, 0.35));
     results.push(("ptr", rep.ptr_bps, 0.35));
-    let mut bfind = Bfind::new(BfindConfig::default()).estimator();
+    let mut bfind = Bfind::new(BfindConfig::default());
     results.push(("bfind", poisson(7, &mut bfind).avail_bps(), 0.35));
 
     for (tool, est, tol) in results {
@@ -87,7 +86,7 @@ fn iterative_tools_underestimate_on_bursty_traffic() {
     // Pitfall 6: burstiness biases rate-ratio tools downward; verify the
     // direction on Pareto ON-OFF traffic for PTR (the clean rate-ratio
     // iterative tool)
-    let mut ptr = Igi::new(IgiConfig::default()).ptr_estimator();
+    let mut ptr = Igi::ptr(IgiConfig::default());
     let ptr_bps = drive(CrossKind::ParetoOnOff, 21, &mut ptr).avail_bps();
     assert!(
         ptr_bps < TRUTH * 1.1,
@@ -103,7 +102,7 @@ fn capacity_estimate_feeds_direct_probing() {
     // share one session, so stream ids keep counting across them
     let mut s = scenario(CrossKind::Poisson, 31);
     let mut session = s.session();
-    let mut capacity = CapacityProber::new(CapacityConfig::default()).estimator();
+    let mut capacity = CapacityProber::new(CapacityConfig::default());
     let Verdict::Capacity(cap) = session.drive(&mut s.sim, &mut capacity) else {
         unreachable!("the capacity prober yields a capacity report")
     };
@@ -116,8 +115,7 @@ fn capacity_estimate_feeds_direct_probing() {
         tight_capacity_bps: cap.capacity_bps,
         streams: 30,
         ..DirectConfig::canonical()
-    })
-    .estimator();
+    });
     let est = session.drive(&mut s.sim, &mut direct).avail_bps();
     assert!(
         (est - TRUTH).abs() / TRUTH < 0.15,
@@ -131,7 +129,7 @@ fn pathload_range_narrows_on_smooth_traffic() {
     // CBR: the avail-bw barely varies, so the range should be tight;
     // Pareto ON-OFF: the range must be wider
     let width = |cross, seed| {
-        let mut tool = Pathload::new(PathloadConfig::default()).estimator();
+        let mut tool = Pathload::new(PathloadConfig::default());
         let (lo, hi) = drive(cross, seed, &mut tool)
             .range_bps()
             .expect("Pathload reports a range");

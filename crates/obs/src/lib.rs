@@ -7,14 +7,13 @@
 //! this crate is how those dynamics become observable without a
 //! debugger:
 //!
-//! * [`Recorder`] — span/event sink trait. [`NullRecorder`] is the
-//!   zero-cost default (the simulator holds *no* recorder unless one is
-//!   installed, so the off path is a single branch);
-//!   [`JsonlRecorder`] streams one JSON object per event;
-//!   [`MemoryRecorder`] buffers events for in-process analysis;
-//!   [`SharedRecorder`] fans multiple simulators into one sink.
-//! * [`metrics`] — monotonic [`metrics::Counter`]s,
-//!   [`metrics::Gauge`]s, and a fixed-bucket log-linear
+//! * [`Recorder`] — span/event sink trait. The zero-cost default is no
+//!   recorder at all (the simulator holds none unless one is installed,
+//!   so the off path is a single branch); [`JsonlRecorder`] streams one
+//!   JSON object per event; [`MemoryRecorder`] buffers events for
+//!   in-process analysis; [`SharedRecorder`] fans multiple simulators
+//!   into one sink.
+//! * [`metrics`] — a fixed-bucket log-linear
 //!   [`metrics::LogLinearHistogram`] sized for OWD / queue-depth / gap
 //!   distributions.
 //! * [`manifest::RunManifest`] — seeds, scenario parameters, a
@@ -26,8 +25,6 @@
 //!   per-thread capture layer the parallel executor (`abw-exec`) wraps
 //!   around every job so traces stay byte-identical across worker
 //!   counts.
-//! * [`merge`] — the deterministic join-order folding of per-worker
-//!   recorders, metrics and manifest fragments.
 //! * [`prof`] — performance observability: wall-clock-free hot-path
 //!   cost counters (legal everywhere under lint rule D1) and
 //!   hierarchical span timers whose clock is injected by the harness,
@@ -41,14 +38,12 @@ pub mod event;
 pub mod global;
 pub mod json;
 pub mod manifest;
-pub mod merge;
 pub mod metrics;
 pub mod prof;
 pub mod record;
 
 pub use event::{Event, Field, OwnedEvent, OwnedValue, Phase, Value};
 pub use manifest::{LinkSnapshot, RunManifest};
-pub use merge::Merge;
-pub use metrics::{Counter, Gauge, LogLinearHistogram};
+pub use metrics::LogLinearHistogram;
 pub use prof::{Cost, Profile, SpanGuard};
-pub use record::{JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, SharedRecorder};
+pub use record::{JsonlRecorder, MemoryRecorder, Recorder, SharedRecorder};

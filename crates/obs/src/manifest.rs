@@ -325,6 +325,23 @@ mod tests {
     }
 
     #[test]
+    fn manifests_fold_counters_and_links() {
+        let mut base = RunManifest::default();
+        base.add_counter("injected", 5);
+        let mut frag = RunManifest::default();
+        frag.add_counter("injected", 7);
+        frag.fold_link(LinkSnapshot {
+            link: "0".into(),
+            forwarded_pkts: 3,
+            ..LinkSnapshot::default()
+        });
+        base.absorb(frag);
+        assert_eq!(base.counters, vec![("injected".to_string(), 12)]);
+        assert_eq!(base.links.len(), 1);
+        assert_eq!(base.links[0].forwarded_pkts, 3);
+    }
+
+    #[test]
     fn detect_version_is_nonempty() {
         assert!(!detect_version().is_empty());
     }

@@ -21,10 +21,10 @@
 //!   function), wall time stays confined to the crates D1 allows it
 //!   in, while the instrumentation points themselves live anywhere.
 //!
-//! Per-thread profiles are merged into the process-wide [`Profile`]
-//! through the same [`crate::Merge`] machinery the executor uses for
-//! recorders and manifests, so a parallel run aggregates to the same
-//! tree a serial run produces (identical counts; wall times sum).
+//! Per-thread profiles are folded into the process-wide [`Profile`] by
+//! [`flush_thread`], which the executor calls as each worker retires, so
+//! a parallel run aggregates to the same tree a serial run produces
+//! (identical counts; wall times sum).
 //!
 //! Neither instrument touches simulation state, RNG streams, or event
 //! ordering — golden outputs are byte-identical with profiling on or
@@ -271,10 +271,9 @@ struct Node {
 /// A tree of named spans with call counts and inclusive wall time.
 ///
 /// Built implicitly by [`span`] guards on each thread; folded across
-/// threads by [`flush_thread`] via [`Profile::merge_from`] (also wired
-/// into the workspace-wide [`crate::Merge`] trait). Merging matches
-/// children *by name*, so the merged tree is independent of which
-/// worker finished first: counts are deterministic, times sum.
+/// threads by [`flush_thread`] via [`Profile::merge_from`]. Merging
+/// matches children *by name*, so the merged tree is independent of
+/// which worker finished first: counts are deterministic, times sum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     /// Arena of nodes; index 0 is the unnamed root (when non-empty).
@@ -565,7 +564,7 @@ pub fn record(name: &'static str, count: u64, total_ns: u64) {
 
 /// Folds the calling thread's profile and cost tallies into the process
 /// totals and resets the thread state. The executor calls this as each
-/// worker retires; [`snapshot`] / [`profile_snapshot`] call it for the
+/// worker retires; [`snapshot`] / [`take_profile`] call it for the
 /// main thread. Open spans (an active [`SpanGuard`]) keep the span part
 /// of the flush deferred until they close.
 pub fn flush_thread() {
@@ -584,12 +583,6 @@ pub fn flush_thread() {
             global.merge_from(&local);
         }
     }
-}
-
-/// The process-wide merged profile (flushes the calling thread first).
-pub fn profile_snapshot() -> Profile {
-    flush_thread();
-    GLOBAL_PROFILE.lock().map(|p| p.clone()).unwrap_or_default()
 }
 
 /// Takes the process-wide merged profile, leaving it empty — the

@@ -50,21 +50,6 @@ pub trait Recorder {
     }
 }
 
-/// Discards everything. The instrumented code never pays for
-/// formatting: producers build an [`Event`] from already-computed
-/// values, and this sink drops it behind one virtual call.
-///
-/// (The truly zero-cost default is installing *no* recorder at all —
-/// the simulator's record path is then a single `is-some` branch; this
-/// type exists for generic code that needs a `Recorder` value.)
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn record(&mut self, _event: &Event<'_>) {}
-}
-
 /// Buffers owned copies of every event, for in-process analysis and
 /// tests.
 #[derive(Debug, Default)]
@@ -367,12 +352,5 @@ mod tests {
         let taken = a.take_events();
         assert_eq!(taken.len(), 2);
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn null_recorder_discards() {
-        let mut r = NullRecorder;
-        r.instant(0, "anything", &[("k", Value::Bool(false))]);
-        r.flush();
     }
 }

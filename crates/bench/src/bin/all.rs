@@ -40,7 +40,7 @@ fn per_child_trace(base: &Path, bin: &str) -> PathBuf {
 fn main() {
     let args = Args::from_env("all", &["--full"]);
     if let Some(spec) = args.value("--scenario") {
-        abw_bench::scenario::run_scenario_file("all", Path::new(spec));
+        abw_bench::scenario::run_scenario_file("all", Path::new(spec), args.format());
         return;
     }
     let full = args.has("--full");

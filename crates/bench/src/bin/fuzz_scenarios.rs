@@ -2,9 +2,9 @@
 //! `ABW_CHECK` invariants and tool-level sanity checks, failures shrunk
 //! to minimal committed-format reproducer specs.
 //!
-//! Usage: `fuzz_scenarios [--seed S] [--count N] [--jobs J]
-//!                        [--repro-dir DIR] [--shrink-budget B]
-//!                        [--max-scenario-ms MS] [--quick] [--csv]`
+//! Usage: `fuzz_scenarios [--csv] [--quick] [--scenario FILE] [--seed S]
+//!                        [--count N] [--jobs J] [--repro-dir DIR]
+//!                        [--shrink-budget B] [--max-scenario-ms MS]`
 //!
 //! `--quick` pins the CI smoke configuration: seed `0xF522`, 25
 //! scenarios, a 30 s simulated-time budget per `(tool, seed)` cell.
@@ -20,32 +20,38 @@
 //!
 //! The run is bit-reproducible: same `--seed` and `--count` produce the
 //! same specs, the same verdicts and the same report fingerprint for
-//! any `--jobs` value or `ABW_JOBS` setting. A flag value that does not
-//! parse prints the usage and exits 2.
+//! any `--jobs` value or `ABW_JOBS` setting. An unknown argument, or a
+//! flag value that is missing or does not parse, prints the usage line
+//! and exits 2. `--scenario FILE` runs that spec instead of a campaign,
+//! as every experiment binary does.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use abw_bench::{format_from_args, Format, Session, Table};
+use abw_bench::scenario::run_scenario_file;
+use abw_bench::{Args, Format, Session, Table};
 use abw_core::scenario::fuzz::{self, FuzzConfig};
 
-const USAGE: &str = "usage: fuzz_scenarios [--seed S] [--count N] [--jobs J] \
-                     [--repro-dir DIR] [--shrink-budget B] [--max-scenario-ms MS] \
-                     [--quick] [--csv]";
+/// The fuzzer's own value flags, next to the shared `--csv`, `--quick`
+/// and `--scenario FILE`.
+const FLAGS: &[&str] = &[
+    "--seed S",
+    "--count N",
+    "--jobs J",
+    "--repro-dir DIR",
+    "--shrink-budget B",
+    "--max-scenario-ms MS",
+];
 
-/// The value after `flag` run through `parse`: `Ok(None)` when the flag
-/// is absent, an error when its value is missing or does not parse.
-fn arg_value<T>(
-    args: &[String],
+/// `flag`'s value run through `parse`: `Ok(None)` when the flag is
+/// absent, an error when its value does not parse.
+fn parsed<T>(
+    args: &Args,
     flag: &str,
     parse: impl Fn(&str) -> Option<T>,
 ) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let value = args.get(i + 1).ok_or(format!("{flag} needs a value"))?;
-    parse(value)
-        .map(Some)
-        .ok_or(format!("{flag}: cannot parse `{value}`"))
+    args.value(flag)
+        .map(|v| parse(v).ok_or(format!("{flag}: cannot parse `{v}`")))
+        .transpose()
 }
 
 fn parse_seed(s: &str) -> Option<u64> {
@@ -56,43 +62,45 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-/// The campaign `args` ask for, and whether it is the `--quick` one.
-fn config_from_args(args: &[String]) -> Result<(FuzzConfig, bool), String> {
-    let quick = args.iter().any(|a| a == "--quick");
+/// The campaign `args` ask for.
+fn config_from_args(args: &Args) -> Result<FuzzConfig, String> {
+    let quick = args.has("--quick");
     let mut config = FuzzConfig::new(if quick { 0xF522 } else { 1 }, if quick { 25 } else { 50 });
     if quick {
         // keep the CI smoke leg bounded: no single palette corner may
         // eat the whole job's wall clock
         config.max_scenario_ms = Some(30_000);
     }
-    if let Some(ms) = arg_value(args, "--max-scenario-ms", |s| s.parse().ok())? {
+    if let Some(ms) = parsed(args, "--max-scenario-ms", |s| s.parse().ok())? {
         config.max_scenario_ms = Some(ms);
     }
-    if let Some(seed) = arg_value(args, "--seed", parse_seed)? {
+    if let Some(seed) = parsed(args, "--seed", parse_seed)? {
         config.seed = seed;
     }
-    if let Some(count) = arg_value(args, "--count", |s| s.parse().ok())? {
+    if let Some(count) = parsed(args, "--count", |s| s.parse().ok())? {
         config.count = count;
     }
-    if let Some(jobs) = arg_value(args, "--jobs", |s| s.parse().ok())? {
+    if let Some(jobs) = parsed(args, "--jobs", |s| s.parse().ok())? {
         config.jobs = jobs;
     }
-    if let Some(budget) = arg_value(args, "--shrink-budget", |s| s.parse().ok())? {
+    if let Some(budget) = parsed(args, "--shrink-budget", |s| s.parse().ok())? {
         config.shrink_budget = budget;
     }
-    let repro_dir = arg_value(args, "--repro-dir", |s| Some(PathBuf::from(s)))?;
-    config.repro_dir = Some(repro_dir.unwrap_or_else(|| PathBuf::from("target/fuzz-repros")));
-    Ok((config, quick))
+    let repro_dir = args.value("--repro-dir").unwrap_or("target/fuzz-repros");
+    config.repro_dir = Some(PathBuf::from(repro_dir));
+    Ok(config)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let (config, quick) = config_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("fuzz_scenarios: {e}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let args = Args::from_env("fuzz_scenarios", FLAGS);
+    if let Some(spec) = args.value("--scenario") {
+        run_scenario_file("fuzz_scenarios", Path::new(spec), args.format());
+        return;
+    }
+    let config = config_from_args(&args).unwrap_or_else(|e| args.usage_error(&e));
+    let quick = args.has("--quick");
     let mut session = Session::start("fuzz_scenarios");
-    let format = format_from_args();
+    let format = args.format();
 
     session
         .manifest()
@@ -185,24 +193,28 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<(FuzzConfig, bool), String> {
-        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        config_from_args(&args)
+    fn parse(line: &str) -> Result<FuzzConfig, String> {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        config_from_args(&Args::parse("fuzz_scenarios", FLAGS, &argv)?)
     }
 
     #[test]
     fn unparseable_values_are_errors_not_the_default_campaign() {
-        let (config, quick) =
-            parse("fuzz_scenarios --quick --seed 0x10 --count 3 --max-scenario-ms 500").unwrap();
-        assert!(quick);
-        let parsed = (config.seed, config.count, config.max_scenario_ms);
-        assert_eq!(parsed, (16, 3, Some(500)));
+        let campaign = |c: FuzzConfig| (c.seed, c.count, c.max_scenario_ms);
+        assert_eq!(
+            campaign(parse("--quick").unwrap()),
+            (0xF522, 25, Some(30_000))
+        );
+        let config = parse("--quick --seed 0x10 --count 3 --max-scenario-ms 500").unwrap();
+        assert_eq!(campaign(config), (16, 3, Some(500)));
         for bad in [
-            "fuzz_scenarios --count 1O",
-            "fuzz_scenarios --seed zz",
-            "fuzz_scenarios --max-scenario-ms 30s",
-            "fuzz_scenarios --jobs -1",
-            "fuzz_scenarios --shrink-budget",
+            "--count 1O",
+            "--seed zz",
+            "--max-scenario-ms 30s",
+            "--jobs -1",
+            "--shrink-budget",
+            "--bogus --count 0 --csv",
+            "--count 0 tests/golden/scenarios/tracking.scn",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

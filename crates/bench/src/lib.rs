@@ -168,15 +168,6 @@ pub enum Format {
     Csv,
 }
 
-/// Parses the standard binary arguments (`--csv`).
-pub fn format_from_args() -> Format {
-    if std::env::args().any(|a| a == "--csv") {
-        Format::Csv
-    } else {
-        Format::Text
-    }
-}
-
 /// A binary's parsed command line.
 #[derive(Debug)]
 pub struct Args {
@@ -270,7 +261,7 @@ pub fn experiment<C: Default>(
 ) {
     let args = Args::from_env(name, flags);
     if let Some(spec) = args.value("--scenario") {
-        scenario::run_scenario_file(name, Path::new(spec));
+        scenario::run_scenario_file(name, Path::new(spec), args.format());
         return;
     }
     let mut session = Session::start(name);

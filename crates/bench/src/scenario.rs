@@ -1,31 +1,24 @@
 //! `--scenario <file>` support: run a declarative `.scn` spec instead
 //! of a binary's built-in experiment.
 //!
-//! Every experiment binary's entry ([`crate::experiment`], and `all`)
+//! Every binary that parses its command line with [`crate::Args`] (the
+//! experiment entry [`crate::experiment`], `all` and `fuzz_scenarios`)
 //! hands a `--scenario FILE` argument to [`run_scenario_file`]: the spec
 //! is loaded, validated and driven through the tool registry, and the
-//! binary's own experiment never runs. The dedicated `scenario` binary
-//! accepts the file as a positional argument as well.
+//! binary's own run never starts. The dedicated `scenario` binary also
+//! takes the file as its leading bare argument: `scenario FILE` is
+//! `scenario --scenario FILE`.
 //!
 //! Parse errors print the `file:line:col:` diagnostic from
 //! [`abw_core::scenario::dsl::ScenarioSpec::parse`] and exit with
 //! status 2, like `abw-lint` does for its findings.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use abw_core::scenario::dsl::{run_spec, ScenarioSpec, SpecOutcome};
 use abw_exec::Executor;
 
-use crate::{f, format_from_args, Format, Session, Table};
-
-/// The `--scenario <file>` argument, when present.
-pub fn scenario_arg() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--scenario")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
+use crate::{f, Format, Session, Table};
 
 /// Loads and parses a spec file; the error is the rendered
 /// `file:line:col:` diagnostic (or the I/O error).
@@ -67,9 +60,10 @@ pub fn outcome_table(outcomes: &[SpecOutcome]) -> Table {
 }
 
 /// Runs a spec file end to end under its own [`Session`], printing the
-/// outcome table in the requested format. `bin` names the binary the
-/// run was launched from (recorded in the manifest).
-pub fn run_scenario_file(bin: &str, path: &Path) {
+/// outcome table in `format` (the caller's [`crate::Args::format`]).
+/// `bin` names the binary the run was launched from (recorded in the
+/// manifest).
+pub fn run_scenario_file(bin: &str, path: &Path, format: Format) {
     let spec = match load_spec(path) {
         Ok(spec) => spec,
         Err(e) => {
@@ -77,7 +71,6 @@ pub fn run_scenario_file(bin: &str, path: &Path) {
             std::process::exit(2);
         }
     };
-    let format = format_from_args();
     let mut session = Session::start("scenario");
     session
         .manifest()

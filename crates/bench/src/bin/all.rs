@@ -37,10 +37,13 @@ fn per_child_trace(base: &Path, bin: &str) -> PathBuf {
     base.with_file_name(format!("{stem}-{bin}.{ext}"))
 }
 
+/// `all`'s own flags, next to the shared `--csv` and `--quick` (its
+/// default).
+const FLAGS: &[&str] = &["--scenario FILE", "--full"];
+
 fn main() {
-    let args = Args::from_env("all", &["--full"]);
-    if let Some(spec) = args.value("--scenario") {
-        abw_bench::scenario::run_scenario_file("all", Path::new(spec), args.format());
+    let args = Args::from_env("all", FLAGS);
+    if abw_bench::scenario::run_scenario("all", &args) {
         return;
     }
     let full = args.has("--full");
@@ -115,7 +118,7 @@ mod tests {
     fn all_takes_full_and_the_shared_flags_only() {
         let parse = |line: &str| {
             let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-            Args::parse("all", &["--full"], &argv)
+            Args::parse("all", FLAGS, &argv)
         };
         assert!(parse("--full").unwrap().has("--full"));
         assert!(!parse("--quick").unwrap().has("--full"));

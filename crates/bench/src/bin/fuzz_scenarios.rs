@@ -2,8 +2,8 @@
 //! `ABW_CHECK` invariants and tool-level sanity checks, failures shrunk
 //! to minimal committed-format reproducer specs.
 //!
-//! Usage: `fuzz_scenarios [--csv] [--quick] [--scenario FILE] [--seed S]
-//!                        [--count N] [--jobs J] [--repro-dir DIR]
+//! Usage: `fuzz_scenarios [--csv] [--quick] [--seed S] [--count N]
+//!                        [--jobs J] [--repro-dir DIR]
 //!                        [--shrink-budget B] [--max-scenario-ms MS]`
 //!
 //! `--quick` pins the CI smoke configuration: seed `0xF522`, 25
@@ -22,17 +22,15 @@
 //! same specs, the same verdicts and the same report fingerprint for
 //! any `--jobs` value or `ABW_JOBS` setting. An unknown argument, or a
 //! flag value that is missing or does not parse, prints the usage line
-//! and exits 2. `--scenario FILE` runs that spec instead of a campaign,
-//! as every experiment binary does.
+//! and exits 2.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use abw_bench::scenario::run_scenario_file;
 use abw_bench::{Args, Format, Session, Table};
 use abw_core::scenario::fuzz::{self, FuzzConfig};
 
-/// The fuzzer's own value flags, next to the shared `--csv`, `--quick`
-/// and `--scenario FILE`.
+/// The fuzzer's own value flags, next to the shared `--csv` and
+/// `--quick`.
 const FLAGS: &[&str] = &[
     "--seed S",
     "--count N",
@@ -93,10 +91,6 @@ fn config_from_args(args: &Args) -> Result<FuzzConfig, String> {
 
 fn main() {
     let args = Args::from_env("fuzz_scenarios", FLAGS);
-    if let Some(spec) = args.value("--scenario") {
-        run_scenario_file("fuzz_scenarios", Path::new(spec), args.format());
-        return;
-    }
     let config = config_from_args(&args).unwrap_or_else(|e| args.usage_error(&e));
     let quick = args.has("--quick");
     let mut session = Session::start("fuzz_scenarios");
@@ -215,6 +209,7 @@ mod tests {
             "--shrink-budget",
             "--bogus --count 0 --csv",
             "--count 0 tests/golden/scenarios/tracking.scn",
+            "--scenario tests/golden/scenarios/tracking.scn",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

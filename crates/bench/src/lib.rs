@@ -28,7 +28,7 @@
 //!   the hot-path cost counters are printed to stderr.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -178,13 +178,13 @@ pub struct Args {
 
 impl Args {
     /// Parses `argv` (the program name excluded) for the binary `name`.
-    /// Every binary accepts `--csv`, `--quick` and `--scenario FILE`;
-    /// `flags` are its own, a value flag written with its metavar
-    /// (`"--tools NAME,..."`) and taking the next argument as its value.
-    /// An unknown argument, or a value flag with nothing after it, is an
-    /// error ending with the usage line.
+    /// Every binary accepts `--csv` and `--quick`; `flags` are its own,
+    /// a value flag written with its metavar (`"--tools NAME,..."`) and
+    /// taking the next argument as its value. An unknown argument, or a
+    /// value flag with nothing after it, is an error ending with the
+    /// usage line.
     pub fn parse(name: &str, flags: &[&str], argv: &[String]) -> Result<Args, String> {
-        let flags = [["--csv", "--quick", "--scenario FILE"].as_slice(), flags].concat();
+        let flags = [["--csv", "--quick"].as_slice(), flags].concat();
         let usage: String = flags.iter().map(|f| format!(" [{f}]")).collect();
         let usage = format!("usage: {name}{usage}");
         let fail = |msg: String| Err(format!("{name}: {msg}\n{usage}"));
@@ -210,11 +210,16 @@ impl Args {
         Ok(Args { name, usage, given })
     }
 
-    /// [`Args::parse`] over the process's command line; on an error it
-    /// prints the message on stderr and exits with status 2.
+    /// [`Args::parse_or_exit`] over the process's command line.
     pub fn from_env(name: &str, flags: &[&str]) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        Args::parse(name, flags, &argv).unwrap_or_else(|e| {
+        Args::parse_or_exit(name, flags, &argv)
+    }
+
+    /// [`Args::parse`]; on an error it prints the message on stderr and
+    /// exits with status 2.
+    pub fn parse_or_exit(name: &str, flags: &[&str], argv: &[String]) -> Args {
+        Args::parse(name, flags, argv).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2)
         })
@@ -248,9 +253,9 @@ impl Args {
 }
 
 /// The `main` of every experiment binary. It parses the command line
-/// with the binary's own `flags` and runs a `--scenario FILE` spec
-/// instead of the experiment when one is given. Otherwise it opens a
-/// [`Session`] named `name`, records the `mode` param, and hands the
+/// with `--scenario FILE` and the binary's own `flags`, and runs the
+/// spec instead of the experiment when one is given. Otherwise it opens
+/// a [`Session`] named `name`, records the `mode` param, and hands the
 /// `quick` config (under `--quick`) or `C::default()` to `body`, which
 /// runs the experiment, prints it and may add params to the manifest.
 pub fn experiment<C: Default>(
@@ -259,9 +264,8 @@ pub fn experiment<C: Default>(
     quick: fn() -> C,
     body: impl FnOnce(&Args, &mut RunManifest, C),
 ) {
-    let args = Args::from_env(name, flags);
-    if let Some(spec) = args.value("--scenario") {
-        scenario::run_scenario_file(name, Path::new(spec), args.format());
+    let args = Args::from_env(name, &[["--scenario FILE"].as_slice(), flags].concat());
+    if scenario::run_scenario(name, &args) {
         return;
     }
     let mut session = Session::start(name);
@@ -383,7 +387,7 @@ mod tests {
 
     fn parse(line: &str) -> Result<Args, String> {
         let argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        Args::parse("bin", &["--full", "--tools T"], &argv)
+        Args::parse("bin", &["--scenario FILE", "--full", "--tools T"], &argv)
     }
 
     #[test]

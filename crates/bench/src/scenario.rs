@@ -1,13 +1,13 @@
 //! `--scenario <file>` support: run a declarative `.scn` spec instead
 //! of a binary's built-in experiment.
 //!
-//! Every binary that parses its command line with [`crate::Args`] (the
-//! experiment entry [`crate::experiment`], `all` and `fuzz_scenarios`)
-//! hands a `--scenario FILE` argument to [`run_scenario_file`]: the spec
-//! is loaded, validated and driven through the tool registry, and the
-//! binary's own run never starts. The dedicated `scenario` binary also
-//! takes the file as its leading bare argument: `scenario FILE` is
-//! `scenario --scenario FILE`.
+//! The experiment entry [`crate::experiment`], `all` and the dedicated
+//! `scenario` binary accept `--scenario FILE` and hand their parsed
+//! [`Args`] to [`run_scenario`]: the spec is loaded, validated and
+//! driven through the tool registry, and the binary's own run never
+//! starts. `scenario` also takes the file as a bare argument: `scenario
+//! FILE` is `scenario --scenario FILE`. A spec sets its own size, so
+//! `--quick` does not change a spec run.
 //!
 //! Parse errors print the `file:line:col:` diagnostic from
 //! [`abw_core::scenario::dsl::ScenarioSpec::parse`] and exit with
@@ -18,7 +18,7 @@ use std::path::Path;
 use abw_core::scenario::dsl::{run_spec, ScenarioSpec, SpecOutcome};
 use abw_exec::Executor;
 
-use crate::{f, Format, Session, Table};
+use crate::{f, Args, Format, Session, Table};
 
 /// Loads and parses a spec file; the error is the rendered
 /// `file:line:col:` diagnostic (or the I/O error).
@@ -59,11 +59,16 @@ pub fn outcome_table(outcomes: &[SpecOutcome]) -> Table {
     t
 }
 
-/// Runs a spec file end to end under its own [`Session`], printing the
-/// outcome table in `format` (the caller's [`crate::Args::format`]).
-/// `bin` names the binary the run was launched from (recorded in the
-/// manifest).
-pub fn run_scenario_file(bin: &str, path: &Path, format: Format) {
+/// Runs the spec file `args` name with `--scenario FILE` end to end
+/// under its own [`Session`], printing the outcome table in the format
+/// `args` select, and returns true; without `--scenario` it runs
+/// nothing and returns false. `bin` names the binary the run was
+/// launched from (recorded in the manifest).
+pub fn run_scenario(bin: &str, args: &Args) -> bool {
+    let Some(path) = args.value("--scenario") else {
+        return false;
+    };
+    let path = Path::new(path);
     let spec = match load_spec(path) {
         Ok(spec) => spec,
         Err(e) => {
@@ -91,6 +96,7 @@ pub fn run_scenario_file(bin: &str, path: &Path, format: Format) {
         .manifest()
         .counter("scenario.outcomes", outcomes.len() as u64);
 
+    let format = args.format();
     if format == Format::Text {
         let tools: Vec<&str> = spec.tool_entries().iter().map(|entry| entry.name).collect();
         println!(
@@ -118,6 +124,7 @@ pub fn run_scenario_file(bin: &str, path: &Path, format: Format) {
     }
     outcome_table(&outcomes).print(format);
     session.finish();
+    true
 }
 
 #[cfg(test)]

@@ -4,9 +4,8 @@
 //! orders of magnitude, so linear bucketing either loses the head or
 //! truncates the tail. Log-linear bucketing (HdrHistogram's scheme)
 //! keeps a bounded relative error at every magnitude with a small fixed
-//! memory footprint, and two histograms with the same geometry merge by
-//! adding counts — which is what per-link aggregation into a run
-//! manifest needs.
+//! memory footprint. Links record their queue depth with it, and a run
+//! manifest keeps each link's serialised summary.
 
 use crate::json::ObjectWriter;
 
@@ -177,27 +176,6 @@ impl LogLinearHistogram {
         Some(self.max)
     }
 
-    /// Adds `other`'s counts into `self`.
-    ///
-    /// Panics when the two histograms have different geometry — merging
-    /// mismatched buckets would silently misassign mass.
-    pub fn merge(&mut self, other: &LogLinearHistogram) {
-        assert_eq!(
-            (self.first_bound, self.sub_buckets, self.doublings),
-            (other.first_bound, other.sub_buckets, other.doublings),
-            "cannot merge histograms with different geometry"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total = self.total.saturating_add(other.total);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Compact JSON summary (count, mean, min/max, p50/p90/p99,
     /// under/overflow) for embedding in manifests.
     pub fn summary_json(&self) -> String {
@@ -279,32 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts_and_extremes() {
-        let mut a = LogLinearHistogram::new(16, 4, 2);
-        let mut b = LogLinearHistogram::new(16, 4, 2);
-        a.record(17);
-        a.record(2); // underflow
-        b.record(17);
-        b.record(100); // overflow
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.min(), Some(2));
-        assert_eq!(a.max(), Some(100));
-        let first = a.buckets().next().unwrap();
-        assert_eq!(first.2, 2, "17 recorded twice across the merge");
-    }
-
-    #[test]
-    #[should_panic(expected = "different geometry")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = LogLinearHistogram::new(16, 4, 2);
-        let b = LogLinearHistogram::new(16, 8, 2);
-        a.merge(&b);
-    }
-
-    #[test]
     fn quantiles_are_monotone_and_bracketing() {
         let mut h = LogLinearHistogram::for_latency_ns();
         for v in [1_000u64, 10_000, 100_000, 1_000_000, 10_000_000] {
@@ -371,16 +323,6 @@ mod tests {
         let s = h.summary_json();
         assert!(s.contains("\"overflow\":9"));
         assert!(s.contains("\"p99\":5000"));
-    }
-
-    #[test]
-    #[should_panic(expected = "different geometry")]
-    fn merge_rejects_mismatched_first_bound_and_doublings() {
-        // same sub-bucket count; differing bound/doublings must still
-        // panic deterministically rather than misassign mass
-        let mut a = LogLinearHistogram::new(16, 4, 2);
-        let b = LogLinearHistogram::new(32, 4, 3);
-        a.merge(&b);
     }
 
     #[test]

@@ -93,13 +93,6 @@ impl MemoryRecorder {
         std::mem::take(&mut self.events)
     }
 
-    /// Appends `other`'s events after this recorder's own — the
-    /// deterministic join-order merge used when per-worker recorders are
-    /// folded back together by job index.
-    pub fn merge_from(&mut self, other: &MemoryRecorder) {
-        self.events.extend(other.events.iter().cloned());
-    }
-
     /// Replays every buffered event into `recorder`, in order.
     pub fn replay_into<R: Recorder + ?Sized>(&self, recorder: &mut R) {
         for event in &self.events {
@@ -341,16 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn memory_recorder_merge_appends_in_order() {
+    fn take_events_empties_the_recorder_in_order() {
         let mut a = MemoryRecorder::new();
         a.instant(1, "first", &[]);
-        let mut b = MemoryRecorder::new();
-        b.instant(2, "second", &[]);
-        a.merge_from(&b);
+        a.instant(2, "second", &[]);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.events()[1].kind, "second");
         let taken = a.take_events();
-        assert_eq!(taken.len(), 2);
+        assert_eq!(taken[1].kind, "second");
         assert!(a.is_empty());
     }
 }

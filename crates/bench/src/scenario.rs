@@ -15,7 +15,7 @@
 
 use std::path::Path;
 
-use abw_core::scenario::dsl::{run_spec, ScenarioSpec, SpecOutcome};
+use abw_core::scenario::dsl::{run_specs, ScenarioSpec, SpecOutcome};
 use abw_exec::Executor;
 
 use crate::{f, Args, Format, Session, Table};
@@ -91,7 +91,7 @@ pub fn run_scenario(bin: &str, args: &Args) -> bool {
         session.manifest().push_seed(seed);
     }
 
-    let outcomes = run_spec(&spec, &Executor::from_env());
+    let outcomes = run_specs(std::slice::from_ref(&spec), &Executor::from_env());
     session
         .manifest()
         .counter("scenario.outcomes", outcomes.len() as u64);

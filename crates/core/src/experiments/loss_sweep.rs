@@ -9,6 +9,10 @@
 //! the analytic truth, the across-seed spread, and the convergence
 //! cost in probe packets and simulated seconds.
 //!
+//! Each (tool, loss-rate) cell is one [`ScenarioSpec`] over the
+//! canonical hop, lossy when `p > 0`, and the whole sweep is one batch
+//! of the one spec runner ([`dsl::run_specs`]), in tool-major order.
+//!
 //! Unlike the shootout this sweep is registry-driven over *all* tools,
 //! capacity prober included: loss corrupts a capacity estimate just as
 //! much as an avail-bw one, so each tool's bias is computed against its
@@ -22,11 +26,12 @@
 //! would appear biased high at 5% loss.
 
 use abw_exec::Executor;
-use abw_netsim::{ImpairmentConfig, SimDuration};
-use abw_stats::running::Running;
+use abw_netsim::ImpairmentConfig;
 
-use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
-use crate::tools::registry::{self, ToolConfig, ToolEntry};
+use super::seed_moments;
+use crate::scenario::dsl::{self, ScenarioSpec};
+use crate::scenario::{CrossKind, HopSpec};
+use crate::tools::registry::{self, ToolEntry};
 
 /// Configuration of the loss sweep.
 #[derive(Debug, Clone)]
@@ -94,27 +99,32 @@ pub struct LossSweepResult {
     pub rows: Vec<LossSweepRow>,
 }
 
-fn fresh(cross: CrossKind, seed: u64, loss: f64) -> Scenario {
-    let impairment = (loss > 0.0).then(|| ImpairmentConfig::iid_loss(loss));
-    let mut s = Scenario::single_hop(&SingleHopConfig {
-        cross,
-        seed,
-        impairment,
-        ..SingleHopConfig::default()
-    });
-    s.warm_up(SimDuration::from_millis(500));
-    s
+/// The spec of one (tool, loss-rate) cell: the canonical hop, with an
+/// i.i.d. loss impairment only when `loss > 0`, so the `p = 0` column
+/// reproduces the pristine scenario bit-for-bit.
+fn cell_spec(config: &LossSweepConfig, tool: &str, loss: f64) -> ScenarioSpec {
+    let hop = HopSpec {
+        impairment: (loss > 0.0).then(|| ImpairmentConfig::iid_loss(loss)),
+        ..HopSpec::canonical(config.cross)
+    };
+    ScenarioSpec {
+        seeds: config.seeds.clone(),
+        tools: vec![tool.to_string()],
+        quick: config.quick,
+        hops: vec![hop],
+        ..ScenarioSpec::default()
+    }
 }
 
 /// The per-tool truth at loss rate `p`: ingress loss thins cross
 /// traffic to `(1 - p)` of its offered rate, so the true avail-bw
 /// rises with `p`; the capacity prober's target is the (unimpaired)
 /// link capacity regardless of loss.
-fn truth_bps(tool: &str, cfg: &SingleHopConfig, p: f64) -> f64 {
+fn truth_bps(tool: &str, hop: &HopSpec, p: f64) -> f64 {
     if tool == "capacity" {
-        cfg.capacity_bps
+        hop.capacity_bps
     } else {
-        cfg.capacity_bps - (1.0 - p) * cfg.cross_rate_bps
+        hop.capacity_bps - (1.0 - p) * hop.cross_rate_bps
     }
 }
 
@@ -127,59 +137,23 @@ pub fn run(config: &LossSweepConfig) -> LossSweepResult {
 /// across `exec`. Cells are aggregated in submission order, so the
 /// table is byte-identical for any worker count.
 pub fn run_with(config: &LossSweepConfig, exec: &Executor) -> LossSweepResult {
-    let tools: Vec<&'static ToolEntry> = registry::all().iter().collect();
-    let tool_config = ToolConfig {
-        quick: config.quick,
-        ..ToolConfig::default()
-    };
-    let hop_defaults = SingleHopConfig::default();
-
-    let cross = config.cross;
-    let jobs: Vec<_> = tools
+    let cells: Vec<(&'static ToolEntry, f64)> = registry::all()
         .iter()
-        .flat_map(|&entry| {
-            let tool_config = tool_config.clone();
-            let loss_rates = config.loss_rates.clone();
-            let seeds = config.seeds.clone();
-            loss_rates.into_iter().flat_map(move |loss| {
-                let tool_config = tool_config.clone();
-                seeds.clone().into_iter().map(move |seed| {
-                    let tool_config = tool_config.clone();
-                    move || {
-                        let mut s = fresh(cross, seed, loss);
-                        let mut tool = entry.build(&tool_config);
-                        let mut session = s.session();
-                        let verdict = session.drive(&mut s.sim, tool.as_mut());
-                        (
-                            verdict.avail_bps(),
-                            verdict.probe_packets(),
-                            verdict.elapsed_secs(),
-                        )
-                    }
-                })
-            })
-        })
+        .flat_map(|entry| config.loss_rates.iter().map(move |&loss| (entry, loss)))
         .collect();
-    let cells = exec.run(jobs);
-
-    // Fold per-seed cells into per-(tool, loss) rows in submission
-    // order — Running's incremental moments depend on push order, so
-    // this reproduces the serial loop exactly.
-    let seeds_per_cell = config.seeds.len();
-    let rows = tools
+    let specs: Vec<ScenarioSpec> = cells
         .iter()
-        .flat_map(|&entry| config.loss_rates.iter().map(move |&loss| (entry, loss)))
-        .zip(cells.chunks(seeds_per_cell))
-        .map(|((entry, loss), chunk)| {
-            let mut estimates = Running::new();
-            let mut packets = Running::new();
-            let mut latency = Running::new();
-            for &(est, pkts, secs) in chunk {
-                estimates.push(est);
-                packets.push(pkts as f64);
-                latency.push(secs);
-            }
-            let truth = truth_bps(entry.name, &hop_defaults, loss);
+        .map(|&(entry, loss)| cell_spec(config, entry.name, loss))
+        .collect();
+    let outcomes = dsl::run_specs(&specs, exec);
+
+    let rows = cells
+        .iter()
+        .zip(&specs)
+        .zip(outcomes.chunks(config.seeds.len()))
+        .map(|((&(entry, loss), spec), per_seed)| {
+            let [estimates, packets, latency] = seed_moments(per_seed);
+            let truth = truth_bps(entry.name, &spec.hops[0], loss);
             LossSweepRow {
                 tool: entry.name,
                 loss,
@@ -230,21 +204,21 @@ mod tests {
     fn zero_loss_column_matches_the_pristine_scenario() {
         // The p = 0 column must not install an impairment at all, so
         // its cells reproduce the unimpaired scenario bit-for-bit.
-        let s = fresh(CrossKind::Poisson, 11, 0.0);
-        assert!(s.sim.total_impaired() == 0);
-        for (i, hop) in s.hops.iter().enumerate() {
-            assert!(hop.impairment.is_none(), "hop {i} gained an impairment");
-        }
+        let config = LossSweepConfig::quick();
+        let spec = cell_spec(&config, "spruce", 0.0);
+        assert_eq!(spec.hops, vec![HopSpec::canonical(config.cross)]);
+        let lossy = cell_spec(&config, "spruce", 0.01);
+        assert!(lossy.hops[0].impairment.is_some());
     }
 
     #[test]
     fn truth_rises_as_loss_thins_cross_traffic() {
-        let cfg = SingleHopConfig::default();
-        let t0 = truth_bps("pathload", &cfg, 0.0);
-        let t5 = truth_bps("pathload", &cfg, 0.05);
+        let hop = HopSpec::canonical(CrossKind::Poisson);
+        let t0 = truth_bps("pathload", &hop, 0.0);
+        let t5 = truth_bps("pathload", &hop, 0.05);
         assert!((t0 - 25e6).abs() < 1.0);
         assert!((t5 - 26.25e6).abs() < 1.0);
         // The capacity prober's target ignores loss entirely.
-        assert!((truth_bps("capacity", &cfg, 0.05) - 50e6).abs() < 1.0);
+        assert!((truth_bps("capacity", &hop, 0.05) - 50e6).abs() < 1.0);
     }
 }

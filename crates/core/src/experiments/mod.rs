@@ -20,3 +20,22 @@ pub mod train_length;
 pub mod trend_thresholds;
 pub mod variability;
 pub mod variation_range;
+
+use abw_stats::running::Running;
+
+use crate::scenario::dsl::SpecOutcome;
+
+/// Folds one tool's cells, in seed order, into the running moments of
+/// their estimate, probe packets and latency: `[estimates, packets,
+/// latency]`. `Running`'s incremental moments depend on push order, so
+/// folding in submission order keeps a table identical for any worker
+/// count.
+pub(crate) fn seed_moments(outcomes: &[SpecOutcome]) -> [Running; 3] {
+    let mut moments = <[Running; 3]>::default();
+    for o in outcomes {
+        moments[0].push(o.verdict.avail_bps());
+        moments[1].push(o.verdict.probe_packets() as f64);
+        moments[2].push(o.verdict.elapsed_secs());
+    }
+    moments
+}

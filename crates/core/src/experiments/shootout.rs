@@ -3,21 +3,23 @@
 //!
 //! §4: *"compare and evaluate the existing estimation techniques under
 //! reproducible and controllable conditions, and with the same
-//! configuration parameters."* Each tool comes from the [`registry`]
-//! and runs against its own fresh replica of the same scenario (same
-//! seed ⇒ identical cross traffic), over several seeds; the table
-//! reports mean estimate, bias, spread, probing overhead and latency.
+//! configuration parameters."* The shootout is one [`ScenarioSpec`] over
+//! the canonical hop, run by the one spec runner
+//! ([`dsl::run_specs`]): each tool comes from the [`registry`] and runs
+//! against its own fresh replica of the same scenario (same seed ⇒
+//! identical cross traffic), over several seeds; the table reports mean
+//! estimate, bias, spread, probing overhead and latency.
 //!
 //! The capacity prober is excluded: it estimates `Cn`, not avail-bw, so
 //! a bias column would be meaningless (that contrast is the
 //! `tight_vs_narrow` experiment).
 
 use abw_exec::Executor;
-use abw_netsim::SimDuration;
-use abw_stats::running::Running;
 
-use crate::scenario::{CrossKind, Scenario, SingleHopConfig};
-use crate::tools::registry::{self, ToolConfig, ToolEntry};
+use super::seed_moments;
+use crate::scenario::dsl::{self, ScenarioSpec};
+use crate::scenario::{CrossKind, HopSpec};
+use crate::tools::registry::{self, ToolEntry};
 
 /// Configuration of the shootout.
 #[derive(Debug, Clone)]
@@ -84,16 +86,6 @@ pub fn shootout_tools() -> impl Iterator<Item = &'static ToolEntry> {
     registry::all().iter().filter(|t| t.name != "capacity")
 }
 
-fn fresh(cross: CrossKind, seed: u64) -> Scenario {
-    let mut s = Scenario::single_hop(&SingleHopConfig {
-        cross,
-        seed,
-        ..SingleHopConfig::default()
-    });
-    s.warm_up(SimDuration::from_millis(500));
-    s
-}
-
 /// Runs the shootout with the executor configured from `ABW_JOBS`.
 pub fn run(config: &ShootoutConfig) -> ShootoutResult {
     run_with(config, &Executor::from_env())
@@ -103,54 +95,21 @@ pub fn run(config: &ShootoutConfig) -> ShootoutResult {
 /// across `exec`. Results are aggregated in submission order, so the
 /// table is identical for any worker count.
 pub fn run_with(config: &ShootoutConfig, exec: &Executor) -> ShootoutResult {
-    let tools: Vec<&'static ToolEntry> = shootout_tools().collect();
-    let tool_config = ToolConfig {
+    let hop = HopSpec::canonical(config.cross);
+    let truth = hop.avail_bps();
+    let spec = ScenarioSpec {
+        seeds: config.seeds.clone(),
+        tools: shootout_tools().map(|t| t.name.to_string()).collect(),
         quick: config.quick,
-        ..ToolConfig::default()
+        hops: vec![hop],
+        ..ScenarioSpec::default()
     };
+    let outcomes = dsl::run_specs(std::slice::from_ref(&spec), exec);
 
-    let truth = 25e6;
-    // One job per (tool, seed) cell; each builds its own scenario from
-    // the seed, so cells are fully independent.
-    let cross = config.cross;
-    let jobs: Vec<_> = tools
-        .iter()
-        .flat_map(|&entry| {
-            let tool_config = tool_config.clone();
-            config.seeds.iter().map(move |&seed| {
-                let tool_config = tool_config.clone();
-                move || {
-                    let mut s = fresh(cross, seed);
-                    let mut tool = entry.build(&tool_config);
-                    let mut session = s.session();
-                    let verdict = session.drive(&mut s.sim, tool.as_mut());
-                    (
-                        verdict.avail_bps(),
-                        verdict.probe_packets(),
-                        verdict.elapsed_secs(),
-                    )
-                }
-            })
-        })
-        .collect();
-    let cells = exec.run(jobs);
-
-    // Fold per-seed cells back into per-tool rows in submission order —
-    // Running's incremental moments depend on push order, so this
-    // reproduces the serial loop exactly.
-    let seeds_per_tool = config.seeds.len();
-    let rows = tools
-        .iter()
-        .zip(cells.chunks(seeds_per_tool))
-        .map(|(entry, chunk)| {
-            let mut estimates = Running::new();
-            let mut packets = Running::new();
-            let mut latency = Running::new();
-            for &(est, pkts, secs) in chunk {
-                estimates.push(est);
-                packets.push(pkts as f64);
-                latency.push(secs);
-            }
+    let rows = shootout_tools()
+        .zip(outcomes.chunks(config.seeds.len()))
+        .map(|(entry, per_seed)| {
+            let [estimates, packets, latency] = seed_moments(per_seed);
             ShootoutRow {
                 tool: entry.name,
                 mean_mbps: estimates.mean() / 1e6,

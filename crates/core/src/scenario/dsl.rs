@@ -53,6 +53,15 @@
 //! every valid spec (pinned by property tests), with one documented
 //! normalisation: a hop whose impairment is a no-op renders without an
 //! `impair` item.
+//!
+//! # Running specs
+//!
+//! [`run_specs`] is the one place a `(tool × seed)` comparison cell is
+//! built and run: a fresh scenario from the spec's hops and seed, a
+//! registry tool, one live session, the verdicts. The `scenario` binary,
+//! every experiment binary's `--scenario` hook, the shootout, the loss
+//! sweep and the scenario fuzzer all run through it, so a cell means the
+//! same thing everywhere.
 
 use std::fmt;
 
@@ -398,19 +407,6 @@ struct Explicit {
     seeds: bool,
 }
 
-impl Scenario {
-    /// Builds a ready-to-probe scenario from a spec: the spec's hops
-    /// wired with cross traffic and impairments exactly as
-    /// [`Scenario::from_hops`] would, warmed up for the spec's warm-up
-    /// duration. Bit-identical to building the same [`HopSpec`]s in
-    /// Rust with the same `seed`.
-    pub fn from_spec(spec: &ScenarioSpec, seed: u64) -> Scenario {
-        let mut s = Scenario::from_hops(spec.hops.clone(), seed);
-        s.warm_up(spec.warmup);
-        s
-    }
-}
-
 fn parse_seed(s: &str) -> Result<u64, String> {
     let parsed = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16)
@@ -673,7 +669,7 @@ fn parse_hop_line(raw: &str, line: u32, file: &str) -> Result<HopSpec, ParseErro
     Ok(hop)
 }
 
-/// One verdict produced by [`run_spec`].
+/// One verdict produced by [`run_specs`].
 #[derive(Debug, Clone)]
 pub struct SpecOutcome {
     /// Registry name of the tool.
@@ -686,11 +682,14 @@ pub struct SpecOutcome {
     pub verdict: Verdict,
 }
 
-/// One `(tool, seed, round)` cell abandoned at the simulated-time
-/// budget of [`run_spec_bounded`]. A timeout is an *outcome class*, not
-/// a failure: the palette's 99 %-utilisation multi-hop corners
+/// One `(tool, seed, round)` cell abandoned at the per-cell
+/// simulated-time budget of the scenario fuzzer
+/// ([`FuzzConfig::max_scenario_ms`]). A timeout is an *outcome class*,
+/// not a failure: the palette's 99 %-utilisation multi-hop corners
 /// legitimately take minutes of simulated probing, and a bounded run
 /// records that they ran long instead of stalling on them.
+///
+/// [`FuzzConfig::max_scenario_ms`]: crate::scenario::fuzz::FuzzConfig::max_scenario_ms
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecTimeout {
     /// Registry name of the tool.
@@ -702,107 +701,81 @@ pub struct SpecTimeout {
     pub round: u32,
 }
 
-/// The outcomes and timeouts of one [`run_spec_bounded`] call.
+/// The outcomes and timeouts of one bounded spec run, as
+/// [`evaluate`] returns them.
+///
+/// [`evaluate`]: crate::scenario::fuzz::evaluate
 #[derive(Debug, Clone, Default)]
 pub struct BoundedRun {
-    /// Verdicts of the cells that finished, tool-major in submission
-    /// order — byte-identical for any worker count.
+    /// Verdicts of the cells that finished, in submission order —
+    /// byte-identical for any worker count.
     pub outcomes: Vec<SpecOutcome>,
     /// Cells the budget cut short, in the same deterministic order.
     pub timeouts: Vec<SpecTimeout>,
 }
 
-/// Drives a spec through the registry: one job per `(tool, seed)` cell
-/// fanned across `exec`, each building its own [`Scenario::from_spec`]
-/// replica and driving `rounds` fresh estimators over one live session
-/// (so later rounds see the queue state earlier rounds left behind,
-/// exactly like the `tracking` experiment). Outcomes are returned
-/// tool-major in submission order — byte-identical for any worker
-/// count.
-pub fn run_spec(spec: &ScenarioSpec, exec: &Executor) -> Vec<SpecOutcome> {
-    run_spec_bounded(spec, exec, None).outcomes
+/// Drives `specs` through the registry in one executor batch: one job
+/// per `(spec, tool, seed)` cell, in that order, fanned across `exec`.
+/// Each cell builds its own scenario from the spec's hops and seed,
+/// warms it up and drives `rounds` fresh estimators over one live
+/// session (so later rounds see the queue state earlier rounds left
+/// behind, exactly like the `tracking` experiment). Outcomes come back
+/// in submission order — byte-identical for any worker count, and the
+/// same as running each spec on its own, one after the other.
+pub fn run_specs(specs: &[ScenarioSpec], exec: &Executor) -> Vec<SpecOutcome> {
+    run_cells(specs, exec, None, true).outcomes
 }
 
-/// [`run_spec`] with an optional per-cell simulated-time budget.
+/// [`run_specs`] with an optional per-cell simulated-time budget and
+/// the fluid window switched on or off.
 ///
-/// Each `(tool, seed)` cell gets `max_scenario` of *simulated* time
+/// Each `(spec, tool, seed)` cell gets `budget` of *simulated* time
 /// measured from the end of its warm-up; a round that is still probing
 /// at the deadline is abandoned via [`Session::drive_until`] and
 /// recorded as a [`SpecTimeout`] instead of a verdict (the cell's
-/// remaining rounds are skipped). `None` reproduces [`run_spec`]
-/// exactly. The budget is part of the run's identity: the same spec
-/// under a different budget may yield a different outcome list.
+/// remaining rounds are skipped). The budget is part of the run's
+/// identity: the same spec under a different budget may yield a
+/// different outcome list.
 ///
-/// [`Session::drive_until`]: crate::probe::Session::drive_until
-pub fn run_spec_bounded(
-    spec: &ScenarioSpec,
-    exec: &Executor,
-    max_scenario: Option<SimDuration>,
-) -> BoundedRun {
-    run_spec_fluid(spec, exec, max_scenario, true)
-}
-
-/// [`run_spec_bounded`] with each cell's fluid window switched on or
-/// off ([`abw_netsim::Simulator::set_fluid`]) from the start of its
+/// `fluid` switches every cell's fluid fast-forward window
+/// ([`abw_netsim::Simulator::set_fluid`]) from the start of its
 /// warm-up. The window is an optimisation whose output is bit-identical
 /// either way, so this is no public option: the scenario fuzzer uses it
 /// to check that claim.
-pub(crate) fn run_spec_fluid(
-    spec: &ScenarioSpec,
+///
+/// [`Session::drive_until`]: crate::probe::Session::drive_until
+pub(crate) fn run_cells(
+    specs: &[ScenarioSpec],
     exec: &Executor,
-    max_scenario: Option<SimDuration>,
+    budget: Option<SimDuration>,
     fluid: bool,
 ) -> BoundedRun {
-    let entries = spec.tool_entries();
-    let tool_config = spec.tool_config();
-    let rounds = spec.rounds;
-    let jobs: Vec<_> = entries
+    let cells: Vec<(&ScenarioSpec, &'static ToolEntry, u64)> = specs
         .iter()
-        .flat_map(|&entry| {
-            let spec = spec.clone();
-            let tool_config = tool_config.clone();
-            spec.seeds.clone().into_iter().map(move |seed| {
-                let spec = spec.clone();
-                let tool_config = tool_config.clone();
-                move || {
-                    let mut s = Scenario::from_hops(spec.hops.clone(), seed);
-                    s.sim.set_fluid(fluid);
-                    s.warm_up(spec.warmup);
-                    let deadline = max_scenario.map(|d| s.sim.now() + d);
-                    let mut session = s.session();
-                    let mut verdicts: Vec<Verdict> = Vec::with_capacity(rounds as usize);
-                    for _ in 0..rounds {
-                        let mut tool = entry.build(&tool_config);
-                        let verdict = match deadline {
-                            Some(t) => session.drive_until(&mut s.sim, tool.as_mut(), t),
-                            None => Some(session.drive(&mut s.sim, tool.as_mut())),
-                        };
-                        match verdict {
-                            Some(v) => verdicts.push(v),
-                            None => break,
-                        }
-                    }
-                    verdicts
-                }
-            })
+        .flat_map(|spec| {
+            spec.tool_entries()
+                .into_iter()
+                .flat_map(move |entry| spec.seeds.iter().map(move |&seed| (spec, entry, seed)))
         })
         .collect();
-    let cells = exec.run(jobs);
+    let jobs: Vec<_> = cells
+        .iter()
+        .map(|&(spec, entry, seed)| move || run_cell(spec, entry, seed, budget, fluid))
+        .collect();
+    let verdicts = exec.run(jobs);
 
     let mut run = BoundedRun::default();
-    for (i, verdicts) in cells.into_iter().enumerate() {
-        let entry = entries[i / spec.seeds.len()];
-        let seed = spec.seeds[i % spec.seeds.len()];
+    for ((spec, entry, seed), verdicts) in cells.into_iter().zip(verdicts) {
         let finished = verdicts.len() as u32;
-        for (round, verdict) in verdicts.into_iter().enumerate() {
+        for (round, verdict) in (0..).zip(verdicts) {
             run.outcomes.push(SpecOutcome {
                 tool: entry.name,
                 seed,
-                round: round as u32,
+                round,
                 verdict,
             });
         }
-        if finished < rounds {
+        if finished < spec.rounds {
             run.timeouts.push(SpecTimeout {
                 tool: entry.name,
                 seed,
@@ -813,10 +786,39 @@ pub(crate) fn run_spec_fluid(
     run
 }
 
+/// One `(spec, tool, seed)` cell: the verdicts of the rounds that
+/// finished before the deadline (all of them without a budget).
+fn run_cell(
+    spec: &ScenarioSpec,
+    entry: &ToolEntry,
+    seed: u64,
+    budget: Option<SimDuration>,
+    fluid: bool,
+) -> Vec<Verdict> {
+    let mut s = Scenario::from_hops(spec.hops.clone(), seed);
+    s.sim.set_fluid(fluid);
+    s.warm_up(spec.warmup);
+    let deadline = budget.map(|d| s.sim.now() + d);
+    let tool_config = spec.tool_config();
+    let mut session = s.session();
+    let mut verdicts = Vec::with_capacity(spec.rounds as usize);
+    for _ in 0..spec.rounds {
+        let mut tool = entry.build(&tool_config);
+        let verdict = match deadline {
+            Some(t) => session.drive_until(&mut s.sim, tool.as_mut(), t),
+            None => Some(session.drive(&mut s.sim, tool.as_mut())),
+        };
+        match verdict {
+            Some(v) => verdicts.push(v),
+            None => break,
+        }
+    }
+    verdicts
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abw_netsim::SimTime;
 
     fn parse(src: &str) -> ScenarioSpec {
         ScenarioSpec::parse(src, "test.scn").unwrap_or_else(|e| panic!("{e}"))
@@ -951,41 +953,19 @@ mod tests {
     }
 
     #[test]
-    fn from_spec_matches_hand_built_scenario() {
-        use crate::scenario::SingleHopConfig;
-        let spec = parse(
-            "scenario canonical\nseeds = 0xD0C5\nhop capacity=50000000 latency=1ms \
-             cross=poisson cross-rate=25000000 cross-sizes=1500\n",
-        );
-        let seed = spec.seeds[0];
-        assert_eq!(seed, SingleHopConfig::default().seed);
-        let mut by_hand = Scenario::single_hop(&SingleHopConfig::default());
-        by_hand.warm_up(SimDuration::from_millis(500));
-        let from_spec = Scenario::from_spec(&spec, seed);
-        assert_eq!(by_hand.sim.now(), from_spec.sim.now());
-        assert_eq!(
-            by_hand.sim.link(by_hand.links[0]).counters(),
-            from_spec.sim.link(from_spec.links[0]).counters(),
-            "same hops + same seed must replay the same warm-up traffic"
-        );
-        assert_eq!(
-            from_spec.measure_from,
-            SimTime::ZERO + SimDuration::from_millis(500)
-        );
-    }
-
-    #[test]
-    fn bounded_run_times_out_and_unbounded_matches_run_spec() {
+    fn bounded_run_times_out_and_unbounded_matches_run_specs() {
         let spec = parse(
             "scenario bounded\nseeds = 11\ntools = spruce\n\
              hop capacity=50000000 cross-rate=25000000\n",
         );
+        let specs = std::slice::from_ref(&spec);
         // a 1 ms simulated budget cannot fit a spruce round: the cell
         // must come back as a timeout, not a verdict (and not a panic)
-        let tight = run_spec_bounded(
-            &spec,
+        let tight = run_cells(
+            specs,
             &Executor::serial(),
             Some(SimDuration::from_millis(1)),
+            true,
         );
         assert!(tight.outcomes.is_empty(), "no round fits 1 ms");
         assert_eq!(
@@ -998,21 +978,15 @@ mod tests {
         );
 
         // a generous budget changes nothing: bit-identical verdicts
-        let unbounded = run_spec(&spec, &Executor::serial());
-        let generous = run_spec_bounded(
-            &spec,
+        let unbounded = run_specs(specs, &Executor::serial());
+        let generous = run_cells(
+            specs,
             &Executor::serial(),
             Some(SimDuration::from_secs(600)),
+            true,
         );
         assert!(generous.timeouts.is_empty());
-        assert_eq!(unbounded.len(), generous.outcomes.len());
-        for (a, b) in unbounded.iter().zip(&generous.outcomes) {
-            assert_eq!(
-                a.verdict.avail_bps().to_bits(),
-                b.verdict.avail_bps().to_bits()
-            );
-            assert_eq!(a.verdict.probe_packets(), b.verdict.probe_packets());
-        }
+        assert_same_outcomes(&unbounded, &generous.outcomes);
     }
 
     #[test]
@@ -1023,38 +997,58 @@ mod tests {
             "scenario two-rounds\nseeds = 7\nrounds = 2\ntools = spruce\n\
              hop capacity=50000000 cross-rate=25000000\n",
         );
-        let run = run_spec_bounded(
-            &spec,
+        let run = run_cells(
+            std::slice::from_ref(&spec),
             &Executor::serial(),
             Some(SimDuration::from_millis(1)),
+            true,
         );
         assert!(run.outcomes.is_empty());
         assert_eq!(run.timeouts.len(), 1, "one timeout per cell, not per round");
         assert_eq!(run.timeouts[0].round, 0);
     }
 
+    /// Asserts two outcome lists are the same cells with bit-identical
+    /// verdicts, in the same order.
+    fn assert_same_outcomes(a: &[SpecOutcome], b: &[SpecOutcome]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.tool, x.seed, x.round), (y.tool, y.seed, y.round));
+            assert_eq!(
+                x.verdict.avail_bps().to_bits(),
+                y.verdict.avail_bps().to_bits(),
+                "{}/{}",
+                x.tool,
+                x.seed
+            );
+            assert_eq!(x.verdict.probe_packets(), y.verdict.probe_packets());
+        }
+    }
+
     #[test]
     fn run_spec_is_executor_invariant() {
-        let spec = parse(
+        let a = parse(
             "scenario inv\nseeds = 11, 22\ntools = spruce, ptr\n\
              hop capacity=50000000 cross-rate=25000000\n",
         );
-        let serial = run_spec(&spec, &Executor::serial());
-        let parallel = run_spec(&spec, &Executor::new(4));
+        let serial = run_specs(std::slice::from_ref(&a), &Executor::serial());
         assert_eq!(serial.len(), 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.tool, b.tool);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.round, b.round);
-            assert_eq!(
-                a.verdict.avail_bps().to_bits(),
-                b.verdict.avail_bps().to_bits(),
-                "{}/{}",
-                a.tool,
-                a.seed
-            );
-            assert_eq!(a.verdict.probe_packets(), b.verdict.probe_packets());
+        assert_same_outcomes(
+            &serial,
+            &run_specs(std::slice::from_ref(&a), &Executor::new(4)),
+        );
+
+        // a two-spec batch is the two runs one after the other, at any
+        // worker count: no cell of one spec leaks into the other's
+        let b = parse(
+            "scenario inv-lossy\nseeds = 33\ntools = ptr, spruce\n\
+             hop capacity=50000000 cross-rate=20000000 impair=\"loss=0.01\"\n",
+        );
+        let mut one_by_one = serial;
+        one_by_one.extend(run_specs(std::slice::from_ref(&b), &Executor::serial()));
+        for workers in [1, 4] {
+            let batch = run_specs(&[a.clone(), b.clone()], &Executor::new(workers));
+            assert_same_outcomes(&one_by_one, &batch);
         }
     }
 }

@@ -15,9 +15,11 @@
 //!
 //! 1. **Round trip** — `parse(to_spec(s)) == s`, the DSL's own
 //!    contract.
-//! 2. **No panics** — [`dsl::run_spec`] under `catch_unwind`; with
-//!    `ABW_CHECK` armed (the fuzzer arms it) a panic is usually an
-//!    `ABW_CHECK invariant violated:` report from the simulator.
+//! 2. **No panics** — the spec runs through the one spec runner
+//!    ([`dsl::run_specs`], here under the per-cell simulated-time
+//!    budget) inside `catch_unwind`; with `ABW_CHECK` armed (the fuzzer
+//!    arms it) a panic is usually an `ABW_CHECK invariant violated:`
+//!    report from the simulator.
 //! 3. **Serial ≡ parallel** — the outcome list is compared bit-for-bit
 //!    between [`Executor::serial`] and a multi-worker executor.
 //! 4. **Fluid ≡ per-event** — the spec runs once more with every
@@ -328,24 +330,25 @@ pub fn evaluate(
     }
 
     let budget = max_scenario_ms.map(SimDuration::from_millis);
+    let specs = std::slice::from_ref(spec);
 
     // 2. serial run; a panic here is usually an armed ABW_CHECK report
     let serial = catch_unwind(AssertUnwindSafe(|| {
-        dsl::run_spec_bounded(spec, &Executor::serial(), budget)
+        dsl::run_cells(specs, &Executor::serial(), budget, true)
     }))
     .map_err(|p| format!("panic during serial run: {}", panic_message(&p)))?;
 
     // 3. parallel run must agree bit-for-bit
     let exec = Executor::new(jobs.max(2));
     let parallel = catch_unwind(AssertUnwindSafe(|| {
-        dsl::run_spec_bounded(spec, &exec, budget)
+        dsl::run_cells(specs, &exec, budget, true)
     }))
     .map_err(|p| format!("panic during parallel run: {}", panic_message(&p)))?;
     same_run("serial/parallel", &serial, &parallel)?;
 
     // 4. so must a run with the fluid window off
     let per_event = catch_unwind(AssertUnwindSafe(|| {
-        dsl::run_spec_fluid(spec, &exec, budget, false)
+        dsl::run_cells(specs, &exec, budget, false)
     }))
     .map_err(|p| format!("panic during fluid-off run: {}", panic_message(&p)))?;
     same_run("serial/fluid-off", &serial, &per_event)?;

@@ -21,7 +21,7 @@ use abw_exec::Executor;
 use abw_netsim::impair::ImpairmentConfig;
 use abw_netsim::SimDuration;
 use abwe::core::experiments::shootout::shootout_tools;
-use abwe::core::scenario::dsl::{run_spec, ScenarioSpec};
+use abwe::core::scenario::dsl::{run_specs, ScenarioSpec};
 use abwe::core::scenario::fuzz::outcome_line;
 use abwe::core::scenario::{CrossKind, HopSpec, Scenario, SingleHopConfig};
 use abwe::core::tools::registry::{self, ToolConfig};
@@ -144,7 +144,7 @@ fn rust_built_csv(
 }
 
 fn dsl_csv(spec: &ScenarioSpec) -> String {
-    run_spec(spec, &Executor::new(1))
+    run_specs(std::slice::from_ref(spec), &Executor::new(1))
         .iter()
         .map(outcome_line)
         .collect::<Vec<_>>()

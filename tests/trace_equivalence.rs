@@ -16,6 +16,7 @@
 use std::io;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
 use abw_core::experiments::train_length::{self, TrainLengthConfig};
 use abw_exec::Executor;
@@ -79,6 +80,32 @@ fn shootout_trace_bytes_are_identical_across_worker_counts() {
         shootout::run_with(&config, &Executor::new(4));
     });
     assert!(!serial.is_empty(), "trace must not be empty");
+    assert_eq!(
+        serial, parallel,
+        "JSONL trace bytes diverged between 1 and 4 workers"
+    );
+}
+
+#[test]
+fn loss_sweep_trace_bytes_are_identical_across_worker_counts() {
+    let _guard = global_lock();
+    // one lossy rate and one seed: eleven cells, about the shootout
+    // case's trace size, and the only case whose trace carries
+    // impairment events through the executor's replay
+    let config = LossSweepConfig {
+        loss_rates: vec![0.01],
+        ..LossSweepConfig::quick()
+    };
+    let serial = traced(|| {
+        loss_sweep::run_with(&config, &Executor::new(1));
+    });
+    let parallel = traced(|| {
+        loss_sweep::run_with(&config, &Executor::new(4));
+    });
+    assert!(
+        serial.windows(16).any(|w| w == b"link.impair_loss"),
+        "trace must carry impairment events"
+    );
     assert_eq!(
         serial, parallel,
         "JSONL trace bytes diverged between 1 and 4 workers"

@@ -1,6 +1,7 @@
 //! TCP Reno sender.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 
 use abw_netsim::{Agent, AgentId, Ctx, FlowId, Packet, PacketKind, PathId, SimDuration, SimTime};
 
@@ -129,7 +130,11 @@ pub struct TcpSender {
     rto_backoff: u32,
     /// First-transmission times of in-flight segments (absent once
     /// retransmitted — Karn's rule excludes them from RTT sampling).
-    send_times: HashMap<u64, SimTime>,
+    /// SipHash with fixed keys, not `RandomState`: with per-process
+    /// keys, where removals leave tombstones, and so whether an insert
+    /// rehashes in place or grows the table, changes from process to
+    /// process, and allocation counts would not repeat.
+    send_times: HashMap<u64, SimTime, BuildHasherDefault<DefaultHasher>>,
     /// Smoothed RTT (seconds); `None` before the first sample.
     srtt: Option<f64>,
     /// RTT variation (seconds).
@@ -161,7 +166,7 @@ impl TcpSender {
             phase: Phase::SlowStart,
             rto_epoch: 0,
             rto_backoff: 0,
-            send_times: HashMap::new(),
+            send_times: HashMap::default(),
             srtt: None,
             rttvar: 0.0,
             started_at: None,

@@ -79,15 +79,6 @@ impl HopSpec {
         self
     }
 
-    /// Attaches an impairment parsed from a kebab-case spec string
-    /// (e.g. `"loss=0.01, jitter=500us"`); see
-    /// [`ImpairmentConfig::parse`]. Panics on a malformed spec.
-    pub fn with_impairment_spec(self, spec: &str) -> Self {
-        let config = ImpairmentConfig::parse(spec)
-            .unwrap_or_else(|e| panic!("bad impairment spec `{spec}`: {e}"));
-        self.with_impairment(config)
-    }
-
     /// The configured avail-bw of this hop.
     pub fn avail_bps(&self) -> f64 {
         self.capacity_bps - self.cross_rate_bps
@@ -307,17 +298,6 @@ impl Scenario {
         changed
     }
 
-    /// Installs an impairment on hop `i`'s link of an already-built
-    /// scenario, seeding its RNG stream exactly as
-    /// [`Scenario::from_hops`] would with `seed` — so building with the
-    /// impairment in the [`HopSpec`] and attaching it afterwards (before
-    /// any traffic crosses the link) are bit-identical.
-    pub fn impair_hop(&mut self, hop: usize, config: ImpairmentConfig, seed: u64) {
-        self.hops[hop].impairment = Some(config.clone());
-        self.sim
-            .impair_link(self.links[hop], config, impairment_seed(seed, hop));
-    }
-
     /// Configured end-to-end avail-bw: `min` over hops (Equation 3).
     pub fn configured_avail_bps(&self) -> f64 {
         self.hops
@@ -503,23 +483,6 @@ mod tests {
             lost,
             b.sim.link(b.links[0]).counters().impaired_pkts,
             "same seed must lose the same packets"
-        );
-    }
-
-    #[test]
-    fn impair_hop_matches_building_with_the_spec() {
-        let cfg = ImpairmentConfig::iid_loss(0.02);
-        let mut built = Scenario::single_hop(&SingleHopConfig {
-            impairment: Some(cfg.clone()),
-            ..SingleHopConfig::default()
-        });
-        let mut attached = Scenario::single_hop(&SingleHopConfig::default());
-        attached.impair_hop(0, cfg, SingleHopConfig::default().seed);
-        built.warm_up(SimDuration::from_secs(1));
-        attached.warm_up(SimDuration::from_secs(1));
-        assert_eq!(
-            built.sim.link(built.links[0]).counters(),
-            attached.sim.link(attached.links[0]).counters(),
         );
     }
 

@@ -28,8 +28,10 @@
 //!   the hot-path cost counters are printed to stderr.
 
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use abw_obs::JsonlRecorder;
@@ -53,6 +55,11 @@ fn prof_requested() -> bool {
     std::env::var("ABW_PROF").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+/// The `ABW_TRACE` recorder: the process global writes through one
+/// handle, and [`Session::finish`] reads the first write error back
+/// through the other.
+type TraceSink = Arc<Mutex<JsonlRecorder<BufWriter<File>>>>;
+
 /// One experiment-binary run: wires `ABW_TRACE` / `ABW_MANIFEST` into
 /// the observability layer and owns the run's [`RunManifest`].
 ///
@@ -61,7 +68,7 @@ fn prof_requested() -> bool {
 pub struct Session {
     manifest: RunManifest,
     manifest_dir: Option<PathBuf>,
-    tracing: bool,
+    trace: Option<(PathBuf, TraceSink)>,
     profiling: bool,
     started: Instant,
 }
@@ -69,8 +76,9 @@ pub struct Session {
 impl Session {
     /// Starts a session for the binary `name`, reading `ABW_TRACE` and
     /// `ABW_MANIFEST` from the environment. Trace-file errors are
-    /// reported to stderr and disable tracing rather than aborting the
-    /// experiment.
+    /// reported to stderr rather than aborting the experiment: one that
+    /// prevents creating the file disables tracing, and one hit while
+    /// writing is reported by [`Session::finish`].
     pub fn start(name: &str) -> Session {
         Session::start_with(
             name,
@@ -86,12 +94,13 @@ impl Session {
         trace_path: Option<PathBuf>,
         manifest_dir: Option<PathBuf>,
     ) -> Session {
-        let mut tracing = false;
+        let mut trace = None;
         if let Some(path) = trace_path {
             match JsonlRecorder::create(&path) {
                 Ok(recorder) => {
-                    abw_obs::global::set_global(recorder);
-                    tracing = true;
+                    let sink = Arc::new(Mutex::new(recorder));
+                    abw_obs::global::set_global(Arc::clone(&sink));
+                    trace = Some((path, sink));
                 }
                 Err(e) => eprintln!("ABW_TRACE: cannot create {}: {e}", path.display()),
             }
@@ -112,7 +121,7 @@ impl Session {
         Session {
             manifest,
             manifest_dir,
-            tracing,
+            trace,
             profiling,
             started: Instant::now(),
         }
@@ -125,11 +134,12 @@ impl Session {
 
     /// True when `ABW_TRACE` installed a recorder.
     pub fn tracing(&self) -> bool {
-        self.tracing
+        self.trace.is_some()
     }
 
     /// Finishes the session: flushes and uninstalls the global
-    /// recorder, absorbs the simulation totals captured while the run
+    /// recorder (reporting on stderr the first error hit while writing
+    /// the trace), absorbs the simulation totals captured while the run
     /// executed, stamps the wall-clock time, and writes the manifest
     /// when `ABW_MANIFEST` was set.
     pub fn finish(mut self) {
@@ -144,8 +154,12 @@ impl Session {
                 eprintln!("  {name:<20} {value:>14}");
             }
         }
-        if self.tracing {
-            abw_obs::global::clear_global();
+        if let Some((path, sink)) = self.trace.take() {
+            abw_obs::global::clear_global(); // flushes first
+            let recorder = sink.lock().expect("trace recorder mutex poisoned");
+            if let Some(e) = recorder.io_error() {
+                eprintln!("ABW_TRACE: cannot write {}: {e}", path.display());
+            }
         }
         if let Some(captured) = abw_obs::global::take_manifest() {
             self.manifest.absorb(captured);

@@ -504,4 +504,76 @@ reason = \"r2\"
         assert!(!path_matches("std::time", "std::timer"));
         assert!(!path_matches("std::time::Instant", "std::time"));
     }
+
+    /// Hostile input: mutations of the committed `lint.toml` parse or
+    /// fail with a [`ConfigError`], never panic. A seeded std-only loop,
+    /// because the crate takes no dependencies (proptest included).
+    #[test]
+    fn mutated_config_never_panics() {
+        const TOKENS: &[&str] = &[
+            "[",
+            "]",
+            "[[",
+            "]]",
+            "[]",
+            "\"",
+            "\\",
+            "=",
+            ",",
+            ".",
+            "#",
+            "\n",
+            " ",
+            "\t",
+            "\r",
+            "[[layering.deny]]",
+            "[panic_free]",
+            "[units]",
+            "from = ",
+            "import = [",
+            "true",
+            "-",
+            "99999999999999999999",
+            "é",
+            "\u{0}",
+            "\u{feff}",
+        ];
+        // splitmix64: a fixed seed explores the same inputs every run
+        let mut state = 0x1d9e_5eed_u64;
+        let mut below = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let base: Vec<char> = DEFAULT_TOML.chars().collect();
+        for case in 0..2_000 {
+            let mut chars = base.clone();
+            for _ in 0..1 + below(6) {
+                let at = below(chars.len() + 1);
+                let end = (at + below(24)).min(chars.len());
+                match below(5) {
+                    0 => {
+                        chars.drain(at..end);
+                    }
+                    1 => {
+                        chars.splice(at..at, TOKENS[below(TOKENS.len())].chars());
+                    }
+                    2 => {
+                        let copy = chars[at..end].to_vec();
+                        chars.splice(at..at, copy);
+                    }
+                    3 => {
+                        let any = char::from_u32(below(0x11_0000) as u32);
+                        chars.splice(at..(at + 1).min(chars.len()), any);
+                    }
+                    _ => chars.truncate(at),
+                }
+            }
+            let input: String = chars.into_iter().collect();
+            let outcome = std::panic::catch_unwind(|| parse(&input));
+            assert!(outcome.is_ok(), "case {case}: parse panicked on\n{input}");
+        }
+    }
 }

@@ -27,19 +27,19 @@
 //!
 //! D1–D6 are token rules; D7–D9 and L1 read the item-level parse
 //! ([`parser`]) and the workspace import graph ([`graph`]), configured
-//! by the root `lint.toml` ([`config`]). Deliberate exceptions carry a
-//! `// lint: allow(<name>) -- reason` marker on the same line or the
-//! line above. Run it with `cargo run -p abw-lint`; exit status `1`
-//! means findings, `2` a tool/config error (`--list-rules` prints the
-//! armed table, `--format json|sarif` the machine-readable reports —
-//! see [`output`]). The runtime counterpart — `ABW_CHECK=1` arming the
-//! simulator's invariant checks — lives in `abw-netsim::invariants`
-//! and covers the same failure class from the dynamic side.
+//! by the root `lint.toml` ([`config`]). A deliberate exception carries
+//! a `// lint: allow(<name>) -- reason` marker on the same line or the
+//! line above; that marker is the one way to suppress a finding. Run it
+//! with `cargo run -p abw-lint`: findings print as `file:line:col`
+//! text, exit status `1` means findings, `2` a tool/config error
+//! (`--list-rules` prints the armed table). The runtime counterpart —
+//! `ABW_CHECK=1` arming the simulator's invariant checks — lives in
+//! `abw-netsim::invariants` and covers the same failure class from the
+//! dynamic side.
 
 pub mod config;
 pub mod graph;
 pub mod lexer;
-pub mod output;
 pub mod panic_free;
 pub mod parser;
 pub mod registry_rule;

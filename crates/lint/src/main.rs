@@ -1,49 +1,28 @@
 //! `abw-lint` — run the workspace architecture & determinism rules.
 //!
 //! ```text
-//! cargo run -p abw-lint                      # lint the enclosing workspace
-//! cargo run -p abw-lint -- <root>            # lint an explicit workspace root
-//! cargo run -p abw-lint -- --format json     # flat machine-readable findings
-//! cargo run -p abw-lint -- --format sarif --out lint.sarif
-//! cargo run -p abw-lint -- --baseline lint-baseline.json --baseline-check
-//! cargo run -p abw-lint -- --fix --reason "cold path, bounded input"
-//! cargo run -p abw-lint -- --list-rules      # rule table and exit
-//! cargo run -p abw-lint -- --write-graph     # refresh the crate-graph snapshot
+//! cargo run -p abw-lint                          # lint the enclosing workspace
+//! cargo run -p abw-lint -- <root>                # lint an explicit workspace root
+//! cargo run -p abw-lint -- --list-rules          # rule table and exit
+//! cargo run -p abw-lint -- --write-graph [root]  # refresh the crate-graph snapshot
 //! cargo run -p abw-lint -- --file <f> [crate] [lib|bin|test]
 //! ```
 //!
-//! Exit code contract: **0** clean, **1** findings (or a stale
-//! baseline under `--baseline-check`), **2** tool error — unreadable
-//! paths, malformed `lint.toml`, malformed baseline. CI distinguishes
-//! "the code is wrong" from "the linter is broken" by this split.
+//! Findings print as text, one `file:line:col` report each, then a
+//! summary line. The one way to suppress a finding is in the source: a
+//! `// lint: allow(<rule>) -- reason` marker at the site.
+//!
+//! Exit code contract: **0** clean, **1** findings, **2** tool error —
+//! unreadable paths, malformed `lint.toml`, or an argument the command
+//! line does not take. CI distinguishes "the code is wrong" from "the
+//! linter is broken" by this split.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use abw_lint::config::LintConfig;
-use abw_lint::output;
 use abw_lint::rules::ALL_RULES;
-use abw_lint::{FileClass, FileContext, Report, Rule};
-
-struct Options {
-    root: PathBuf,
-    format: Format,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    baseline_check: bool,
-    write_baseline: Option<PathBuf>,
-    fix: bool,
-    reason: Option<String>,
-    write_graph: bool,
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use abw_lint::{FileClass, FileContext, Report};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,15 +39,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // modes that bypass the workspace walk entirely
     match args.first().map(String::as_str) {
         Some("--list-rules") => {
+            no_extra(&args[1..], "--list-rules")?;
             print!("{}", rule_table());
-            return Ok(ExitCode::SUCCESS);
-        }
-        Some("--validate-json") => {
-            let path = args.get(1).ok_or("--validate-json requires a path")?;
-            let source =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let entries = output::parse_flat(&source).map_err(|e| format!("{path}: {e}"))?;
-            println!("abw-lint: {path} is valid ({} finding(s))", entries.len());
             return Ok(ExitCode::SUCCESS);
         }
         Some("--file") => {
@@ -76,154 +48,67 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for r in &reports {
                 println!("{r}");
             }
-            return Ok(if reports.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            });
+            return Ok(exit_code(&reports));
         }
         _ => {}
     }
 
-    let opts = parse_options(args)?;
-    let config = load_config(&opts.root)?;
-    let analysis = abw_lint::analyze_workspace(&opts.root, &config)
-        .map_err(|e| format!("cannot walk {}: {e}", opts.root.display()))?;
+    let (root, write_graph) = parse_options(args)?;
+    let config = load_config(&root)?;
+    let analysis = abw_lint::analyze_workspace(&root, &config)
+        .map_err(|e| format!("cannot walk {}: {e}", root.display()))?;
 
-    if opts.write_graph {
-        let snap = opts.root.join(&config.layering.snapshot);
+    if write_graph {
+        let snap = root.join(&config.layering.snapshot);
         std::fs::write(&snap, &analysis.graph)
             .map_err(|e| format!("cannot write {}: {e}", snap.display()))?;
         println!("abw-lint: wrote {}", snap.display());
         return Ok(ExitCode::SUCCESS);
     }
 
-    if let Some(path) = &opts.write_baseline {
-        std::fs::write(path, output::to_json(&analysis.reports))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!(
-            "abw-lint: wrote {} ({} finding(s))",
-            path.display(),
-            analysis.reports.len()
-        );
-        return Ok(ExitCode::SUCCESS);
+    let reports = analysis.reports;
+    for r in &reports {
+        println!("{r}");
     }
+    if reports.is_empty() {
+        println!("abw-lint: clean");
+    } else {
+        println!("abw-lint: {} finding(s)", reports.len());
+    }
+    Ok(exit_code(&reports))
+}
 
-    // baseline subtraction: a finding present in the baseline is
-    // suppressed; a baseline entry that no longer fires is *stale* and
-    // fails `--baseline-check` so the file shrinks monotonically.
-    let mut reports = analysis.reports;
-    let mut stale: Vec<output::FlatFinding> = Vec::new();
-    if let Some(path) = &opts.baseline {
-        let source = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let baseline =
-            output::parse_flat(&source).map_err(|e| format!("{}: {e}", path.display()))?;
-        let keys: BTreeSet<_> = baseline.iter().map(|b| b.key()).collect();
-        let live: BTreeSet<_> = reports.iter().map(output::report_key).collect();
-        stale = baseline
-            .into_iter()
-            .filter(|b| !live.contains(&b.key()))
-            .collect();
-        reports.retain(|r| !keys.contains(&output::report_key(r)));
-    }
-
-    if opts.fix {
-        let reason = opts
-            .reason
-            .as_deref()
-            .ok_or("--fix requires --reason \"<why this is allowed>\"")?;
-        let fixed = apply_fixes(&opts.root, &reports, reason)?;
-        println!("abw-lint: fixed/annotated {fixed} site(s); re-run to verify");
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let rendered = match opts.format {
-        Format::Text => {
-            let mut s = String::new();
-            for r in &reports {
-                s.push_str(&format!("{r}\n"));
-            }
-            if reports.is_empty() {
-                s.push_str("abw-lint: clean\n");
-            } else {
-                s.push_str(&format!("abw-lint: {} finding(s)\n", reports.len()));
-            }
-            s
-        }
-        Format::Json => output::to_json(&reports),
-        Format::Sarif => output::to_sarif(&reports),
-    };
-    match &opts.out {
-        Some(path) => std::fs::write(path, &rendered)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?,
-        None => print!("{rendered}"),
-    }
-
-    if opts.baseline_check && !stale.is_empty() {
-        for s in &stale {
-            eprintln!(
-                "abw-lint: stale baseline entry: {} {} `{}` no longer fires — \
-                 remove it from the baseline",
-                s.rule, s.file, s.msg
-            );
-        }
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(if reports.is_empty() {
+fn exit_code(reports: &[Report]) -> ExitCode {
+    if reports.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    })
+    }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        root: workspace_root(),
-        format: Format::Text,
-        out: None,
-        baseline: None,
-        baseline_check: false,
-        write_baseline: None,
-        fix: false,
-        reason: None,
-        write_graph: false,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                opts.format = match value(&mut i, "--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
-                };
-            }
-            "--out" => opts.out = Some(PathBuf::from(value(&mut i, "--out")?)),
-            "--baseline" => opts.baseline = Some(PathBuf::from(value(&mut i, "--baseline")?)),
-            "--baseline-check" => opts.baseline_check = true,
-            "--write-baseline" => {
-                opts.write_baseline = Some(PathBuf::from(value(&mut i, "--write-baseline")?));
-            }
-            "--fix" => opts.fix = true,
-            "--reason" => opts.reason = Some(value(&mut i, "--reason")?),
-            "--write-graph" => opts.write_graph = true,
+/// `[ROOT]` and `--write-graph`, in either order. Anything else — an
+/// unknown flag or a second root — is a usage error, so a mistyped
+/// command never lints something other than what was asked.
+fn parse_options(args: &[String]) -> Result<(PathBuf, bool), String> {
+    let mut root = None;
+    let mut write_graph = false;
+    for arg in args {
+        match arg.as_str() {
+            "--write-graph" => write_graph = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            path => opts.root = PathBuf::from(path),
+            path if root.is_none() => root = Some(PathBuf::from(path)),
+            extra => return Err(format!("unexpected argument `{extra}` after ROOT")),
         }
-        i += 1;
     }
-    if opts.baseline_check && opts.baseline.is_none() {
-        return Err("--baseline-check requires --baseline <file>".into());
+    Ok((root.unwrap_or_else(workspace_root), write_graph))
+}
+
+/// A usage error naming the first argument `mode` leaves unconsumed.
+fn no_extra(rest: &[String], mode: &str) -> Result<(), String> {
+    match rest.first() {
+        Some(extra) => Err(format!("unexpected argument `{extra}` after {mode}")),
+        None => Ok(()),
     }
-    Ok(opts)
 }
 
 /// The active contract: an on-disk `lint.toml` under the lint root
@@ -234,62 +119,6 @@ fn load_config(root: &Path) -> Result<LintConfig, String> {
         Ok(source) => abw_lint::config::parse(&source).map_err(|e| e.to_string()),
         Err(_) => Ok(LintConfig::embedded()),
     }
-}
-
-/// `--fix`: mechanical rewrites where one exists (D2's `HashMap` →
-/// `BTreeMap` keeps iteration deterministic with the same API),
-/// `// lint: allow(<rule>) -- <reason>` markers everywhere else.
-/// Edits are applied bottom-up per file so line numbers stay valid.
-fn apply_fixes(root: &Path, reports: &[Report], reason: &str) -> Result<usize, String> {
-    let mut by_file: Vec<(&PathBuf, Vec<&Report>)> = Vec::new();
-    for r in reports {
-        match by_file.iter_mut().find(|(f, _)| *f == &r.file) {
-            Some((_, v)) => v.push(r),
-            None => by_file.push((&r.file, vec![r])),
-        }
-    }
-    let mut fixed = 0;
-    for (rel, file_reports) in by_file {
-        let path = root.join(rel);
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let mut lines: Vec<String> = source.lines().map(String::from).collect();
-        // bottom-up, one marker per (line, rule)
-        let mut sites: Vec<(u32, Rule)> = file_reports
-            .iter()
-            .map(|r| (r.finding.line, r.finding.rule))
-            .collect();
-        sites.sort();
-        sites.dedup();
-        for &(line, rule) in sites.iter().rev() {
-            let idx = line as usize - 1;
-            if idx >= lines.len() {
-                continue;
-            }
-            if rule == Rule::HashIter {
-                lines[idx] = lines[idx]
-                    .replace("HashMap", "BTreeMap")
-                    .replace("HashSet", "BTreeSet");
-            } else {
-                let indent: String = lines[idx]
-                    .chars()
-                    .take_while(|c| c.is_whitespace())
-                    .collect();
-                lines.insert(
-                    idx,
-                    format!("{indent}// lint: allow({}) -- {reason}", rule.name()),
-                );
-            }
-            fixed += 1;
-        }
-        let mut rewritten = lines.join("\n");
-        if source.ends_with('\n') {
-            rewritten.push('\n');
-        }
-        std::fs::write(&path, rewritten)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    Ok(fixed)
 }
 
 /// `--list-rules`: the full rule table, one row per rule.
@@ -314,6 +143,10 @@ fn rule_table() -> String {
 /// single-file architecture passes (D7/D8 under the embedded config).
 fn lint_single_file(args: &[String]) -> Result<Vec<Report>, String> {
     let path = args.first().ok_or("--file requires a path")?;
+    no_extra(
+        args.get(3..).unwrap_or_default(),
+        "--file PATH [CRATE] [lib|bin|test]",
+    )?;
     let crate_name = args.get(1).map(String::as_str).unwrap_or("core");
     let class = match args.get(2).map(String::as_str).unwrap_or("lib") {
         "lib" => FileClass::Lib,

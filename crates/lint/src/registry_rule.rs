@@ -166,6 +166,41 @@ mod tests {
     }
 
     #[test]
+    fn allow_markers_on_both_anchors_silence_their_findings() {
+        let dir = std::env::temp_dir().join("abw_lint_d9_allowed");
+        let _ = std::fs::remove_dir_all(&dir);
+        write(&dir, "tools/igi.rs", "");
+        write(&dir, "tools/spruce.rs", "");
+        // a missing module anchors at line 1, a stale entry at its own line
+        let missing = "// lint: allow(registry) -- spruce registers in its own change";
+        let stale = "// lint: allow(registry) -- ghost is built out of tree";
+        for (top, entry, left) in [
+            (missing, stale, None),
+            (missing, "", Some("module: \"ghost\"")),
+            ("", stale, Some("spruce.rs")),
+        ] {
+            write(
+                &dir,
+                "tools/registry.rs",
+                &format!(
+                    "{top}\n\
+                     pub static TOOLS: &[Entry] = &[\n\
+                     Entry {{ module: \"igi\" }},\n\
+                     Entry {{ module: \"ghost\" }}, {entry}\n\
+                     ];"
+                ),
+            );
+            let findings = check(&dir, &config()).unwrap();
+            let snippets: Vec<&str> = findings.iter().map(|f| f.snippet.as_str()).collect();
+            assert_eq!(
+                snippets,
+                Vec::from_iter(left),
+                "top `{top}`, entry `{entry}`"
+            );
+        }
+    }
+
+    #[test]
     fn unreadable_paths_are_io_errors_not_clean_runs() {
         let dir = std::env::temp_dir().join("abw_lint_d9_absent");
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Workspace-level contract tests: the committed crate-graph snapshot,
-//! the CLI exit-code contract (0 clean / 1 findings / 2 tool error),
-//! the machine-readable formats, the baseline workflow, and `--fix`.
+//! the text findings, and the CLI exit-code contract (0 clean /
+//! 1 findings / 2 tool error, a usage error included).
 //!
 //! The end-to-end cases run the real `abw-lint` binary against the
 //! mini-workspace fixture (`tests/fixtures/mini_workspace/`), whose
@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use abw_lint::config::LintConfig;
-use abw_lint::output;
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -33,19 +32,6 @@ fn temp_dir(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let dst = to.join(entry.file_name());
-        if entry.path().is_dir() {
-            copy_tree(&entry.path(), &dst);
-        } else {
-            std::fs::copy(entry.path(), &dst).unwrap();
-        }
-    }
 }
 
 #[test]
@@ -86,6 +72,11 @@ fn mini_workspace_fires_layering_and_registry() {
         !stdout.contains("mod.rs:"),
         "except entry must stay clean:\n{stdout}"
     );
+    // exactly one L1 and two D9: beta.rs unregistered, ghost stale
+    assert!(
+        stdout.ends_with("\nabw-lint: 3 finding(s)\n"),
+        "summary line:\n{stdout}"
+    );
 }
 
 #[test]
@@ -124,165 +115,50 @@ fn list_rules_names_every_rule() {
     }
 }
 
+/// Every argument the command line leaves unconsumed is a usage error:
+/// exit 2, nothing linted, one stderr line naming it. That covers a
+/// second root in either order (the last one used to win silently) and
+/// the flags of the removed JSON/SARIF output, baseline and fixer.
 #[test]
-fn json_output_round_trips_and_validates() {
-    let dir = temp_dir("json");
-    let json_path = dir.join("lint.json");
-    let out = bin()
-        .arg(mini_root())
-        .args(["--format", "json", "--out"])
-        .arg(&json_path)
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "findings still exit 1 with --out"
-    );
-
-    let entries = output::parse_flat(&std::fs::read_to_string(&json_path).unwrap())
-        .expect("own JSON output must parse under the flat schema");
-    assert_eq!(entries.len(), 3, "{entries:?}");
-    assert!(entries.iter().any(|e| e.rule == "L1"));
-    assert_eq!(entries.iter().filter(|e| e.rule == "D9").count(), 2);
-    for e in &entries {
-        assert!(!e.file.is_empty() && e.line > 0 && e.col > 0, "{e:?}");
+fn unconsumed_arguments_exit_2_with_their_name() {
+    let mini = mini_root();
+    let mini = mini.to_str().expect("utf-8 path");
+    let repo = repo_root().to_str().expect("utf-8 path");
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/d1_wall_clock_deny.rs");
+    let fixture = fixture.to_str().expect("utf-8 path");
+    let unknown = |flag: &str| format!("unknown flag `{flag}`");
+    let unexpected = |arg: &str, after: &str| format!("unexpected argument `{arg}` after {after}");
+    for (args, message) in [
+        (vec![mini, repo], unexpected(repo, "ROOT")),
+        (vec![repo, mini], unexpected(mini, "ROOT")),
+        (
+            vec!["--list-rules", "extra"],
+            unexpected("extra", "--list-rules"),
+        ),
+        (
+            vec!["--file", fixture, "core", "lib", "extra"],
+            unexpected("extra", "--file PATH [CRATE] [lib|bin|test]"),
+        ),
+        (vec!["--format", "json"], unknown("--format")),
+        (vec!["--out", "lint.txt"], unknown("--out")),
+        (
+            vec!["--validate-json", "lint.json"],
+            unknown("--validate-json"),
+        ),
+        (
+            vec!["--write-baseline", "b.json"],
+            unknown("--write-baseline"),
+        ),
+        (vec!["--baseline", "b.json"], unknown("--baseline")),
+        (vec!["--baseline-check"], unknown("--baseline-check")),
+        (vec!["--fix"], unknown("--fix")),
+        (vec!["--reason", "why"], unknown("--reason")),
+    ] {
+        let out = bin().args(&args).output().expect("spawn abw-lint");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must not lint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr, format!("abw-lint: {message}\n"), "{args:?}");
     }
-
-    let out = bin()
-        .arg("--validate-json")
-        .arg(&json_path)
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "--validate-json accepts our own output"
-    );
-
-    std::fs::write(dir.join("broken.json"), "[{\"rule\": \"D1\"}]").unwrap();
-    let out = bin()
-        .arg("--validate-json")
-        .arg(dir.join("broken.json"))
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(out.status.code(), Some(2), "schema violations exit 2");
-}
-
-#[test]
-fn sarif_output_carries_results_and_rule_metadata() {
-    let out = bin()
-        .arg(mini_root())
-        .args(["--format", "sarif"])
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(out.status.code(), Some(1));
-    let sarif = String::from_utf8_lossy(&out.stdout);
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    assert!(sarif.contains("\"ruleId\": \"L1\""));
-    assert!(sarif.contains("\"ruleId\": \"D9\""));
-    assert!(sarif.contains("beta.rs"));
-    assert!(sarif.contains("\"startLine\": 1"));
-}
-
-#[test]
-fn baseline_suppresses_known_findings_and_flags_stale_entries() {
-    let dir = temp_dir("baseline");
-    let baseline = dir.join("lint-baseline.json");
-
-    let out = bin()
-        .arg(mini_root())
-        .arg("--write-baseline")
-        .arg(&baseline)
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "--write-baseline always exits 0"
-    );
-
-    // every current finding is in the baseline → clean
-    let out = bin()
-        .arg(mini_root())
-        .arg("--baseline")
-        .arg(&baseline)
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "baselined findings are suppressed:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // an entry that no longer fires is stale: --baseline-check fails
-    let stale = dir.join("stale.json");
-    std::fs::write(
-        &stale,
-        "[{\"rule\": \"D1\", \"file\": \"crates/nope.rs\", \"msg\": \"Instant::now\"}]",
-    )
-    .unwrap();
-    let out = bin()
-        .arg(mini_root())
-        .arg("--baseline")
-        .arg(&stale)
-        .arg("--baseline-check")
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "stale baseline entries must fail the gate"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("stale baseline entry"), "{stderr}");
-}
-
-#[test]
-fn fix_annotates_findings_until_the_tree_is_clean() {
-    let dir = temp_dir("fix");
-    copy_tree(&mini_root(), &dir);
-
-    let out = bin()
-        .arg(&dir)
-        .args(["--fix", "--reason", "fixture: sanctioned for the fix test"])
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "--fix exits 0 after writing:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let beta = std::fs::read_to_string(dir.join("crates/core/src/tools/beta.rs")).unwrap();
-    assert!(
-        beta.contains("// lint: allow(layering) -- fixture: sanctioned for the fix test"),
-        "marker carries the reason:\n{beta}"
-    );
-
-    let out = bin().arg(&dir).output().expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "annotated tree lints clean:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-}
-
-#[test]
-fn fix_without_reason_is_rejected() {
-    let out = bin()
-        .arg(mini_root())
-        .arg("--fix")
-        .output()
-        .expect("spawn abw-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "--fix without --reason is a usage error"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--reason"), "{stderr}");
 }

@@ -14,18 +14,20 @@
 //!
 //! ## Observability
 //!
-//! Every binary opens a [`Session`], which reads two environment
+//! Every binary opens a [`Session`], which reads three environment
 //! variables:
 //!
 //! * `ABW_TRACE=path.jsonl` — installs a process-global JSONL recorder;
 //!   every simulator the run creates streams its events there
 //!   (byte-identical across runs with the same seeds);
 //! * `ABW_MANIFEST=dir` — writes `dir/<name>.manifest.json` describing
-//!   the run (version, parameters, wall-clock time) when the session
-//!   finishes;
+//!   the run when the session finishes: name, version (`git describe`
+//!   of the source tree), seeds, parameters, wall-clock time, and the
+//!   binary's own counters followed by the cost counters
+//!   (`abw_obs::prof`), simulated time among them;
 //! * `ABW_PROF=1` — enables span profiling: when the session finishes,
 //!   a merged span tree (inclusive wall time across all workers) and
-//!   the hot-path cost counters are printed to stderr.
+//!   the same cost counters are printed to stderr.
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -105,18 +107,13 @@ impl Session {
                 Err(e) => eprintln!("ABW_TRACE: cannot create {}: {e}", path.display()),
             }
         }
-        if manifest_dir.is_some() {
-            // every simulator the run creates folds its totals in on drop
-            abw_obs::global::begin_manifest_capture();
-        }
         let profiling = prof_requested();
         if profiling {
             abw_obs::prof::enable(prof_clock_nanos);
         }
         let mut manifest = RunManifest::new(name);
         // the worker count the executor will use (ABW_JOBS or the
-        // available parallelism) — per-job wall times land in the
-        // manifest's exec.run* extras at executor join time
+        // available parallelism)
         manifest.param_u64("workers", abw_exec::Executor::from_env().workers() as u64);
         Session {
             manifest,
@@ -137,19 +134,18 @@ impl Session {
         self.trace.is_some()
     }
 
-    /// Finishes the session: flushes and uninstalls the global
-    /// recorder (reporting on stderr the first error hit while writing
-    /// the trace), absorbs the simulation totals captured while the run
-    /// executed, stamps the wall-clock time, and writes the manifest
-    /// when `ABW_MANIFEST` was set.
+    /// Finishes the session: reads the cost counters once, flushes and
+    /// uninstalls the global recorder (reporting on stderr the first
+    /// error hit while writing the trace), stamps the wall-clock time,
+    /// and, when `ABW_MANIFEST` was set, detects the version and writes
+    /// the manifest with the cost counters after the binary's own.
     pub fn finish(mut self) {
+        // the main thread's open tally plus every retired worker's
+        let costs = abw_obs::prof::snapshot();
         if self.profiling {
-            // the main thread's open tally plus every retired worker's
-            abw_obs::prof::flush_thread();
             let profile = abw_obs::prof::take_profile();
             eprintln!("{}", profile.render());
-            let costs = abw_obs::prof::snapshot();
-            eprintln!("hot-path cost counters (process totals):");
+            eprintln!("cost counters (process totals):");
             for (name, value) in costs.entries() {
                 eprintln!("  {name:<20} {value:>14}");
             }
@@ -161,11 +157,12 @@ impl Session {
                 eprintln!("ABW_TRACE: cannot write {}: {e}", path.display());
             }
         }
-        if let Some(captured) = abw_obs::global::take_manifest() {
-            self.manifest.absorb(captured);
-        }
         self.manifest.wall_time_secs = self.started.elapsed().as_secs_f64();
         if let Some(dir) = self.manifest_dir.take() {
+            self.manifest.version = abw_obs::manifest::detect_version();
+            for (name, value) in costs.entries() {
+                self.manifest.counter(name, value);
+            }
             if let Err(e) = self.manifest.write_to(&dir) {
                 eprintln!("ABW_MANIFEST: cannot write to {}: {e}", dir.display());
             }
@@ -435,10 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn session_captures_sim_totals_on_drop() {
+    fn session_manifest_reports_cost_totals() {
         let dir = std::env::temp_dir().join(format!("abw-session-test-{}", std::process::id()));
         let mut session = Session::start_with("session-test", None, Some(dir.clone()));
-        session.manifest().param_str("mode", "test");
+        session
+            .manifest()
+            .param_str("mode", "test")
+            .counter("own.count", 3);
         {
             let mut sim = abw_netsim::Simulator::new();
             let _ = sim.add_link(abw_netsim::LinkConfig::new(
@@ -446,13 +446,19 @@ mod tests {
                 abw_netsim::SimDuration::ZERO,
             ));
             sim.run_until(abw_netsim::SimTime::from_nanos(5));
-        } // dropped here → folds into the session's global capture
+        } // dropped here → adds its totals to the cost counters
         session.finish();
         let json = std::fs::read_to_string(dir.join("session-test.manifest.json"))
             .expect("manifest written");
-        assert!(json.contains("\"injected\":0"), "{json}");
-        assert!(json.contains("\"link\":\"0\""), "{json}");
         assert!(json.contains("\"mode\":\"test\""), "{json}");
+        assert!(
+            json.contains("\"counters\":{\"own.count\":3,\"events_popped\":"),
+            "the binary's own counters come first: {json}"
+        );
+        for name in ["sim_time_ns", "injected", "link_impaired", "exec.jobs"] {
+            assert!(json.contains(&format!("\"{name}\":")), "{name}: {json}");
+        }
+        assert!(!json.contains("\"links\""), "{json}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,13 +17,14 @@
 //! 1. Jobs must be independent: no shared mutable state, no global RNG.
 //! 2. Each worker runs its jobs under a thread-local `abw-obs` capture
 //!    ([`abw_obs::global::begin_thread_capture`]): events a job's
-//!    simulators emit are buffered per job, and manifest folds go into a
-//!    per-job fragment, instead of interleaving in the process-global
-//!    sinks.
-//! 3. At join time the captures are merged **by job index**: event
-//!    buffers replay into the process-global recorder in submission
-//!    order, manifest fragments are absorbed in submission order. The
-//!    result is indistinguishable from having run the jobs serially.
+//!    simulators emit are buffered per job instead of interleaving in
+//!    the process-global recorder.
+//! 3. At join time the event buffers replay into the process-global
+//!    recorder **by job index**, in submission order. The cost counters
+//!    (`abw_obs::prof`), which a run manifest reports, need no replay:
+//!    each worker flushes its tallies as it retires, and their sums do
+//!    not depend on order. The result is indistinguishable from having
+//!    run the jobs serially.
 //!
 //! ## Worker count
 //!
@@ -43,9 +44,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Instant;
 
-use abw_obs::global::{self, CapturedJob};
-use abw_obs::prof;
-use abw_obs::{Recorder as _, Value};
+use abw_obs::global;
+use abw_obs::prof::{self, Cost};
+use abw_obs::{OwnedEvent, Recorder as _, Value};
 
 /// Environment variable selecting the worker count.
 pub const JOBS_ENV: &str = "ABW_JOBS";
@@ -132,8 +133,8 @@ impl Executor {
     /// executor's job) the jobs run serially on the calling thread with
     /// no buffering — the reference behaviour. Otherwise jobs are pulled
     /// by a scoped worker pool; each runs under a thread-local obs
-    /// capture, and captures are replayed/absorbed in job-index order at
-    /// join time.
+    /// capture, and the captured events are replayed in job-index order
+    /// at join time.
     ///
     /// Panics if any job panicked, naming the lowest panicking job
     /// index.
@@ -146,44 +147,29 @@ impl Executor {
         if n == 0 {
             return Vec::new();
         }
+        prof::count_n(Cost::ExecJobs, n as u64);
         // Nested use (a job spawning its own executor) degrades to
         // serial: the enclosing capture already owns this thread's
-        // event/manifest routing, and in-order inline execution keeps
-        // its buffer identical to a serial run.
+        // event routing, and in-order inline execution keeps its
+        // buffer identical to a serial run.
         if self.workers <= 1 || n == 1 || global::thread_capture_active() {
             return self.run_serial(jobs);
         }
         self.run_parallel(jobs)
     }
 
-    /// The reference path: in-order, on the calling thread, events and
-    /// manifest folds flowing straight to wherever they are routed.
+    /// The reference path: in-order, on the calling thread, events
+    /// flowing straight to wherever they are routed.
     fn run_serial<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         F: FnOnce() -> T,
     {
-        let mut wall_ms = Vec::with_capacity(jobs.len());
-        let run_started = Instant::now();
-        let results = jobs
-            .into_iter()
+        jobs.into_iter()
             .map(|job| {
-                let span = prof::span("exec.job");
-                let started = Instant::now();
-                let out = job();
-                wall_ms.push(started.elapsed().as_secs_f64() * 1e3);
-                drop(span);
-                out
+                let _span = prof::span("exec.job");
+                job()
             })
-            .collect();
-        let busy_ns = run_started.elapsed().as_nanos() as u64;
-        let stats = [WorkerStats {
-            jobs: wall_ms.len() as u64,
-            busy_ns,
-            idle_ns: 0,
-        }];
-        record_worker_stats(&stats);
-        record_run(1, &wall_ms, &stats);
-        results
+            .collect()
     }
 
     fn run_parallel<T, F>(&self, jobs: Vec<F>) -> Vec<T>
@@ -193,15 +179,14 @@ impl Executor {
     {
         let n = jobs.len();
         let workers = self.workers.min(n);
-        // Capture only the channels that are actually live: buffering
-        // events nobody will replay wastes memory on the hot path.
+        // Buffer events only when a recorder will replay them: buffering
+        // events nobody reads wastes memory on the hot path. An untraced
+        // job still runs under a capture, which keeps nested runs serial.
         let capture_events = global::global().is_some();
-        let capture_manifest = global::manifest_capture_active();
 
         struct Slot<T> {
             outcome: std::thread::Result<T>,
-            capture: Option<CapturedJob>,
-            wall_ms: f64,
+            events: Vec<OwnedEvent>,
         }
 
         let pending: Vec<Mutex<Option<F>>> =
@@ -209,14 +194,12 @@ impl Executor {
         let slots: Vec<Mutex<Option<Slot<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let worker_stats: Mutex<Vec<WorkerStats>> = Mutex::new(Vec::with_capacity(workers));
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
                     let worker_started = Instant::now();
                     let mut busy_ns = 0u64;
-                    let mut jobs_run = 0u64;
                     loop {
                         if abort.load(Ordering::Relaxed) {
                             break;
@@ -230,39 +213,26 @@ impl Executor {
                             .expect("pending-job mutex poisoned")
                             .take()
                             .expect("each job is taken exactly once");
-                        global::begin_thread_capture(capture_events, capture_manifest);
+                        global::begin_thread_capture(capture_events);
                         let span = prof::span("exec.job");
                         let started = Instant::now();
                         let outcome = catch_unwind(AssertUnwindSafe(job));
-                        let elapsed = started.elapsed();
+                        busy_ns = busy_ns.saturating_add(started.elapsed().as_nanos() as u64);
                         drop(span);
-                        let wall_ms = elapsed.as_secs_f64() * 1e3;
-                        busy_ns = busy_ns.saturating_add(elapsed.as_nanos() as u64);
-                        jobs_run += 1;
-                        let capture = global::take_thread_capture();
+                        let events = global::take_thread_capture();
                         if outcome.is_err() {
                             abort.store(true, Ordering::Relaxed);
                         }
-                        *slots[index].lock().expect("result-slot mutex poisoned") = Some(Slot {
-                            outcome,
-                            capture,
-                            wall_ms,
-                        });
+                        *slots[index].lock().expect("result-slot mutex poisoned") =
+                            Some(Slot { outcome, events });
                     }
-                    // worker retires: report scheduling efficiency and
-                    // fold this thread's profile/cost tallies into the
-                    // process totals (span merge is name-keyed, so the
+                    // worker retires: report its idle time (lifetime
+                    // minus time in jobs) and fold this thread's
+                    // profile/cost tallies into the process totals (span
+                    // merge is name-keyed and counts sum, so the
                     // nondeterministic retire order cannot show)
-                    let total_ns = worker_started.elapsed().as_nanos() as u64;
-                    let stats = WorkerStats {
-                        jobs: jobs_run,
-                        busy_ns,
-                        idle_ns: total_ns.saturating_sub(busy_ns),
-                    };
-                    if let Ok(mut all) = worker_stats.lock() {
-                        all.push(stats);
-                    }
-                    record_worker_stats(&[stats]);
+                    let lifetime_ns = worker_started.elapsed().as_nanos() as u64;
+                    prof::record("exec.worker.idle", 1, lifetime_ns.saturating_sub(busy_ns));
                     prof::flush_thread();
                 });
             }
@@ -271,7 +241,7 @@ impl Executor {
         // Join in submission order. Surface the lowest-index panic
         // first (a `None` slot is a job that never started because a
         // panic elsewhere aborted the run — never the culprit), then
-        // replay traces, absorb manifest fragments, collect results.
+        // replay traces and collect results.
         let slots: Vec<Option<Slot<T>>> = slots
             .into_iter()
             .map(|slot| slot.into_inner().expect("result-slot mutex poisoned"))
@@ -288,51 +258,15 @@ impl Executor {
             panic!("job {index} panicked: {}", panic_message(payload.as_ref()));
         }
         let mut results = Vec::with_capacity(n);
-        let mut wall_ms = Vec::with_capacity(n);
         for slot in slots {
             let slot = slot.expect("no panic occurred, so every job ran");
-            if let Some(capture) = slot.capture {
-                global::replay_into_global(&capture.events);
-                if let Some(fragment) = capture.manifest {
-                    global::with_manifest(|m| {
-                        m.absorb(fragment);
-                    });
-                }
-            }
-            wall_ms.push(slot.wall_ms);
+            global::replay_into_global(&slot.events);
             results.push(match slot.outcome {
                 Ok(value) => value,
                 Err(_) => unreachable!("panics surfaced above"),
             });
         }
-        let mut stats = worker_stats
-            .into_inner()
-            .expect("worker-stats mutex poisoned");
-        // retire order is nondeterministic; present busiest-first
-        stats.sort_by_key(|s| std::cmp::Reverse(s.busy_ns));
-        record_run(workers, &wall_ms, &stats);
         results
-    }
-}
-
-/// Per-worker scheduling totals for one executor run.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerStats {
-    /// Jobs this worker completed.
-    jobs: u64,
-    /// Time spent running jobs.
-    busy_ns: u64,
-    /// Worker lifetime minus busy time (queue-empty waits, scheduling).
-    idle_ns: u64,
-}
-
-/// Attaches one worker's busy/idle totals to the profiling tree (under
-/// the worker's current span, i.e. the root). No-op while profiling is
-/// disabled.
-fn record_worker_stats(stats: &[WorkerStats]) {
-    for s in stats {
-        prof::record("exec.worker.busy", s.jobs, s.busy_ns);
-        prof::record("exec.worker.idle", 1, s.idle_ns);
     }
 }
 
@@ -341,7 +275,7 @@ static JOBS_FALLBACK_WARNED: Once = Once::new();
 
 /// Announces (once per process) that a set `ABW_JOBS` value could not
 /// be used and the executor fell back to every core: a point event for
-/// traces, a manifest counter, and a stderr line for humans.
+/// traces and a stderr line for humans.
 fn warn_jobs_fallback(raw: &str) {
     JOBS_FALLBACK_WARNED.call_once(|| {
         let workers = available_workers();
@@ -358,48 +292,6 @@ fn warn_jobs_fallback(raw: &str) {
                 &[("value", Value::Str(raw)), ("workers", workers.into())],
             );
         }
-        global::with_manifest(|m| {
-            m.add_counter("exec.jobs_fallback", 1);
-        });
-    });
-}
-
-/// Monotonic sequence number distinguishing multiple executor runs
-/// inside one manifest.
-static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-/// Records one executor run into the active manifest capture (if any):
-/// worker count, per-job wall-clock times, and per-worker busy/idle
-/// scheduling totals. Wall times are inherently nondeterministic and
-/// live next to `wall_time_secs`, outside every byte-identity
-/// guarantee.
-fn record_run(workers: usize, wall_ms: &[f64], stats: &[WorkerStats]) {
-    global::with_manifest(|m| {
-        m.add_counter("exec.jobs", wall_ms.len() as u64);
-        let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
-        let mut json = format!("{{\"workers\":{workers},\"job_wall_ms\":[");
-        for (i, ms) in wall_ms.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!("{ms:.3}"));
-        }
-        json.push_str("],\"worker_busy_ms\":[");
-        for (i, s) in stats.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!("{:.3}", s.busy_ns as f64 / 1e6));
-        }
-        json.push_str("],\"worker_idle_ms\":[");
-        for (i, s) in stats.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!("{:.3}", s.idle_ns as f64 / 1e6));
-        }
-        json.push_str("]}");
-        m.extra.push((format!("exec.run{seq}"), json));
     });
 }
 
@@ -531,23 +423,6 @@ mod tests {
             None => std::env::remove_var(JOBS_ENV),
         }
         assert_eq!(exec.workers(), available_workers());
-    }
-
-    #[test]
-    fn record_run_reports_worker_scheduling_totals() {
-        global::begin_thread_capture(false, true);
-        let results = Executor::new(4).run((0..6u64).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(results, vec![0, 1, 2, 3, 4, 5]);
-        let captured = global::take_thread_capture().expect("capture active");
-        let fragment = captured.manifest.expect("manifest fragment");
-        let (_, run_json) = fragment
-            .extra
-            .iter()
-            .find(|(k, _)| k.starts_with("exec.run"))
-            .expect("executor recorded its run");
-        assert!(run_json.contains("\"job_wall_ms\":["));
-        assert!(run_json.contains("\"worker_busy_ms\":["));
-        assert!(run_json.contains("\"worker_idle_ms\":["));
     }
 
     #[test]

@@ -9,9 +9,6 @@
 
 use std::collections::VecDeque;
 
-use abw_obs::manifest::LinkSnapshot;
-use abw_obs::metrics::LogLinearHistogram;
-
 use crate::arena::PacketRef;
 use crate::impair::{Impairment, ImpairmentConfig, IngressDecision};
 use crate::invariants::invariant;
@@ -157,10 +154,6 @@ pub struct Link {
     /// Largest queue depth seen, in packets (including the one in
     /// service). Tracked unconditionally — it is two instructions.
     peak_queue_pkts: u64,
-    /// Queue-depth distribution, in packets. Populated only while the
-    /// owning simulator has a recorder installed, so the untraced hot
-    /// path never pays for it.
-    depth_hist: Option<Box<LogLinearHistogram>>,
     /// Injected-fault pipeline, if any (loss/reorder/jitter/flaps).
     impairment: Option<Box<Impairment>>,
     /// Capacity the in-flight (or most recent) transmission was started
@@ -192,7 +185,6 @@ impl Link {
             busy: BusyLog::default(),
             accepted_pkts: 0,
             peak_queue_pkts: 0,
-            depth_hist: None,
             impairment: None,
             tx_capacity_bps: config.capacity_bps,
             flap_pending: None,
@@ -280,40 +272,6 @@ impl Link {
         self.peak_queue_pkts
     }
 
-    /// Starts sampling the queue depth into a histogram on every
-    /// enqueue. Idempotent; called by the simulator when a recorder is
-    /// installed.
-    pub fn enable_depth_histogram(&mut self) {
-        if self.depth_hist.is_none() {
-            self.depth_hist = Some(Box::new(LogLinearHistogram::for_depth()));
-        }
-    }
-
-    /// The queue-depth histogram, when depth sampling is enabled.
-    pub fn depth_histogram(&self) -> Option<&LogLinearHistogram> {
-        self.depth_hist.as_deref()
-    }
-
-    /// This link's state as a manifest [`LinkSnapshot`].
-    pub fn snapshot(&self, name: impl Into<String>) -> LinkSnapshot {
-        LinkSnapshot {
-            link: name.into(),
-            capacity_bps: self.config.capacity_bps as u64,
-            forwarded_pkts: self.counters.forwarded_pkts,
-            forwarded_bytes: self.counters.forwarded_bytes,
-            dropped_pkts: self.counters.dropped_pkts,
-            dropped_bytes: self.counters.dropped_bytes,
-            impaired_pkts: self.counters.impaired_pkts,
-            impaired_bytes: self.counters.impaired_bytes,
-            peak_queue_pkts: self.peak_queue_pkts,
-            queue_depth_summary: self
-                .depth_hist
-                .as_deref()
-                .filter(|h| h.count() > 0)
-                .map(|h| h.summary_json()),
-        }
-    }
-
     /// Bytes currently waiting (not counting the packet in service).
     pub fn queued_bytes(&self) -> u64 {
         self.queued_bytes
@@ -364,9 +322,6 @@ impl Link {
         self.accepted_pkts += 1;
         let depth = self.queue.len() as u64;
         self.peak_queue_pkts = self.peak_queue_pkts.max(depth);
-        if let Some(hist) = self.depth_hist.as_deref_mut() {
-            hist.record(depth);
-        }
         self.check_conservation("enqueue");
         EnqueueOutcome::Accepted {
             starts_service: !self.transmitting,

@@ -3,7 +3,7 @@
 use std::any::Any;
 
 use abw_obs::prof::{self, Cost};
-use abw_obs::{Event as ObsEvent, Field, Phase, Recorder, RunManifest};
+use abw_obs::{Event as ObsEvent, Field, Phase, Recorder};
 
 use crate::agent::{packet_to, Agent, Ctx, FluidRoute, FluidSource, FluidStep};
 use crate::arena::{PacketArena, PacketRef};
@@ -25,19 +25,6 @@ pub struct SimCounters {
     pub ttl_expired: u64,
     /// ICMP time-exceeded packets generated by routers.
     pub icmp_generated: u64,
-}
-
-impl SimCounters {
-    /// The counters as `(name, value)` pairs, in a fixed order — the
-    /// shape [`RunManifest`] stores.
-    pub fn entries(&self) -> [(&'static str, u64); 4] {
-        [
-            ("injected", self.injected),
-            ("delivered", self.delivered),
-            ("ttl_expired", self.ttl_expired),
-            ("icmp_generated", self.icmp_generated),
-        ]
-    }
 }
 
 /// A deterministic discrete-event network simulator.
@@ -133,28 +120,9 @@ impl Simulator {
         self.fluid_enabled = on;
     }
 
-    /// Installs an event sink. Also enables queue-depth histograms on
-    /// all present and future links.
+    /// Installs an event sink.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder + Send>) {
         self.recorder = Some(recorder);
-        for link in &mut self.links {
-            link.enable_depth_histogram();
-        }
-    }
-
-    /// Removes and returns the installed recorder (flushed).
-    pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder + Send>> {
-        let mut r = self.recorder.take();
-        if let Some(ref mut r) = r {
-            r.flush();
-        }
-        r
-    }
-
-    /// True when a recorder is installed — lets callers skip building
-    /// expensive event fields.
-    pub fn recorder_active(&self) -> bool {
-        self.recorder.is_some()
     }
 
     /// Emits a point event at the current simulation time (dropped when
@@ -185,17 +153,8 @@ impl Simulator {
     }
 
     /// Adds a link and returns its id.
-    ///
-    /// Queue-depth histograms are enabled when an event sink is
-    /// installed *or* a manifest capture is active at creation time —
-    /// so `ABW_MANIFEST` alone (no trace) still gets readable
-    /// queue-depth percentiles in its link snapshots.
     pub fn add_link(&mut self, config: LinkConfig) -> LinkId {
-        let mut link = Link::new(config);
-        if self.recorder.is_some() || abw_obs::global::manifest_sink_active() {
-            link.enable_depth_histogram();
-        }
-        self.links.push(link);
+        self.links.push(Link::new(config));
         LinkId(self.links.len() - 1)
     }
 
@@ -260,35 +219,6 @@ impl Simulator {
     /// of its seeds regardless of worker count.
     pub fn impair_link(&mut self, link: LinkId, config: ImpairmentConfig, seed: u64) {
         self.links[link.0].set_impairment(config, seed);
-    }
-
-    /// Per-link manifest snapshots, named by link index.
-    pub fn link_snapshots(&self) -> Vec<abw_obs::LinkSnapshot> {
-        self.links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| l.snapshot(i.to_string()))
-            .collect()
-    }
-
-    /// Folds this simulator's state into a run manifest: simulated time
-    /// and global counters accumulate, and link snapshots merge by link
-    /// index — a run using many simulators reports per-index totals.
-    ///
-    /// When a global manifest capture is active
-    /// ([`abw_obs::global::begin_manifest_capture`]) every simulator
-    /// folds itself in automatically on drop; only call this with a
-    /// manifest of your own.
-    pub fn fill_manifest(&self, manifest: &mut RunManifest) {
-        manifest.sim_time_ns = manifest.sim_time_ns.saturating_add(self.time.as_nanos());
-        for (name, value) in self.counters.entries() {
-            manifest.add_counter(name, value);
-        }
-        manifest.add_counter("link_dropped", self.total_drops());
-        manifest.add_counter("link_impaired", self.total_impaired());
-        for snap in self.link_snapshots() {
-            manifest.fold_link(snap);
-        }
     }
 
     /// Typed read access to an agent.
@@ -1103,12 +1033,22 @@ impl Simulator {
 }
 
 impl Drop for Simulator {
-    /// When a global manifest capture is active, a simulator contributes
-    /// its totals as it goes out of scope — experiments deep inside the
-    /// stack need no manifest plumbing. Without a capture this is one
-    /// uncontended mutex lock per simulator lifetime.
+    /// Adds this simulation's totals to the cost counters once, as it
+    /// goes out of scope: the counts a run manifest reports, with no
+    /// plumbing through the experiments that create simulators.
     fn drop(&mut self) {
-        abw_obs::global::with_manifest(|m| self.fill_manifest(m));
+        let c = self.counters;
+        for (cost, n) in [
+            (Cost::SimTimeNs, self.time.as_nanos()),
+            (Cost::Injected, c.injected),
+            (Cost::Delivered, c.delivered),
+            (Cost::TtlExpired, c.ttl_expired),
+            (Cost::IcmpGenerated, c.icmp_generated),
+            (Cost::LinkDropped, self.total_drops()),
+            (Cost::LinkImpaired, self.total_impaired()),
+        ] {
+            prof::count_n(cost, n);
+        }
     }
 }
 
@@ -1501,36 +1441,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_only_capture_gets_queue_depth_percentiles() {
-        // ABW_MANIFEST without ABW_TRACE: no recorder is installed, but
-        // links created under an active manifest capture must still keep
-        // depth histograms so the manifest's link snapshots are readable
-        abw_obs::global::begin_thread_capture(false, true);
-        let (mut sim, link) = one_link_sim(12e6, 1);
-        let path = sim.add_path(vec![link]);
-        let sink = sim.add_agent(Box::new(CountingSink::new()));
-        sim.add_agent(Box::new(PeriodicSender {
-            path,
-            dst: sink,
-            n: 20,
-            size: 1500,
-            gap: SimDuration::from_micros(200), // 60 Mb/s into 12 Mb/s: queue builds
-            sent: 0,
-        }));
-        sim.run_to_quiescence();
-        drop(sim); // Drop folds totals into the capture fragment
-        let captured = abw_obs::global::take_thread_capture().expect("capture active");
-        let fragment = captured.manifest.expect("manifest fragment");
-        let snap = &fragment.links[0];
-        let summary = snap
-            .queue_depth_summary
-            .as_deref()
-            .expect("depth histogram enabled by manifest capture alone");
-        assert!(summary.contains("\"p50\":"), "summary has percentiles");
-        assert!(summary.contains("\"p99\":"));
-    }
-
-    #[test]
     fn event_loop_tallies_profiling_costs() {
         let before = abw_obs::prof::snapshot();
         let (mut sim, link) = one_link_sim(12e6, 1);
@@ -1545,8 +1455,17 @@ mod tests {
             sent: 0,
         }));
         sim.run_to_quiescence();
+        let end_ns = sim.now().as_nanos();
+        drop(sim); // the per-simulation totals are added here
         let delta = abw_obs::prof::snapshot().delta(&before);
         use abw_obs::prof::Cost;
+        // no other test in this binary flushes tallies into the process
+        // totals, so the drop totals are exactly this simulation's
+        assert_eq!(delta.get(Cost::SimTimeNs), end_ns);
+        assert_eq!(delta.get(Cost::Injected), 10);
+        assert_eq!(delta.get(Cost::Delivered), 10);
+        assert_eq!(delta.get(Cost::LinkDropped), 0);
+        assert_eq!(delta.get(Cost::LinkImpaired), 0);
         assert!(
             delta.get(Cost::PacketsSimulated) >= 10,
             "each sent packet is an arrival"

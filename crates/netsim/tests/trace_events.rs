@@ -1,5 +1,5 @@
 //! Integration tests for the simulator's observability hooks: event
-//! emission, queue-depth histograms, manifest snapshots, and the
+//! emission, the queue depth a trace carries, and the
 //! byte-identical-trace guarantee.
 
 use std::sync::{Arc, Mutex};
@@ -8,7 +8,7 @@ use abw_netsim::{
     packet_to, Agent, CountingSink, Ctx, FlowId, LinkConfig, PacketKind, PathId, SimDuration,
     Simulator,
 };
-use abw_obs::{JsonlRecorder, MemoryRecorder, RunManifest};
+use abw_obs::{JsonlRecorder, MemoryRecorder};
 
 /// Sends `n` packets with a fixed gap starting at t=0.
 struct Burst {
@@ -111,52 +111,18 @@ fn drops_are_traced_and_counted() {
 }
 
 #[test]
-fn queue_depth_histogram_tracks_buildup() {
-    let (sim, _) = traced_run(5, 500, None);
-    let link = sim.link(abw_netsim::LinkId(0));
-    let hist = link
-        .depth_histogram()
-        .expect("set_recorder enables depth sampling");
-    assert_eq!(hist.count(), 5, "one sample per enqueue");
+fn queue_depth_tracks_buildup() {
+    let (sim, mem) = traced_run(5, 500, None);
+    let mem = mem.lock().unwrap();
+    let depths: Vec<u64> = mem
+        .of_kind("link.enqueue")
+        .map(|e| e.field("q").and_then(|v| v.as_u64()).unwrap())
+        .collect();
+    assert_eq!(depths.len(), 5, "the trace has the depth at every enqueue");
     // rate ratio 2:1 over 5 packets: depth reaches 3 (2 waiting + 1 in
     // service) at the fifth enqueue
-    assert_eq!(link.peak_queue_pkts(), 3);
-    assert_eq!(hist.max(), Some(3));
-}
-
-#[test]
-fn untraced_simulator_skips_depth_sampling() {
-    let mut sim = Simulator::new();
-    let link = sim.add_link(LinkConfig::new(12e6, SimDuration::ZERO));
-    assert!(sim.link(link).depth_histogram().is_none());
-    assert!(!sim.recorder_active());
-}
-
-#[test]
-fn manifest_accumulates_counters_and_links() {
-    let (sim, _) = traced_run(5, 500, None);
-    let mut m = RunManifest {
-        name: "trace-test".into(),
-        version: "v-test".into(),
-        ..RunManifest::default()
-    };
-    sim.fill_manifest(&mut m);
-    sim.fill_manifest(&mut m); // second sim folds in: counters and links merge
-    let get = |name: &str| {
-        m.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap()
-    };
-    assert_eq!(get("injected"), 10);
-    assert_eq!(get("delivered"), 10);
-    assert_eq!(get("link_dropped"), 0);
-    assert_eq!(m.links.len(), 1, "same link index merges, not appends");
-    assert_eq!(m.links[0].forwarded_pkts, 10);
-    assert!(m.sim_time_ns > 0);
-    let json = m.to_json();
-    assert!(json.contains("\"queue_depth\":{\"count\":5"));
+    assert_eq!(sim.link(abw_netsim::LinkId(0)).peak_queue_pkts(), 3);
+    assert_eq!(depths.iter().max(), Some(&3));
 }
 
 #[test]

@@ -5,107 +5,66 @@
 //! no need to thread a recorder handle through every experiment
 //! function. The global is opt-in: until [`set_global`] runs,
 //! [`global`] returns `None` and nothing anywhere pays for tracing.
+//!
+//! The module also holds the per-thread capture the parallel executor
+//! wraps around each job ([`begin_thread_capture`]). It has one
+//! channel, the job's events; counts need none, because the cost
+//! counters ([`crate::prof`]) are sums that each worker flushes as it
+//! retires.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 use crate::event::OwnedEvent;
-use crate::manifest::RunManifest;
 use crate::record::{MemoryRecorder, Recorder, SharedRecorder};
 
 static GLOBAL: Mutex<Option<SharedRecorder>> = Mutex::new(None);
-static MANIFEST: Mutex<Option<RunManifest>> = Mutex::new(None);
 
-/// Per-thread capture: while active, this thread's recorder lookups and
-/// manifest folds are redirected into thread-local buffers instead of
-/// the process-wide sinks. The parallel executor installs one around
-/// every job so workers never contend on (or interleave within) the
-/// shared trace, then replays the buffers in job-index order at join
-/// time.
+/// Per-thread capture: while active, this thread's recorder lookups are
+/// redirected into a thread-local buffer instead of the process-wide
+/// sink. The parallel executor installs one around every job so workers
+/// never contend on (or interleave within) the shared trace, then
+/// replays the buffers in job-index order at join time.
 struct ThreadCapture {
     /// Buffered events (`None` when the job runs untraced).
     events: Option<Arc<Mutex<MemoryRecorder>>>,
-    /// Manifest fragment (`None` when no manifest capture is active).
-    manifest: Option<RunManifest>,
 }
 
 thread_local! {
     static THREAD_CAPTURE: RefCell<Option<ThreadCapture>> = const { RefCell::new(None) };
 }
 
-/// What a thread capture collected, returned by [`take_thread_capture`].
-#[derive(Debug, Default)]
-pub struct CapturedJob {
-    /// Events recorded while the capture was active, in emission order.
-    pub events: Vec<OwnedEvent>,
-    /// Manifest fragment accumulated while the capture was active.
-    pub manifest: Option<RunManifest>,
-}
-
-/// Starts redirecting this thread's [`global`] recorder lookups and
-/// [`with_manifest`] folds into thread-local buffers. Replaces any
-/// previous capture on this thread.
+/// Starts redirecting this thread's [`global`] recorder lookups into a
+/// thread-local buffer. Replaces any previous capture on this thread.
 ///
-/// `capture_events` buffers events for later replay; `capture_manifest`
-/// accumulates a manifest fragment. Passing `false` for a channel makes
-/// that channel a no-op for the duration (the usual choice when the
-/// corresponding process-global sink is not installed).
-pub fn begin_thread_capture(capture_events: bool, capture_manifest: bool) {
+/// `capture_events` buffers events for later replay. With `false`
+/// nothing is buffered and lookups fall through to the process global
+/// (the executor passes `false` when none is installed); the capture is
+/// still active, which [`thread_capture_active`] reports.
+pub fn begin_thread_capture(capture_events: bool) {
     let capture = ThreadCapture {
         events: capture_events.then(|| Arc::new(Mutex::new(MemoryRecorder::new()))),
-        manifest: capture_manifest.then(RunManifest::default),
     };
     THREAD_CAPTURE.with(|slot| *slot.borrow_mut() = Some(capture));
 }
 
-/// Ends this thread's capture and returns what it collected (`None`
-/// when no capture was active).
-pub fn take_thread_capture() -> Option<CapturedJob> {
-    let capture = THREAD_CAPTURE.with(|slot| slot.borrow_mut().take())?;
-    let events = match capture.events {
+/// Ends this thread's capture and returns the events it buffered, in
+/// emission order (none when no capture was active or it buffered
+/// nothing).
+pub fn take_thread_capture() -> Vec<OwnedEvent> {
+    let capture = THREAD_CAPTURE.with(|slot| slot.borrow_mut().take());
+    match capture.and_then(|capture| capture.events) {
         Some(buffer) => buffer
             .lock()
             .map(|mut recorder| recorder.take_events())
             .unwrap_or_default(),
         None => Vec::new(),
-    };
-    Some(CapturedJob {
-        events,
-        manifest: capture.manifest,
-    })
+    }
 }
 
 /// True when a thread capture is active on the calling thread.
 pub fn thread_capture_active() -> bool {
     THREAD_CAPTURE.with(|slot| slot.borrow().is_some())
-}
-
-/// True when a process-global manifest capture is active
-/// (regardless of any thread capture).
-pub fn manifest_capture_active() -> bool {
-    MANIFEST
-        .lock()
-        .map(|guard| guard.is_some())
-        .unwrap_or(false)
-}
-
-/// True when manifest folds from the calling thread have somewhere to
-/// go: a thread capture collecting manifests, or (when no capture is
-/// active on this thread) the process-global accumulator. The hook
-/// simulators use to decide whether keeping extra summary state (e.g.
-/// queue-depth histograms) will ever be observed.
-pub fn manifest_sink_active() -> bool {
-    let in_capture = THREAD_CAPTURE.with(|slot| {
-        slot.borrow()
-            .as_ref()
-            .map(|capture| capture.manifest.is_some())
-    });
-    match in_capture {
-        // a capture is active: the global is shadowed, so only the
-        // capture's own manifest channel counts
-        Some(collecting) => collecting,
-        None => manifest_capture_active(),
-    }
 }
 
 /// Replays captured events into the process-global recorder, in order.
@@ -168,57 +127,6 @@ pub fn clear_global() -> Option<SharedRecorder> {
     prev
 }
 
-/// Starts capturing simulation totals into a process-global manifest
-/// accumulator. While active, every `abw-netsim` simulator folds its
-/// counters and link snapshots in when it is dropped — experiment code
-/// needs no manifest plumbing. Replaces any previous accumulator.
-pub fn begin_manifest_capture() {
-    *MANIFEST.lock().expect("global manifest mutex poisoned") = Some(RunManifest::default());
-}
-
-/// Runs `f` against the active manifest accumulator — the calling
-/// thread's capture fragment when one is collecting manifests, else the
-/// process-global accumulator. A no-op when neither is active. Never
-/// panics (drop-path safe): a poisoned mutex skips the fold instead of
-/// aborting.
-pub fn with_manifest<F: FnOnce(&mut RunManifest)>(f: F) {
-    let mut f = Some(f);
-    let handled = THREAD_CAPTURE.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        match slot.as_mut() {
-            // a capture is active: route manifest folds into its
-            // fragment, or swallow them when it is not collecting —
-            // a captured job must never write through to the global.
-            Some(capture) => {
-                if let Some(fragment) = capture.manifest.as_mut() {
-                    (f.take().expect("closure consumed once"))(fragment);
-                }
-                true
-            }
-            None => false,
-        }
-    });
-    if handled {
-        return;
-    }
-    if let Ok(mut guard) = MANIFEST.lock() {
-        if let Some(m) = guard.as_mut() {
-            if let Some(f) = f.take() {
-                f(m);
-            }
-        }
-    }
-}
-
-/// Ends the capture and returns the accumulated totals, if a capture
-/// was active.
-pub fn take_manifest() -> Option<RunManifest> {
-    MANIFEST
-        .lock()
-        .expect("global manifest mutex poisoned")
-        .take()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,57 +151,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_capture_redirects_events_and_manifest() {
+    fn thread_capture_redirects_events() {
         assert!(!thread_capture_active());
-        begin_thread_capture(true, true);
+        begin_thread_capture(true);
         assert!(thread_capture_active());
         let mut recorder = global().expect("capture provides a recorder");
         recorder.instant(5, "job.event", &[]);
-        with_manifest(|m| {
-            m.add_counter("pkts", 2);
-            m.sim_time_ns += 9;
-        });
-        let captured = take_thread_capture().expect("capture was active");
+        let events = take_thread_capture();
         assert!(!thread_capture_active());
-        assert_eq!(captured.events.len(), 1);
-        assert_eq!(captured.events[0].kind, "job.event");
-        assert_eq!(captured.events[0].t_ns, 5);
-        let fragment = captured.manifest.expect("manifest fragment collected");
-        assert_eq!(fragment.counters, vec![("pkts".to_string(), 2)]);
-        assert_eq!(fragment.sim_time_ns, 9);
-        assert!(take_thread_capture().is_none());
-    }
-
-    #[test]
-    fn manifest_only_capture_swallows_events_channel() {
-        begin_thread_capture(false, true);
-        // not tracing: no thread recorder, and (in this test) no global
-        with_manifest(|m| {
-            m.add_counter("x", 1);
-        });
-        let captured = take_thread_capture().expect("capture was active");
-        assert!(captured.events.is_empty());
-        assert_eq!(
-            captured.manifest.expect("fragment").counters,
-            vec![("x".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn manifest_capture_lifecycle() {
-        let _ = take_manifest(); // start clean
-        with_manifest(|_| panic!("no capture active, closure must not run"));
-        begin_manifest_capture();
-        with_manifest(|m| {
-            m.add_counter("pkts", 3);
-            m.sim_time_ns += 10;
-        });
-        with_manifest(|m| {
-            m.add_counter("pkts", 4);
-        });
-        let acc = take_manifest().expect("capture was active");
-        assert_eq!(acc.counters, vec![("pkts".to_string(), 7)]);
-        assert_eq!(acc.sim_time_ns, 10);
-        assert!(take_manifest().is_none());
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "job.event");
+        assert_eq!(events[0].t_ns, 5);
+        assert!(take_thread_capture().is_empty());
     }
 }

@@ -13,22 +13,19 @@
 //!   JSON object per event; [`MemoryRecorder`] buffers events for
 //!   in-process analysis; [`SharedRecorder`] fans multiple simulators
 //!   into one sink.
-//! * [`metrics`] — a fixed-bucket log-linear
-//!   [`metrics::LogLinearHistogram`] sized for OWD / queue-depth / gap
-//!   distributions.
 //! * [`manifest::RunManifest`] — seeds, scenario parameters, a
-//!   git-describe-style version, wall-clock and simulated-time totals,
-//!   and per-link counter snapshots, serialized as JSON so any run is
-//!   reproducible from its artifact alone.
+//!   git-describe-style version, wall-clock time and the run's counter
+//!   totals, serialized as JSON so any run is reproducible from its
+//!   artifact alone.
 //! * [`global`] — an opt-in process-wide default recorder, the hook the
 //!   `ABW_TRACE` environment plumbing in `abw-bench` uses, plus the
-//!   per-thread capture layer the parallel executor (`abw-exec`) wraps
-//!   around every job so traces stay byte-identical across worker
-//!   counts.
-//! * [`prof`] — performance observability: wall-clock-free hot-path
-//!   cost counters (legal everywhere under lint rule D1) and
-//!   hierarchical span timers whose clock is injected by the harness,
-//!   so real-time reads stay confined to `exec`/`bench`.
+//!   per-thread capture the parallel executor (`abw-exec`) wraps around
+//!   every job so traces stay byte-identical across worker counts.
+//! * [`prof`] — wall-clock-free cost counters (legal everywhere under
+//!   lint rule D1), the one count model: `ABW_PROF=1` prints them and a
+//!   run manifest reports them; plus hierarchical span timers whose
+//!   clock is injected by the harness, so real-time reads stay confined
+//!   to `exec`/`bench`.
 //!
 //! The environment this workspace builds in is offline, so everything
 //! here is hand-rolled on `std` only (no `tracing`, no `metrics`, no
@@ -38,12 +35,10 @@ pub mod event;
 pub mod global;
 pub mod json;
 pub mod manifest;
-pub mod metrics;
 pub mod prof;
 pub mod record;
 
 pub use event::{Event, Field, OwnedEvent, OwnedValue, Phase, Value};
-pub use manifest::{LinkSnapshot, RunManifest};
-pub use metrics::LogLinearHistogram;
+pub use manifest::RunManifest;
 pub use prof::{Cost, Profile, SpanGuard};
 pub use record::{JsonlRecorder, MemoryRecorder, Recorder, SharedRecorder};

@@ -1,5 +1,5 @@
-//! Performance observability: hot-path cost counters and hierarchical
-//! span profiling.
+//! Performance observability: cost counters and hierarchical span
+//! profiling.
 //!
 //! Two complementary instruments, both zero-dependency and both safe to
 //! leave compiled into the hot path:
@@ -7,12 +7,18 @@
 //! * **Cost counters** ([`Cost`], [`count`], [`snapshot`]) — monotonic
 //!   tallies of *work done*: events popped off the simulator queue,
 //!   packets simulated, link-queue operations, RNG draws, estimator
-//!   steps, heap allocations. They are wall-clock-free, which is what
+//!   steps, heap allocations, and the per-simulation totals each
+//!   simulator adds once as it is dropped (simulated time, packets
+//!   injected, delivered and lost) and the executor's job count. They
+//!   are the run's one count model: `ABW_PROF=1` prints them and a run
+//!   manifest reports them. They are wall-clock-free, which is what
 //!   makes them legal inside `core`/`netsim` under lint rule D1 — the
 //!   simulation may count its own work, it may not read real time.
 //!   Counts accumulate in plain thread-local cells (no atomics on the
 //!   hot path) and are folded into process-wide totals by
-//!   [`flush_thread`] / [`snapshot`].
+//!   [`flush_thread`] / [`snapshot`]. Every count is a sum over
+//!   independent simulations and jobs, so the totals are the same at
+//!   any worker count.
 //! * **Spans** ([`span`], [`SpanGuard`], [`Profile`]) — RAII scoped
 //!   timers forming a tree (a thread-local span stack). The clock is
 //!   *injected* by the harness via [`enable`]: until then every guard
@@ -35,13 +41,11 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::json::{array_of_raw, ObjectWriter};
-
 // ---------------------------------------------------------------------
 // Cost counters
 // ---------------------------------------------------------------------
 
-/// A category of hot-path work. Counting is wall-clock-free, so every
+/// A category of counted work. Counting is wall-clock-free, so every
 /// crate may tally these (D1 only restricts *time* reads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cost {
@@ -68,10 +72,28 @@ pub enum Cost {
     /// simulator's fluid burst path (still counted in
     /// [`Cost::PacketsSimulated`]).
     FluidPackets = 8,
+    /// Simulated nanoseconds, summed over simulators as they are
+    /// dropped.
+    SimTimeNs = 9,
+    /// Packets agents injected (`SimCounters::injected`), added per
+    /// simulator as it is dropped, like the five totals below.
+    Injected = 10,
+    /// Packets handed to destination agents.
+    Delivered = 11,
+    /// Packets discarded because their TTL reached zero.
+    TtlExpired = 12,
+    /// ICMP time-exceeded packets generated by routers.
+    IcmpGenerated = 13,
+    /// Packets dropped at the tail of a full link queue, over all links.
+    LinkDropped = 14,
+    /// Packets lost to injected impairments, over all links.
+    LinkImpaired = 15,
+    /// Jobs run by the parallel executor, nested runs included.
+    ExecJobs = 16,
 }
 
 /// Number of [`Cost`] categories.
-const COSTS: usize = 9;
+const COSTS: usize = 17;
 
 /// Every category, in display order.
 pub const ALL_COSTS: [Cost; COSTS] = [
@@ -84,10 +106,18 @@ pub const ALL_COSTS: [Cost; COSTS] = [
     Cost::HeapBytes,
     Cost::FfSkips,
     Cost::FluidPackets,
+    Cost::SimTimeNs,
+    Cost::Injected,
+    Cost::Delivered,
+    Cost::TtlExpired,
+    Cost::IcmpGenerated,
+    Cost::LinkDropped,
+    Cost::LinkImpaired,
+    Cost::ExecJobs,
 ];
 
 impl Cost {
-    /// Stable snake_case name, used in reports and JSON.
+    /// Stable name, used in reports and run manifests.
     pub fn name(self) -> &'static str {
         match self {
             Cost::EventsPopped => "events_popped",
@@ -99,40 +129,26 @@ impl Cost {
             Cost::HeapBytes => "heap_bytes",
             Cost::FfSkips => "ff_skips",
             Cost::FluidPackets => "fluid_packets",
+            Cost::SimTimeNs => "sim_time_ns",
+            Cost::Injected => "injected",
+            Cost::Delivered => "delivered",
+            Cost::TtlExpired => "ttl_expired",
+            Cost::IcmpGenerated => "icmp_generated",
+            Cost::LinkDropped => "link_dropped",
+            Cost::LinkImpaired => "link_impaired",
+            Cost::ExecJobs => "exec.jobs",
         }
     }
 }
 
 /// Process-wide totals, fed by [`flush_thread`] (and directly by the
 /// counting allocator, which cannot use thread-locals).
-static GLOBAL_COSTS: [AtomicU64; COSTS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static GLOBAL_COSTS: [AtomicU64; COSTS] = [const { AtomicU64::new(0) }; COSTS];
 
 thread_local! {
     /// Per-thread tallies: plain cells, no synchronization on the hot
     /// path. Flushed to [`GLOBAL_COSTS`] by [`flush_thread`].
-    static LOCAL_COSTS: [Cell<u64>; COSTS] = const {
-        [
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-            Cell::new(0),
-        ]
-    };
+    static LOCAL_COSTS: [Cell<u64>; COSTS] = const { [const { Cell::new(0) }; COSTS] };
 }
 
 /// Tallies one unit of `cost` on the calling thread.
@@ -190,17 +206,6 @@ impl CostSnapshot {
     /// `(name, value)` pairs in [`ALL_COSTS`] order.
     pub fn entries(&self) -> Vec<(&'static str, u64)> {
         ALL_COSTS.iter().map(|&c| (c.name(), self.get(c))).collect()
-    }
-
-    /// Serializes as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let mut w = ObjectWriter::new(&mut out);
-        for (name, value) in self.entries() {
-            w.u64(name, value);
-        }
-        w.finish();
-        out
     }
 }
 
@@ -330,7 +335,7 @@ impl Profile {
     /// Adds `count` entries and `total_ns` nanoseconds at the node
     /// addressed by `path` (root-relative), creating nodes as needed —
     /// the direct-construction path for external measurements (e.g. the
-    /// executor's per-worker busy/idle totals) and for tests.
+    /// executor's per-worker idle totals) and for tests.
     pub fn record_path(&mut self, path: &[&str], count: u64, total_ns: u64) {
         self.ensure_root();
         let mut at = 0usize;
@@ -438,33 +443,6 @@ impl Profile {
             self.render_node(child, depth + 1, node.total_ns, out);
         }
     }
-
-    /// Serializes the tree as nested JSON objects
-    /// (`{"name":…,"count":…,"total_ns":…,"children":[…]}`).
-    pub fn to_json(&self) -> String {
-        if self.nodes.is_empty() {
-            return Profile::new().to_json();
-        }
-        self.node_json(0)
-    }
-
-    fn node_json(&self, idx: usize) -> String {
-        let node = &self.nodes[idx];
-        let mut out = String::new();
-        let mut w = ObjectWriter::new(&mut out);
-        w.str("name", if idx == 0 { "root" } else { &node.name })
-            .u64("count", node.count)
-            .u64("total_ns", node.total_ns);
-        if !node.children.is_empty() {
-            let kids = self.sorted_children(idx);
-            w.raw(
-                "children",
-                &array_of_raw(kids.iter().map(|&c| self.node_json(c))),
-            );
-        }
-        w.finish();
-        out
-    }
 }
 
 /// Per-thread span stack state.
@@ -545,7 +523,7 @@ impl Drop for SpanGuard {
 }
 
 /// Records an externally measured leaf under the innermost open span —
-/// how the executor reports per-worker busy/idle time it timed itself
+/// how the executor reports per-worker idle time it timed itself
 /// (with its own, D1-legal clock). No-op while profiling is disabled.
 pub fn record(name: &'static str, count: u64, total_ns: u64) {
     if !ENABLED.load(Ordering::Relaxed) {
@@ -647,9 +625,6 @@ mod tests {
         assert_eq!(delta.get(Cost::EventsPopped), 1);
         assert_eq!(delta.get(Cost::PacketsSimulated), 42);
         assert_eq!(delta.get(Cost::QueueOps), 0);
-        let json = delta.to_json();
-        assert!(json.contains("\"events_popped\":1"));
-        assert!(json.contains("\"packets_simulated\":42"));
     }
 
     #[test]
@@ -667,6 +642,14 @@ mod tests {
                 "heap_bytes",
                 "ff_skips",
                 "fluid_packets",
+                "sim_time_ns",
+                "injected",
+                "delivered",
+                "ttl_expired",
+                "icmp_generated",
+                "link_dropped",
+                "link_impaired",
+                "exec.jobs",
             ]
         );
     }
@@ -762,23 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_profile_renders_placeholder_and_valid_json() {
+    fn empty_profile_renders_placeholder() {
         let p = Profile::new();
         assert!(p.is_empty());
         assert!(p.render().contains("no spans recorded"));
-        assert_eq!(
-            p.to_json(),
-            "{\"name\":\"root\",\"count\":0,\"total_ns\":0}"
-        );
-    }
-
-    #[test]
-    fn profile_json_nests_children() {
-        let mut p = Profile::new();
-        p.record_path(&["drive"], 1, 5000);
-        p.record_path(&["drive", "tool"], 4, 4000);
-        let json = p.to_json();
-        assert!(json.contains("\"name\":\"drive\""));
-        assert!(json.contains("\"children\":[{\"name\":\"tool\",\"count\":4,\"total_ns\":4000}"));
     }
 }

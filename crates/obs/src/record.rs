@@ -83,11 +83,6 @@ impl MemoryRecorder {
         self.events.is_empty()
     }
 
-    /// Drops all buffered events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Takes the buffered events out, leaving the recorder empty.
     pub fn take_events(&mut self) -> Vec<OwnedEvent> {
         std::mem::take(&mut self.events)

@@ -8,10 +8,10 @@
 //! recorder, run an experiment at 1 and 4 workers, and diff the raw
 //! bytes.
 //!
-//! The process-global recorder is shared state, so every test here
-//! holds `GLOBAL_LOCK` — and trace tests live in this separate
-//! integration binary so they cannot interleave with other tests'
-//! simulators.
+//! The process-global recorder and the cost-counter totals are shared
+//! state, so every test here holds `GLOBAL_LOCK` — and trace tests live
+//! in this separate integration binary so they cannot interleave with
+//! other tests' simulators.
 
 use std::io;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -20,6 +20,7 @@ use abw_core::experiments::loss_sweep::{self, LossSweepConfig};
 use abw_core::experiments::shootout::{self, ShootoutConfig};
 use abw_core::experiments::train_length::{self, TrainLengthConfig};
 use abw_exec::Executor;
+use abw_obs::prof::{self, Cost};
 use abw_obs::JsonlRecorder;
 
 static GLOBAL_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -134,22 +135,23 @@ fn train_length_trace_bytes_are_identical_across_worker_counts() {
 }
 
 #[test]
-fn manifest_totals_are_identical_across_worker_counts() {
+fn cost_totals_are_identical_across_worker_counts() {
     let _guard = global_lock();
     let config = TrainLengthConfig {
         repetitions: 2,
         packet_budget: 120,
         ..TrainLengthConfig::quick()
     };
+    // the counts a run manifest reports: every simulator adds its
+    // totals as it is dropped, and every worker flushes as it retires
     let totals = |workers: usize| {
-        abw_obs::global::begin_manifest_capture();
+        let before = prof::snapshot();
         train_length::run_with(&config, &Executor::new(workers));
-        abw_obs::global::take_manifest().expect("manifest capture active")
+        prof::snapshot().delta(&before)
     };
     let serial = totals(1);
     let parallel = totals(4);
-    assert!(!serial.counters.is_empty(), "manifest must have counters");
-    assert_eq!(serial.counters, parallel.counters);
-    assert_eq!(serial.sim_time_ns, parallel.sim_time_ns);
-    assert_eq!(serial.links, parallel.links);
+    assert!(serial.get(Cost::Injected) > 0, "the runs simulate packets");
+    assert!(serial.get(Cost::SimTimeNs) > 0);
+    assert_eq!(serial.entries(), parallel.entries());
 }

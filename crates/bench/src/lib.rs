@@ -192,8 +192,9 @@ impl Args {
     /// Every binary accepts `--csv` and `--quick`; `flags` are its own,
     /// a value flag written with its metavar (`"--tools NAME,..."`) and
     /// taking the next argument as its value. An unknown argument, or a
-    /// value flag with nothing after it, is an error ending with the
-    /// usage line.
+    /// value flag followed by nothing or by another `--` argument (so
+    /// `--repro-dir --quick` does not swallow `--quick`), is an error
+    /// ending with the usage line.
     pub fn parse(name: &str, flags: &[&str], argv: &[String]) -> Result<Args, String> {
         let flags = [["--csv", "--quick"].as_slice(), flags].concat();
         let usage: String = flags.iter().map(|f| format!(" [{f}]")).collect();
@@ -210,7 +211,7 @@ impl Args {
             };
             let value = if !flag.contains(' ') {
                 None
-            } else if let Some(value) = argv.next() {
+            } else if let Some(value) = argv.next().filter(|v| !v.starts_with("--")) {
                 Some(value.clone())
             } else {
                 return fail(format!("{arg} needs a value"));
@@ -425,6 +426,8 @@ mod tests {
             ("results.csv", "unknown argument `results.csv`"),
             ("--quick --csv --scenario", "--scenario needs a value"),
             ("--tools", "--tools needs a value"),
+            ("--scenario --csv", "--scenario needs a value"),
+            ("--tools --quick", "--tools needs a value"),
         ] {
             let err = parse(line).unwrap_err();
             assert_eq!(err, format!("bin: {msg}\n{usage}"), "{line}");

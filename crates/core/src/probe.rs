@@ -307,7 +307,9 @@ impl ProbeRunner {
     /// advances until every packet arrived or the drain timeout expires
     /// (lost packets simply stay absent from the result); a complete
     /// stream then runs on to the next 5 ms boundary counted from the
-    /// call.
+    /// call. Emits one `probe.stream` trace event: the stream id,
+    /// packets sent and received, and the input and output rates
+    /// (`null` when the output rate is unmeasurable).
     pub fn run_stream(&mut self, sim: &mut Simulator, spec: &StreamSpec) -> StreamResult {
         let _prof = abw_obs::prof::span("probe.stream");
         let id = self.next_stream_id;
@@ -343,11 +345,25 @@ impl ProbeRunner {
             sim.run_until(deadline.min(t0 + STREAM_POLL.mul(polls)));
         }
         let records = sim.agent_mut::<ProbeReceiver>(self.receiver).take(id);
-        StreamResult {
+        let result = StreamResult {
             spec: spec.clone(),
             stream_id: id,
             records,
-        }
+        };
+        sim.emit(
+            "probe.stream",
+            &[
+                ("stream", id.into()),
+                ("sent", spec.count().into()),
+                ("recv", result.received().into()),
+                ("ri_bps", result.input_rate_bps().into()),
+                (
+                    "ro_bps",
+                    result.output_rate_bps().unwrap_or(f64::NAN).into(),
+                ),
+            ],
+        );
+        result
     }
 }
 

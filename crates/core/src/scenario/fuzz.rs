@@ -20,8 +20,12 @@
 //!    budget) inside `catch_unwind`; with `ABW_CHECK` armed (the fuzzer
 //!    arms it) a panic is usually an `ABW_CHECK invariant violated:`
 //!    report from the simulator.
-//! 3. **Serial ≡ parallel** — the outcome list is compared bit-for-bit
-//!    between [`Executor::serial`] and a multi-worker executor.
+//! 3. **Serial ≡ parallel, traced ≡ untraced** — the outcome list is
+//!    compared bit-for-bit between [`Executor::serial`] and a
+//!    multi-worker executor. The serial leg runs under a thread capture
+//!    of the trace, so its simulators run traced even when no
+//!    `ABW_TRACE` recorder is installed, and the untraced legs must
+//!    match it; a serial leg with outcomes but no trace event fails.
 //! 4. **Fluid ≡ per-event** — the spec runs once more with every
 //!    simulator's fluid fast-forward window off, and its outcomes and
 //!    timeouts must match the serial leg's bit for bit. The palette's
@@ -332,11 +336,21 @@ pub fn evaluate(
     let budget = max_scenario_ms.map(SimDuration::from_millis);
     let specs = std::slice::from_ref(spec);
 
-    // 2. serial run; a panic here is usually an armed ABW_CHECK report
+    // 2. serial run, traced: every simulator adopts the capture buffer,
+    // so the comparisons below also check traced ≡ untraced. The
+    // capture ends before the result is looked at, panic or not, and
+    // its events go on to the process-global trace, if any. A panic
+    // here is usually an armed ABW_CHECK report
+    abw_obs::global::begin_thread_capture(true);
     let serial = catch_unwind(AssertUnwindSafe(|| {
         dsl::run_cells(specs, &Executor::serial(), budget, true)
-    }))
-    .map_err(|p| format!("panic during serial run: {}", panic_message(&p)))?;
+    }));
+    let events = abw_obs::global::take_thread_capture();
+    abw_obs::global::replay_into_global(&events);
+    let serial = serial.map_err(|p| format!("panic during serial run: {}", panic_message(&p)))?;
+    if !serial.outcomes.is_empty() && events.is_empty() {
+        return Err("traced serial run recorded no trace event".to_string());
+    }
 
     // 3. parallel run must agree bit-for-bit
     let exec = Executor::new(jobs.max(2));

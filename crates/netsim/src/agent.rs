@@ -8,7 +8,7 @@
 
 use std::any::Any;
 
-use abw_obs::{Event as ObsEvent, Field, Phase, Recorder};
+use abw_obs::{Event as ObsEvent, Field, Recorder};
 
 use crate::arena::PacketArena;
 use crate::event::{Event, EventQueue};
@@ -139,14 +139,13 @@ impl Ctx<'_> {
 
     /// Emits a point event at the current simulation time (dropped when
     /// the simulation is untraced). Used by agents — TCP senders emit
-    /// `tcp.cwnd`, probing endpoints emit stream milestones.
+    /// `tcp.cwnd` and `tcp.loss`.
     #[inline]
     pub fn emit(&mut self, kind: &'static str, fields: &[Field<'_>]) {
         if let Some(r) = self.recorder.as_mut() {
             r.record(&ObsEvent {
                 t_ns: self.now.as_nanos(),
                 kind,
-                phase: Phase::Instant,
                 fields,
             });
         }

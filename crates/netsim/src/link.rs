@@ -23,13 +23,11 @@ pub struct LinkConfig {
     pub prop_delay: SimDuration,
     /// Queue bound in bytes; `None` means unbounded.
     pub queue_bytes: Option<u64>,
-    /// Whether to record busy intervals (costs memory on long runs).
-    pub record_busy: bool,
 }
 
 impl LinkConfig {
     /// A link with the given capacity (bits/s) and propagation delay,
-    /// an unbounded queue, and busy-interval recording enabled.
+    /// and an unbounded queue.
     pub fn new(capacity_bps: f64, prop_delay: SimDuration) -> Self {
         assert!(
             capacity_bps.is_finite() && capacity_bps > 0.0,
@@ -39,7 +37,6 @@ impl LinkConfig {
             capacity_bps,
             prop_delay,
             queue_bytes: None,
-            record_busy: true,
         }
     }
 
@@ -52,12 +49,6 @@ impl LinkConfig {
     /// Sets the queue bound in packets of the given size.
     pub fn with_queue_packets(mut self, packets: u64, packet_size: u32) -> Self {
         self.queue_bytes = Some(packets * packet_size as u64);
-        self
-    }
-
-    /// Disables busy-interval recording.
-    pub fn without_recording(mut self) -> Self {
-        self.record_busy = false;
         self
     }
 }
@@ -161,10 +152,6 @@ pub struct Link {
     /// busy-period invariant must use the rate the packet was actually
     /// serialised at.
     tx_capacity_bps: f64,
-    /// Set when a transmission starts at a different rate than the
-    /// previous one (a flap took effect); consumed by the simulator to
-    /// emit a `link.flap` event.
-    flap_pending: Option<f64>,
     /// Memo of the last `(size, rate) → serialisation time` computation;
     /// steady streams of same-size packets skip the floating-point
     /// rounding entirely. Pure caching — hits return exactly what
@@ -187,7 +174,6 @@ impl Link {
             peak_queue_pkts: 0,
             impairment: None,
             tx_capacity_bps: config.capacity_bps,
-            flap_pending: None,
             tx_memo: (0, 0.0, SimDuration::ZERO),
         }
     }
@@ -235,12 +221,6 @@ impl Link {
             })
     }
 
-    /// Returns the new rate once after a rate flap takes effect at a
-    /// transmission start (consumed by the simulator's event emission).
-    pub fn take_flap_event(&mut self) -> Option<f64> {
-        self.flap_pending.take()
-    }
-
     /// Link configuration.
     pub fn config(&self) -> &LinkConfig {
         &self.config
@@ -261,7 +241,7 @@ impl Link {
         self.counters
     }
 
-    /// Recorded busy intervals (empty when recording is disabled).
+    /// Recorded busy intervals.
     pub fn busy_log(&self) -> &BusyLog {
         &self.busy
     }
@@ -280,11 +260,6 @@ impl Link {
     /// Packets currently waiting (not counting the packet in service).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True while a packet is on the wire.
-    pub fn is_transmitting(&self) -> bool {
-        self.transmitting
     }
 
     /// Offers a packet (by arena handle plus wire size) to the link at
@@ -343,12 +318,8 @@ impl Link {
             .size;
         self.transmitting = true;
         self.tx_started_at = now;
-        let effective = self.effective_capacity_bps(now);
-        if effective != self.tx_capacity_bps {
-            self.flap_pending = Some(effective);
-        }
-        self.tx_capacity_bps = effective;
-        now + self.tx_time(head_size, effective)
+        self.tx_capacity_bps = self.effective_capacity_bps(now);
+        now + self.tx_time(head_size, self.tx_capacity_bps)
     }
 
     /// Completes the in-progress transmission at `now`, returning the
@@ -389,9 +360,7 @@ impl Link {
         self.queued_bytes -= head.size as u64;
         self.counters.forwarded_pkts += 1;
         self.counters.forwarded_bytes += head.size as u64;
-        if self.config.record_busy {
-            self.busy.push(self.tx_started_at, now);
-        }
+        self.busy.push(self.tx_started_at, now);
         self.check_conservation("finish_transmission");
         (head.pkt, !self.queue.is_empty())
     }
@@ -622,15 +591,12 @@ mod tests {
         offer(&mut l, &mut a, 1500, 0, t0);
         let done = l.start_transmission(t0);
         assert_eq!(done.since(t0), SimDuration::from_millis(1));
-        assert!(l.take_flap_event().is_none(), "rate unchanged before flap");
         l.finish_transmission(done);
 
         let t1 = SimTime::from_nanos(20_000_000);
         offer(&mut l, &mut a, 1500, 1, t1);
         let done = l.start_transmission(t1);
         assert_eq!(done.since(t1), SimDuration::from_millis(2), "half rate");
-        assert_eq!(l.take_flap_event(), Some(6e6));
-        assert!(l.take_flap_event().is_none(), "flap event is one-shot");
         // busy-period invariant must hold at the flapped rate
         crate::invariants::arm();
         l.finish_transmission(done);

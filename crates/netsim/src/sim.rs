@@ -3,7 +3,7 @@
 use std::any::Any;
 
 use abw_obs::prof::{self, Cost};
-use abw_obs::{Event as ObsEvent, Field, Phase, Recorder};
+use abw_obs::{Event as ObsEvent, Field, Recorder};
 
 use crate::agent::{packet_to, Agent, Ctx, FluidRoute, FluidSource, FluidStep};
 use crate::arena::{PacketArena, PacketRef};
@@ -50,8 +50,7 @@ pub struct Simulator {
     /// When true (default), timer fires of agents exposing
     /// [`Agent::fluid_source`] run through the fluid fast-forward window
     /// in the event loop — bit-identical state, no queue round-trip per
-    /// cross-traffic packet. Disabled automatically while a recorder is
-    /// installed (the window elides per-packet trace points).
+    /// cross-traffic packet, traced or not.
     fluid_enabled: bool,
     /// Deadline of the in-progress `run_until` (`u64::MAX` ns during
     /// `run_to_quiescence`); fluid windows must not advance past it.
@@ -62,8 +61,9 @@ pub struct Simulator {
     /// When true (default), routers answer TTL expiry with ICMP
     /// time-exceeded messages on an uncongested reverse path.
     pub icmp_replies: bool,
-    /// Installed event sink, if any. `None` (the default) keeps the
-    /// event loop's trace cost to one `is_some` branch per packet hop.
+    /// Installed event sink, if any. The event loop itself emits
+    /// nothing; agents ([`Ctx::emit`]) and the layers above
+    /// ([`Simulator::emit`]) do.
     recorder: Option<Box<dyn Recorder + Send>>,
     /// Reusable deferred-delivery buffer for the fluid window. Taken by
     /// [`FluidSlots`] at window open and handed back (empty) at close,
@@ -127,26 +127,14 @@ impl Simulator {
 
     /// Emits a point event at the current simulation time (dropped when
     /// no recorder is installed). This is the hook the estimator layer
-    /// uses for convergence events.
+    /// uses for convergence events and the probe runner for its
+    /// per-stream `probe.stream` line.
     #[inline]
     pub fn emit(&mut self, kind: &'static str, fields: &[Field<'_>]) {
-        self.emit_with_phase(kind, Phase::Instant, fields);
-    }
-
-    /// Emits a span edge at the current simulation time.
-    #[inline]
-    pub fn emit_span(&mut self, kind: &'static str, begin: bool, fields: &[Field<'_>]) {
-        let phase = if begin { Phase::Begin } else { Phase::End };
-        self.emit_with_phase(kind, phase, fields);
-    }
-
-    #[inline]
-    fn emit_with_phase(&mut self, kind: &'static str, phase: Phase, fields: &[Field<'_>]) {
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record(&ObsEvent {
                 t_ns: self.time.as_nanos(),
                 kind,
-                phase,
                 fields,
             });
         }
@@ -353,18 +341,6 @@ impl Simulator {
             Event::Deliver { agent, packet } => {
                 self.counters.delivered += 1;
                 let packet = self.arena.take(packet);
-                if self.recorder.is_some() {
-                    let owd = self.time.saturating_since(packet.sent_at);
-                    self.emit(
-                        "pkt.deliver",
-                        &[
-                            ("pkt", packet.id.into()),
-                            ("flow", packet.flow.0.into()),
-                            ("seq", packet.seq.into()),
-                            ("owd_ns", owd.as_nanos().into()),
-                        ],
-                    );
-                }
                 self.dispatch_agent(agent, AgentCall::Packet(packet));
             }
         }
@@ -375,7 +351,7 @@ impl Simulator {
     fn dispatch_timer(&mut self, id: AgentId, token: u64) {
         // lint: allow(panic_free) -- agent ids index the simulator's own table; the box is only absent mid-dispatch, which never re-enters
         let mut agent = self.agents[id.0].take().expect("re-entrant agent dispatch");
-        if self.fluid_enabled && self.recorder.is_none() {
+        if self.fluid_enabled {
             if let Some(fs) = agent.fluid_source() {
                 let route = fs.fluid_route();
                 // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
@@ -431,6 +407,8 @@ impl Simulator {
     /// Hands a packet to an agent whose box the caller already holds —
     /// the fluid window's delivery path, where the per-dispatch
     /// take/restore through the agent table is hoisted out of the loop.
+    /// The sink gets the recorder as [`Simulator::dispatch_agent`] hands
+    /// it; a passive sink emits nothing.
     #[inline]
     fn deliver_to(&mut self, agent: &mut dyn Agent, id: AgentId, now: SimTime, packet: Packet) {
         let mut ctx = Ctx {
@@ -441,8 +419,10 @@ impl Simulator {
             next_packet_id: &mut self.next_packet_id,
             injected: &mut self.counters.injected,
             halt: &mut self.halt_requested,
-            // the fluid gate already requires no recorder
-            recorder: None,
+            recorder: self
+                .recorder
+                .as_deref_mut()
+                .map(|r| r as &mut (dyn Recorder + 'static)),
         };
         agent.on_packet(&mut ctx, packet);
     }
@@ -483,8 +463,8 @@ impl Simulator {
     }
 
     /// One fluid arrival: TTL bookkeeping and the offer to the link,
-    /// exactly what [`Simulator::handle_arrive`] does minus the trace
-    /// and multi-hop branches the fluid gate already excluded.
+    /// exactly what [`Simulator::handle_arrive`] does minus the TTL
+    /// expiry and multi-hop branches the fluid gate already excluded.
     #[inline]
     fn fluid_arrive(
         &mut self,
@@ -509,7 +489,6 @@ impl Simulator {
                 *qops += 1;
                 if starts_service {
                     let done = link.start_transmission(vt);
-                    debug_assert!(link.take_flap_event().is_none(), "fluid link cannot flap");
                     let s = self.events.consume_seq();
                     debug_assert!(slots.tx_done == SLOT_EMPTY, "link already serving");
                     slots.tx_done = slot_key(done, s);
@@ -796,10 +775,10 @@ impl Simulator {
     /// expire if needed, otherwise offer to the link queue.
     fn handle_arrive(&mut self, packet: PacketRef) {
         prof::count(Cost::PacketsSimulated);
-        let (ttl, path, hop, pkt_id, flow, size) = {
+        let (ttl, path, hop, size) = {
             let p = self.arena.get_mut(packet);
             p.ttl = p.ttl.saturating_sub(1);
-            (p.ttl, p.path, p.hop, p.id, p.flow.0, p.size)
+            (p.ttl, p.path, p.hop, p.size)
         };
         if ttl == 0 {
             let p = self.arena.take(packet);
@@ -808,74 +787,18 @@ impl Simulator {
         }
         // lint: allow(panic_free) -- hop < path length or the packet would have been delivered, not re-queued
         let link_id = self.paths[path.0][hop as usize];
-        let traced = self.recorder.is_some();
         // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
         let link = &mut self.links[link_id.0];
         match link.enqueue(packet, size, self.time) {
             EnqueueOutcome::Accepted { starts_service } => {
                 prof::count(Cost::QueueOps);
-                let depth = link.queue_len() as u64;
-                let mut flap = None;
                 if starts_service {
                     let done = link.start_transmission(self.time);
-                    flap = link.take_flap_event();
                     self.events.push(done, Event::TxDone { link: link_id });
                 }
-                if traced {
-                    if let Some(rate) = flap {
-                        self.emit(
-                            "link.flap",
-                            &[
-                                ("link", link_id.0.into()),
-                                ("rate_bps", (rate as u64).into()),
-                            ],
-                        );
-                    }
-                    if starts_service {
-                        self.emit_span("link.busy", true, &[("link", link_id.0.into())]);
-                    }
-                    self.emit(
-                        "link.enqueue",
-                        &[
-                            ("link", link_id.0.into()),
-                            ("pkt", pkt_id.into()),
-                            ("flow", flow.into()),
-                            ("size", size.into()),
-                            ("q", depth.into()),
-                        ],
-                    );
-                }
             }
-            EnqueueOutcome::Dropped => {
-                // byte/packet accounting happens inside the link
-                if traced {
-                    let depth = link.queue_len() as u64;
-                    self.emit(
-                        "link.drop",
-                        &[
-                            ("link", link_id.0.into()),
-                            ("pkt", pkt_id.into()),
-                            ("flow", flow.into()),
-                            ("size", size.into()),
-                            ("q", depth.into()),
-                        ],
-                    );
-                }
-                self.arena.take(packet);
-            }
-            EnqueueOutcome::Impaired => {
-                // accounted as impaired inside the link, never queued
-                if traced {
-                    self.emit(
-                        "link.impair_loss",
-                        &[
-                            ("link", link_id.0.into()),
-                            ("pkt", pkt_id.into()),
-                            ("flow", flow.into()),
-                            ("size", size.into()),
-                        ],
-                    );
-                }
+            // the link already counted the drop or the ingress loss
+            EnqueueOutcome::Dropped | EnqueueOutcome::Impaired => {
                 self.arena.take(packet);
             }
         }
@@ -891,47 +814,9 @@ impl Simulator {
         // impairment. Drawn here, once per departing packet, so the RNG
         // stream advances in deterministic event order.
         let extra = link.egress_extra();
-        let mut flap = None;
         if more {
             let done = link.start_transmission(self.time);
-            flap = link.take_flap_event();
             self.events.push(done, Event::TxDone { link: link_id });
-        }
-        if self.recorder.is_some() {
-            let (pkt_id, size) = {
-                let p = self.arena.get(packet);
-                (p.id, p.size)
-            };
-            if let Some(rate) = flap {
-                self.emit(
-                    "link.flap",
-                    &[
-                        ("link", link_id.0.into()),
-                        ("rate_bps", (rate as u64).into()),
-                    ],
-                );
-            }
-            self.emit(
-                "link.dequeue",
-                &[
-                    ("link", link_id.0.into()),
-                    ("pkt", pkt_id.into()),
-                    ("size", size.into()),
-                ],
-            );
-            if extra > SimDuration::ZERO {
-                self.emit(
-                    "link.impair_delay",
-                    &[
-                        ("link", link_id.0.into()),
-                        ("pkt", pkt_id.into()),
-                        ("extra_ns", extra.as_nanos().into()),
-                    ],
-                );
-            }
-            if !more {
-                self.emit_span("link.busy", false, &[("link", link_id.0.into())]);
-            }
         }
         let (hop, path, dst) = {
             let p = self.arena.get_mut(packet);
@@ -953,17 +838,6 @@ impl Simulator {
     /// propagation delays up to (and including) this router's position.
     fn expire_ttl(&mut self, packet: Packet) {
         self.counters.ttl_expired += 1;
-        if self.recorder.is_some() {
-            self.emit(
-                "pkt.ttl_expired",
-                &[
-                    ("pkt", packet.id.into()),
-                    ("flow", packet.flow.0.into()),
-                    ("hop", u64::from(packet.hop).into()),
-                    ("icmp", self.icmp_replies.into()),
-                ],
-            );
-        }
         if !self.icmp_replies {
             return;
         }

@@ -1,9 +1,9 @@
 //! Events: the unit of tracing.
 //!
-//! An [`Event`] is a borrowed view — a timestamp, a static kind, a
-//! phase, and a slice of key/value fields — so emitting one allocates
-//! nothing. Sinks that buffer (e.g. `MemoryRecorder`) convert to
-//! [`OwnedEvent`].
+//! An [`Event`] is a borrowed view — a timestamp, a static kind and a
+//! slice of key/value fields — so emitting one allocates nothing. Every
+//! event is a point in simulated time; sinks that buffer (e.g.
+//! `MemoryRecorder`) convert to [`OwnedEvent`].
 
 use std::fmt;
 
@@ -66,39 +66,15 @@ impl From<bool> for Value<'_> {
 /// rests on both paths sharing one formatter.
 pub type Field<'a> = (&'a str, Value<'a>);
 
-/// Span phase of an event (Chrome-trace-style semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// A point event.
-    Instant,
-    /// The opening edge of a span.
-    Begin,
-    /// The closing edge of a span.
-    End,
-}
-
-impl Phase {
-    /// The single-letter JSON encoding (`i`/`B`/`E`).
-    pub fn code(self) -> &'static str {
-        match self {
-            Phase::Instant => "i",
-            Phase::Begin => "B",
-            Phase::End => "E",
-        }
-    }
-}
-
 /// A borrowed event, as passed to [`crate::Recorder::record`].
 #[derive(Debug, Clone, Copy)]
 pub struct Event<'a> {
     /// Timestamp in simulated nanoseconds.
     pub t_ns: u64,
-    /// Event kind, dot-namespaced (`link.enqueue`, `pathload.fleet`, …).
+    /// Event kind, dot-namespaced (`probe.stream`, `pathload.fleet`, …).
     /// Producers pass `&'static` literals; replayed events borrow from
     /// their [`OwnedEvent`].
     pub kind: &'a str,
-    /// Span phase.
-    pub phase: Phase,
     /// Key/value payload.
     pub fields: &'a [Field<'a>],
 }
@@ -110,8 +86,6 @@ pub struct OwnedEvent {
     pub t_ns: u64,
     /// Event kind.
     pub kind: String,
-    /// Span phase.
-    pub phase: Phase,
     /// Key/value payload (values with owned strings).
     pub fields: Vec<(String, OwnedValue)>,
 }
@@ -190,7 +164,6 @@ impl OwnedEvent {
         OwnedEvent {
             t_ns: ev.t_ns,
             kind: ev.kind.to_string(),
-            phase: ev.phase,
             fields: ev
                 .fields
                 .iter()
@@ -216,7 +189,6 @@ impl OwnedEvent {
         recorder.record(&Event {
             t_ns: self.t_ns,
             kind: &self.kind,
-            phase: self.phase,
             fields: &fields,
         });
     }
@@ -224,13 +196,7 @@ impl OwnedEvent {
 
 impl fmt::Display for OwnedEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{} ns] {} ({})",
-            self.t_ns,
-            self.kind,
-            self.phase.code()
-        )?;
+        write!(f, "[{} ns] {}", self.t_ns, self.kind)?;
         for (k, v) in &self.fields {
             match v {
                 OwnedValue::U64(x) => write!(f, " {k}={x}")?,

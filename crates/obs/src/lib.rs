@@ -7,12 +7,16 @@
 //! this crate is how those dynamics become observable without a
 //! debugger:
 //!
-//! * [`Recorder`] — span/event sink trait. The zero-cost default is no
+//! * [`Recorder`] — event sink trait. The zero-cost default is no
 //!   recorder at all (the simulator holds none unless one is installed,
-//!   so the off path is a single branch); [`JsonlRecorder`] streams one
-//!   JSON object per event; [`MemoryRecorder`] buffers events for
-//!   in-process analysis; [`SharedRecorder`] fans multiple simulators
-//!   into one sink.
+//!   so the off path is a single branch per emission site). Events are
+//!   decisions, not packets: the estimators' convergence events, one
+//!   `probe.stream` line per probing stream and TCP's `tcp.cwnd` /
+//!   `tcp.loss`; the simulator's event loop emits nothing, so a traced
+//!   run executes exactly what an untraced one does.
+//!   [`JsonlRecorder`] streams one JSON object per event;
+//!   [`MemoryRecorder`] buffers events for in-process analysis;
+//!   [`SharedRecorder`] fans multiple simulators into one sink.
 //! * [`manifest::RunManifest`] — seeds, scenario parameters, a
 //!   git-describe-style version, wall-clock time and the run's counter
 //!   totals, serialized as JSON so any run is reproducible from its
@@ -38,7 +42,7 @@ pub mod manifest;
 pub mod prof;
 pub mod record;
 
-pub use event::{Event, Field, OwnedEvent, OwnedValue, Phase, Value};
+pub use event::{Event, Field, OwnedEvent, OwnedValue, Value};
 pub use manifest::RunManifest;
 pub use prof::{Cost, Profile, SpanGuard};
 pub use record::{JsonlRecorder, MemoryRecorder, Recorder, SharedRecorder};

@@ -4,14 +4,14 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{Event, Field, OwnedEvent, Phase, Value};
+use crate::event::{Event, Field, OwnedEvent, Value};
 use crate::json::{push_f64, push_str_escaped};
 
-/// An event sink with span/event semantics.
+/// An event sink.
 ///
-/// The hot path is [`Recorder::record`]; `span_begin`/`span_end` are
-/// sugar that tags the phase. Implementations must preserve event order
-/// — traces are replayable logs, not samples.
+/// The hot path is [`Recorder::record`]; [`Recorder::instant`] is sugar
+/// that builds the event. Implementations must preserve event order —
+/// traces are replayable logs, not samples.
 pub trait Recorder {
     /// Consumes one event.
     fn record(&mut self, event: &Event<'_>);
@@ -19,34 +19,9 @@ pub trait Recorder {
     /// Flushes buffered output (no-op for unbuffered sinks).
     fn flush(&mut self) {}
 
-    /// Records the opening edge of a span named `kind`.
-    fn span_begin(&mut self, t_ns: u64, kind: &'static str, fields: &[Field<'_>]) {
-        self.record(&Event {
-            t_ns,
-            kind,
-            phase: Phase::Begin,
-            fields,
-        });
-    }
-
-    /// Records the closing edge of a span named `kind`.
-    fn span_end(&mut self, t_ns: u64, kind: &'static str, fields: &[Field<'_>]) {
-        self.record(&Event {
-            t_ns,
-            kind,
-            phase: Phase::End,
-            fields,
-        });
-    }
-
     /// Records a point event.
     fn instant(&mut self, t_ns: u64, kind: &'static str, fields: &[Field<'_>]) {
-        self.record(&Event {
-            t_ns,
-            kind,
-            phase: Phase::Instant,
-            fields,
-        });
+        self.record(&Event { t_ns, kind, fields });
     }
 }
 
@@ -102,8 +77,10 @@ impl Recorder for MemoryRecorder {
     }
 }
 
-/// Streams events as JSON Lines: one `{"t":…,"ev":…,"ph":…,…}` object
-/// per line. With fixed seeds the byte stream is identical across runs.
+/// Streams events as JSON Lines: one `{"t":…,"ev":…,"ph":"i",…}`
+/// object per line. Every event is a point in time, so `ph` (the
+/// Chrome-trace phase) is always `"i"`. With fixed seeds the byte stream
+/// is identical across runs.
 pub struct JsonlRecorder<W: Write> {
     out: W,
     line: String,
@@ -150,7 +127,7 @@ impl<W: Write> JsonlRecorder<W> {
         line.clear();
         let _ = write!(line, "{{\"t\":{},\"ev\":", event.t_ns);
         push_str_escaped(line, event.kind);
-        let _ = write!(line, ",\"ph\":\"{}\"", event.phase.code());
+        line.push_str(",\"ph\":\"i\"");
         for (key, value) in event.fields {
             line.push(',');
             push_str_escaped(line, key);
@@ -246,7 +223,6 @@ mod tests {
         Event {
             t_ns: 42,
             kind: "test.kind",
-            phase: Phase::Instant,
             fields,
         }
     }
@@ -255,12 +231,12 @@ mod tests {
     fn memory_recorder_buffers_in_order() {
         let mut r = MemoryRecorder::new();
         r.instant(1, "a", &[("x", Value::U64(1))]);
-        r.span_begin(2, "b", &[]);
-        r.span_end(3, "b", &[]);
+        r.instant(2, "b", &[]);
+        r.instant(3, "b", &[]);
         assert_eq!(r.len(), 3);
         assert_eq!(r.events()[0].kind, "a");
-        assert_eq!(r.events()[1].phase, Phase::Begin);
-        assert_eq!(r.events()[2].phase, Phase::End);
+        assert_eq!(r.events()[1].t_ns, 2);
+        assert_eq!(r.events()[2].t_ns, 3);
         assert_eq!(r.of_kind("b").count(), 2);
         assert_eq!(r.events()[0].field("x").and_then(|v| v.as_u64()), Some(1));
     }
@@ -318,11 +294,11 @@ mod tests {
         // live: straight into a JSONL sink
         let mut live = JsonlRecorder::new(Vec::new());
         live.record(&sample_event(&fields));
-        live.span_begin(43, "span.k", &[("neg", Value::I64(-3))]);
+        live.instant(43, "other.k", &[("neg", Value::I64(-3))]);
         // deferred: buffer in memory, replay later
         let mut buffer = MemoryRecorder::new();
         buffer.record(&sample_event(&fields));
-        buffer.span_begin(43, "span.k", &[("neg", Value::I64(-3))]);
+        buffer.instant(43, "other.k", &[("neg", Value::I64(-3))]);
         let mut replayed = JsonlRecorder::new(Vec::new());
         buffer.replay_into(&mut replayed);
         assert_eq!(live.into_inner(), replayed.into_inner());

@@ -77,11 +77,6 @@ impl Ecdf {
         self.sorted.last().copied()
     }
 
-    /// The sorted samples, e.g. for plotting the full CDF curve.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Evaluates the CDF on an evenly spaced grid of `points` x-values
     /// spanning `[min, max]`; useful for printing figure series.
     ///

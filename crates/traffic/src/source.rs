@@ -67,14 +67,6 @@ impl SourceAgent {
         self.process.set_rate_bps(rate_bps)
     }
 
-    /// Empirical mean rate injected so far, given the elapsed time.
-    pub fn injected_rate_bps(&self, elapsed: SimDuration) -> f64 {
-        if elapsed == SimDuration::ZERO {
-            return 0.0;
-        }
-        self.sent_bytes as f64 * 8.0 / elapsed.as_secs_f64()
-    }
-
     /// The next `(gap, size)` draw, through the batch buffer.
     #[inline]
     fn next_draw(&mut self) -> (SimDuration, u32) {

@@ -1,4 +1,5 @@
-//! JSONL trace **byte** identity across worker counts.
+//! JSONL trace **byte** identity across worker counts, and cost-counter
+//! identity between traced and untraced runs.
 //!
 //! `ABW_TRACE` artifacts are part of the executor's determinism
 //! contract: a parallel run must produce the exact same bytes as a
@@ -6,7 +7,9 @@
 //! the executor replays the buffers in job-index order through the same
 //! JSONL formatter. These tests install an in-memory process-global
 //! recorder, run an experiment at 1 and 4 workers, and diff the raw
-//! bytes.
+//! bytes. A recorder must not change what runs either, so a traced run
+//! counts exactly the events, packets and fluid windows of an untraced
+//! one.
 //!
 //! The process-global recorder and the cost-counter totals are shared
 //! state, so every test here holds `GLOBAL_LOCK` — and trace tests live
@@ -90,9 +93,8 @@ fn shootout_trace_bytes_are_identical_across_worker_counts() {
 #[test]
 fn loss_sweep_trace_bytes_are_identical_across_worker_counts() {
     let _guard = global_lock();
-    // one lossy rate and one seed: eleven cells, about the shootout
-    // case's trace size, and the only case whose trace carries
-    // impairment events through the executor's replay
+    // one lossy rate and one seed: eleven cells whose lossy streams'
+    // `probe.stream` lines go through the executor's replay
     let config = LossSweepConfig {
         loss_rates: vec![0.01],
         ..LossSweepConfig::quick()
@@ -104,8 +106,8 @@ fn loss_sweep_trace_bytes_are_identical_across_worker_counts() {
         loss_sweep::run_with(&config, &Executor::new(4));
     });
     assert!(
-        serial.windows(16).any(|w| w == b"link.impair_loss"),
-        "trace must carry impairment events"
+        serial.windows(12).any(|w| w == b"probe.stream"),
+        "trace must carry the stream events"
     );
     assert_eq!(
         serial, parallel,
@@ -154,4 +156,29 @@ fn cost_totals_are_identical_across_worker_counts() {
     assert!(serial.get(Cost::Injected) > 0, "the runs simulate packets");
     assert!(serial.get(Cost::SimTimeNs) > 0);
     assert_eq!(serial.entries(), parallel.entries());
+}
+
+#[test]
+fn traced_and_untraced_runs_have_identical_cost_counters() {
+    let _guard = global_lock();
+    let config = ShootoutConfig {
+        seeds: vec![7, 11],
+        ..ShootoutConfig::quick()
+    };
+    // watching a run must not change what runs: the same events, RNG
+    // draws and fluid windows with a recorder installed as without
+    let totals = || {
+        let before = prof::snapshot();
+        shootout::run_with(&config, &Executor::new(1));
+        prof::snapshot().delta(&before)
+    };
+    let untraced = totals();
+    let mut traced_totals = None;
+    let trace = traced(|| traced_totals = Some(totals()));
+    let traced_totals = traced_totals.expect("the traced run ran");
+    assert!(!trace.is_empty(), "the traced run wrote a trace");
+    assert!(untraced.get(Cost::FluidPackets) > 0, "the fluid window ran");
+    for ((name, a), (_, b)) in untraced.entries().into_iter().zip(traced_totals.entries()) {
+        assert_eq!(a, b, "cost counter `{name}`: untraced {a} != traced {b}");
+    }
 }

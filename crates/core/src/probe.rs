@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use abw_netsim::{
     gap_for_rate, packet_to, Agent, AgentId, Ctx, FlowId, Packet, PacketKind, PathId, SimDuration,
-    SimTime, Simulator,
+    SimTime, Simulator, SinkRole,
 };
 
 use crate::stream::StreamSpec;
@@ -42,10 +42,6 @@ pub struct ProbeSender {
     pending: Option<(StreamSpec, u32)>,
     /// Stream currently on the wire.
     current: Option<(StreamSpec, u32)>,
-    /// Total probing packets sent.
-    pub sent_packets: u64,
-    /// Total probing bytes sent.
-    pub sent_bytes: u64,
 }
 
 impl ProbeSender {
@@ -57,8 +53,6 @@ impl ProbeSender {
             flow,
             pending: None,
             current: None,
-            sent_packets: 0,
-            sent_bytes: 0,
         }
     }
 
@@ -86,20 +80,27 @@ impl Agent for ProbeSender {
             self.current = Some((spec, id));
             return;
         }
-        // per-packet timer: token is the packet index
-        let (spec, id) = self.current.as_ref().expect("packet timer with no stream");
-        let size = spec.size();
-        let p = packet_to(
+        let p = self
+            .timer_packet(token)
+            .expect("packet timer with no stream");
+        ctx.send(p);
+    }
+
+    /// A per-packet timer (token = packet index) only sends its packet,
+    /// so a fluid window on a single-link path can take it.
+    fn timer_packet(&self, token: u64) -> Option<Packet> {
+        if token == TOKEN_LAUNCH {
+            return None;
+        }
+        let (spec, id) = self.current.as_ref()?;
+        Some(packet_to(
             self.dst,
             self.path,
             self.flow,
-            size,
+            spec.size(),
             token,
             PacketKind::Probe { stream: *id },
-        );
-        ctx.send(p);
-        self.sent_packets += 1;
-        self.sent_bytes += size as u64;
+        ))
     }
 }
 
@@ -167,6 +168,12 @@ impl Agent for ProbeReceiver {
             self.expect = None;
             ctx.halt();
         }
+    }
+
+    /// Records and halts on the expected stream's last packet; never
+    /// sends or schedules.
+    fn sink_role(&self) -> SinkRole {
+        SinkRole::Halting
     }
 }
 

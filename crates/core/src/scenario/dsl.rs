@@ -723,11 +723,26 @@ pub struct BoundedRun {
 /// in submission order — byte-identical for any worker count, and the
 /// same as running each spec on its own, one after the other.
 pub fn run_specs(specs: &[ScenarioSpec], exec: &Executor) -> Vec<SpecOutcome> {
-    run_cells(specs, exec, None, true).outcomes
+    run_cells(specs, exec, None, Leg::Reference).outcomes
 }
 
-/// [`run_specs`] with an optional per-cell simulated-time budget and
-/// the fluid window switched on or off.
+/// How [`run_cells`] runs its cells: the reference run, or one of the
+/// legs the scenario fuzzer compares with it bit for bit. Only the
+/// reference run reaches the installed trace recorder; the other legs
+/// run untraced, so their comparison with it also checks traced ≡
+/// untraced, and a trace holds every event once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leg {
+    /// Fluid window on; events go to the installed recorder, if any.
+    Reference,
+    /// Fluid window on, no recorder.
+    Untraced,
+    /// Fluid window off, no recorder.
+    PerEvent,
+}
+
+/// [`run_specs`] with an optional per-cell simulated-time budget, run as
+/// `leg`.
 ///
 /// Each `(spec, tool, seed)` cell gets `budget` of *simulated* time
 /// measured from the end of its warm-up; a round that is still probing
@@ -737,8 +752,8 @@ pub fn run_specs(specs: &[ScenarioSpec], exec: &Executor) -> Vec<SpecOutcome> {
 /// identity: the same spec under a different budget may yield a
 /// different outcome list.
 ///
-/// `fluid` switches every cell's fluid fast-forward window
-/// ([`abw_netsim::Simulator::set_fluid`]) from the start of its
+/// [`Leg::PerEvent`] switches every cell's fluid fast-forward window
+/// ([`abw_netsim::Simulator::set_fluid`]) off from the start of its
 /// warm-up. The window is an optimisation whose output is bit-identical
 /// either way, so this is no public option: the scenario fuzzer uses it
 /// to check that claim.
@@ -748,7 +763,7 @@ pub(crate) fn run_cells(
     specs: &[ScenarioSpec],
     exec: &Executor,
     budget: Option<SimDuration>,
-    fluid: bool,
+    leg: Leg,
 ) -> BoundedRun {
     let cells: Vec<(&ScenarioSpec, &'static ToolEntry, u64)> = specs
         .iter()
@@ -760,7 +775,7 @@ pub(crate) fn run_cells(
         .collect();
     let jobs: Vec<_> = cells
         .iter()
-        .map(|&(spec, entry, seed)| move || run_cell(spec, entry, seed, budget, fluid))
+        .map(|&(spec, entry, seed)| move || run_cell(spec, entry, seed, budget, leg))
         .collect();
     let verdicts = exec.run(jobs);
 
@@ -793,10 +808,13 @@ fn run_cell(
     entry: &ToolEntry,
     seed: u64,
     budget: Option<SimDuration>,
-    fluid: bool,
+    leg: Leg,
 ) -> Vec<Verdict> {
     let mut s = Scenario::from_hops(spec.hops.clone(), seed);
-    s.sim.set_fluid(fluid);
+    s.sim.set_fluid(leg != Leg::PerEvent);
+    if leg != Leg::Reference {
+        s.sim.clear_recorder();
+    }
     s.warm_up(spec.warmup);
     let deadline = budget.map(|d| s.sim.now() + d);
     let tool_config = spec.tool_config();
@@ -965,7 +983,7 @@ mod tests {
             specs,
             &Executor::serial(),
             Some(SimDuration::from_millis(1)),
-            true,
+            Leg::Reference,
         );
         assert!(tight.outcomes.is_empty(), "no round fits 1 ms");
         assert_eq!(
@@ -983,7 +1001,7 @@ mod tests {
             specs,
             &Executor::serial(),
             Some(SimDuration::from_secs(600)),
-            true,
+            Leg::Reference,
         );
         assert!(generous.timeouts.is_empty());
         assert_same_outcomes(&unbounded, &generous.outcomes);
@@ -1001,7 +1019,7 @@ mod tests {
             std::slice::from_ref(&spec),
             &Executor::serial(),
             Some(SimDuration::from_millis(1)),
-            true,
+            Leg::Reference,
         );
         assert!(run.outcomes.is_empty());
         assert_eq!(run.timeouts.len(), 1, "one timeout per cell, not per round");

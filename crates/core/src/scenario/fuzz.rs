@@ -26,6 +26,8 @@
 //!    of the trace, so its simulators run traced even when no
 //!    `ABW_TRACE` recorder is installed, and the untraced legs must
 //!    match it; a serial leg with outcomes but no trace event fails.
+//!    Only the serial leg's events reach an installed trace: the other
+//!    legs run without a recorder, so the trace holds each event once.
 //! 4. **Fluid ≡ per-event** — the spec runs once more with every
 //!    simulator's fluid fast-forward window off, and its outcomes and
 //!    timeouts must match the serial leg's bit for bit. The palette's
@@ -60,7 +62,7 @@ use abw_traffic::SizeDist;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::scenario::dsl::{self, BoundedRun, ScenarioSpec, SpecOutcome};
+use crate::scenario::dsl::{self, BoundedRun, Leg, ScenarioSpec, SpecOutcome};
 use crate::scenario::{CrossKind, HopSpec};
 use crate::tools::registry;
 use crate::tools::Verdict;
@@ -343,7 +345,7 @@ pub fn evaluate(
     // here is usually an armed ABW_CHECK report
     abw_obs::global::begin_thread_capture(true);
     let serial = catch_unwind(AssertUnwindSafe(|| {
-        dsl::run_cells(specs, &Executor::serial(), budget, true)
+        dsl::run_cells(specs, &Executor::serial(), budget, Leg::Reference)
     }));
     let events = abw_obs::global::take_thread_capture();
     abw_obs::global::replay_into_global(&events);
@@ -352,17 +354,18 @@ pub fn evaluate(
         return Err("traced serial run recorded no trace event".to_string());
     }
 
-    // 3. parallel run must agree bit-for-bit
+    // 3. parallel run must agree bit-for-bit; it and the fluid-off run
+    // are compared with the serial run, not recorded
     let exec = Executor::new(jobs.max(2));
     let parallel = catch_unwind(AssertUnwindSafe(|| {
-        dsl::run_cells(specs, &exec, budget, true)
+        dsl::run_cells(specs, &exec, budget, Leg::Untraced)
     }))
     .map_err(|p| format!("panic during parallel run: {}", panic_message(&p)))?;
     same_run("serial/parallel", &serial, &parallel)?;
 
     // 4. so must a run with the fluid window off
     let per_event = catch_unwind(AssertUnwindSafe(|| {
-        dsl::run_cells(specs, &exec, budget, false)
+        dsl::run_cells(specs, &exec, budget, Leg::PerEvent)
     }))
     .map_err(|p| format!("panic during fluid-off run: {}", panic_message(&p)))?;
     same_run("serial/fluid-off", &serial, &per_event)?;

@@ -5,12 +5,20 @@
 //! through the [`Ctx`] handle they receive in callbacks: sending packets
 //! down a path, delivering directly to a peer (uncongested reverse path),
 //! and scheduling timers.
+//!
+//! Three optional methods declare what an agent does, so that the
+//! simulator's fluid window can run its events without dispatching
+//! them: [`Agent::fluid_source`] (a cross-traffic source's timer loop),
+//! [`Agent::timer_packet`] (a timer that only sends one packet) and
+//! [`Agent::sink_role`] (a sink that only records what arrives, and
+//! whether it may halt the run). The defaults keep an agent on the
+//! per-event path.
 
 use std::any::Any;
 
 use abw_obs::{Event as ObsEvent, Field, Recorder};
 
-use crate::arena::PacketArena;
+use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
 use crate::packet::{AgentId, FlowId, Packet, PacketKind, PathId};
 use crate::time::{SimDuration, SimTime};
@@ -46,14 +54,41 @@ pub trait Agent: Any + Send {
         None
     }
 
-    /// True when `on_packet` only updates internal counters: it never
-    /// sends, schedules, emits trace events or calls [`Ctx::halt`].
-    /// Deliveries to passive sinks may be processed inside a fluid
-    /// fast-forward window; since they never halt, a halt never falls
-    /// inside a window.
-    fn is_passive_sink(&self) -> bool {
-        false
+    /// What `on_packet` may do to the simulation (see [`SinkRole`]).
+    /// Deliveries to a [`SinkRole::Passive`] or [`SinkRole::Halting`]
+    /// agent may run inside a fluid fast-forward window; the default,
+    /// [`SinkRole::Active`], keeps every delivery on the per-event path.
+    fn sink_role(&self) -> SinkRole {
+        SinkRole::Active
     }
+
+    /// The packet that firing timer `token` sends, when sending it is
+    /// all the timer does: `on_timer(ctx, token)` must then be exactly
+    /// `ctx.send(packet)`, with no other change to the agent. A fluid
+    /// window that carries the packet's link takes such a timer from the
+    /// queue and makes the send itself, with the mutations
+    /// [`Ctx::send`] makes. `None` (the default) for every other timer.
+    fn timer_packet(&self, _token: u64) -> Option<Packet> {
+        None
+    }
+}
+
+/// What an agent's `on_packet` may do, declared for the fluid
+/// fast-forward window ([`Agent::sink_role`]). A sink in either recording
+/// role only stores what arrives: it never sends, schedules or emits a
+/// trace event, so a delivery to it changes nothing the window reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinkRole {
+    /// `on_packet` may send, schedule, emit or halt. A delivery to this
+    /// agent closes a fluid window.
+    Active,
+    /// Records and never calls [`Ctx::halt`]. A window may defer
+    /// deliveries to it and run them in batches.
+    Passive,
+    /// Records and may call [`Ctx::halt`]. A window runs each delivery
+    /// to it at its own `(time, seq)` position, and closes at the
+    /// delivery that halts.
+    Halting,
 }
 
 /// One step of a fluid source's timer loop (see [`Agent::fluid_source`]).
@@ -155,14 +190,15 @@ impl Ctx<'_> {
     ///
     /// The packet's `id` is assigned here; `src` is forced to the calling
     /// agent so ICMP errors return to the right place. `hop` is reset to 0.
-    pub fn send(&mut self, mut packet: Packet) {
-        packet.id = *self.next_packet_id;
-        *self.next_packet_id += 1;
-        packet.src = self.agent;
-        packet.hop = 0;
-        packet.sent_at = self.now;
-        *self.injected += 1;
-        let pkt = self.arena.alloc(packet);
+    pub fn send(&mut self, packet: Packet) {
+        let pkt = inject(
+            self.arena,
+            self.next_packet_id,
+            self.injected,
+            self.agent,
+            self.now,
+            packet,
+        );
         self.events.push(self.now, Event::Arrive { packet: pkt });
     }
 
@@ -251,9 +287,32 @@ impl Agent for CountingSink {
         self.last_arrival = Some(ctx.now());
     }
 
-    fn is_passive_sink(&self) -> bool {
-        true
+    fn sink_role(&self) -> SinkRole {
+        SinkRole::Passive
     }
+}
+
+/// What sending a packet does short of scheduling its arrival: assigns
+/// the packet id, stamps the source, hop 0 and the send time, counts the
+/// injection and stores the packet. [`Ctx::send`] and the fluid window
+/// both send through here, so a send mutates the same state on either
+/// path.
+#[inline]
+pub(crate) fn inject(
+    arena: &mut PacketArena,
+    next_packet_id: &mut u64,
+    injected: &mut u64,
+    src: AgentId,
+    now: SimTime,
+    mut packet: Packet,
+) -> PacketRef {
+    packet.id = *next_packet_id;
+    *next_packet_id += 1;
+    packet.src = src;
+    packet.hop = 0;
+    packet.sent_at = now;
+    *injected += 1;
+    arena.alloc(packet)
 }
 
 /// Helper for agents that need a well-formed packet skeleton: fills the

@@ -1,11 +1,27 @@
 //! The simulator: network state plus the event loop.
+//!
+//! Besides the per-event loop, `run_until` has one exact fast path, the
+//! fluid window ([`Simulator::set_fluid`]). A timer fire of a cross
+//! source ([`crate::agent::FluidSource`]) on a single-link path into a
+//! passive sink opens it, and it then runs the source's packets —
+//! timer fire, arrival, transmission completion, delivery — as plain
+//! state mutation in the merged `(time, seq)` order against the real
+//! queue. On a link that no multi-link path crosses it also carries the
+//! link's other traffic: packet timers ([`Agent::timer_packet`]) such as
+//! a probe stream's, other arrivals at the link, its transmission
+//! completions, other agents' timers, and deliveries to recording sinks
+//! ([`SinkRole`]), including the probe receiver's, which may halt the
+//! run. It closes before any event it cannot carry, materialising what
+//! it elided under the sequence numbers the events would have had, so
+//! every observable state is the per-event loop's.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use abw_obs::prof::{self, Cost};
 use abw_obs::{Event as ObsEvent, Field, Recorder};
 
-use crate::agent::{packet_to, Agent, Ctx, FluidRoute, FluidSource, FluidStep};
+use crate::agent::{inject, packet_to, Agent, Ctx, FluidRoute, FluidSource, FluidStep, SinkRole};
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
 use crate::impair::{Impairment, ImpairmentConfig};
@@ -65,10 +81,10 @@ pub struct Simulator {
     /// nothing; agents ([`Ctx::emit`]) and the layers above
     /// ([`Simulator::emit`]) do.
     recorder: Option<Box<dyn Recorder + Send>>,
-    /// Reusable deferred-delivery buffer for the fluid window. Taken by
-    /// [`FluidSlots`] at window open and handed back (empty) at close,
-    /// so opening a window never allocates.
-    fluid_scratch: std::collections::VecDeque<(SimTime, u64, PacketRef)>,
+    /// The fluid window's delivery queues, kept between windows: taken at
+    /// window open and handed back (empty) at close, so opening a window
+    /// never allocates.
+    fluid_queues: DeliveryQueues,
 }
 
 // A simulation must be movable to a worker thread: the parallel
@@ -109,7 +125,7 @@ impl Simulator {
             halt_requested: false,
             icmp_replies: true,
             recorder,
-            fluid_scratch: std::collections::VecDeque::new(),
+            fluid_queues: DeliveryQueues::default(),
         }
     }
 
@@ -123,6 +139,12 @@ impl Simulator {
     /// Installs an event sink.
     pub fn set_recorder(&mut self, recorder: Box<dyn Recorder + Send>) {
         self.recorder = Some(recorder);
+    }
+
+    /// Removes the event sink, including one picked up from the
+    /// process-global recorder: the simulation then runs untraced.
+    pub fn clear_recorder(&mut self) {
+        self.recorder = None;
     }
 
     /// Emits a point event at the current simulation time (dropped when
@@ -153,6 +175,12 @@ impl Simulator {
         assert!(!hops.is_empty(), "a path needs at least one link");
         for l in &hops {
             assert!(l.0 < self.links.len(), "path references unknown link");
+        }
+        if hops.len() > 1 {
+            for l in &hops {
+                // lint: allow(panic_free) -- checked against the link table just above
+                self.links[l.0].mark_transit();
+            }
         }
         self.paths.push(hops);
         PathId(self.paths.len() - 1)
@@ -301,6 +329,7 @@ impl Simulator {
             );
             self.time = t;
             self.handle(event);
+            self.halt_requested = false;
         }
         // with no events left, every injected packet must be accounted
         // for: delivered, dropped at a queue, lost to an injected
@@ -361,9 +390,9 @@ impl Simulator {
                 // keep their order because the window calls
                 // `Link::enqueue` in the exact merged event order, and a
                 // loss-only link adds no egress delay, so deliveries stay
-                // FIFO. Anything else (multi-hop, jitter/reorder/flaps,
-                // an active receiver) falls back to the exact per-event
-                // path.
+                // FIFO. Anything else (a multi-hop source path,
+                // jitter/reorder/flaps, a sink that is not passive) falls
+                // back to the exact per-event path.
                 if hops.len() == 1 {
                     // lint: allow(panic_free) -- guarded: hops.len() == 1
                     let link_id = hops[0];
@@ -374,7 +403,7 @@ impl Simulator {
                         // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
                         && self.agents[route.dst.0]
                             .as_ref()
-                            .is_some_and(|a| a.is_passive_sink());
+                            .is_some_and(|a| a.sink_role() == SinkRole::Passive);
                     if safe {
                         self.fluid_window(id, fs, route, link_id, token);
                         // lint: allow(panic_free) -- restoring the box taken above; same id
@@ -384,34 +413,18 @@ impl Simulator {
                 }
             }
         }
-        {
-            let mut ctx = Ctx {
-                now: self.time,
-                agent: id,
-                events: &mut self.events,
-                arena: &mut self.arena,
-                next_packet_id: &mut self.next_packet_id,
-                injected: &mut self.counters.injected,
-                halt: &mut self.halt_requested,
-                recorder: self
-                    .recorder
-                    .as_deref_mut()
-                    .map(|r| r as &mut (dyn Recorder + 'static)),
-            };
-            agent.on_timer(&mut ctx, token);
-        }
+        agent.on_timer(&mut self.ctx(id, self.time), token);
         // lint: allow(panic_free) -- restoring the box taken above; same id
         self.agents[id.0] = Some(agent);
     }
 
-    /// Hands a packet to an agent whose box the caller already holds —
-    /// the fluid window's delivery path, where the per-dispatch
-    /// take/restore through the agent table is hoisted out of the loop.
-    /// The sink gets the recorder as [`Simulator::dispatch_agent`] hands
-    /// it; a passive sink emits nothing.
+    /// The [`Ctx`] an agent `id` acts through at `now`. Its box stays
+    /// with the caller: the agent table's ([`Simulator::dispatch_agent`]),
+    /// a timer's, or the fluid window's sink, whose take/restore through
+    /// the table the window hoists out of its loop.
     #[inline]
-    fn deliver_to(&mut self, agent: &mut dyn Agent, id: AgentId, now: SimTime, packet: Packet) {
-        let mut ctx = Ctx {
+    fn ctx(&mut self, id: AgentId, now: SimTime) -> Ctx<'_> {
+        Ctx {
             now,
             agent: id,
             events: &mut self.events,
@@ -423,18 +436,28 @@ impl Simulator {
                 .recorder
                 .as_deref_mut()
                 .map(|r| r as &mut (dyn Recorder + 'static)),
-        };
-        agent.on_packet(&mut ctx, packet);
+        }
     }
 
-    /// Processes queued virtual deliveries with key below `bound`
-    /// through the sink. A delivery touches nothing but the sink, the
+    /// The [`SinkRole`] of `id`, read through the agent table. An agent
+    /// whose box is out of the table (the fluid window's own source)
+    /// counts as active.
+    fn sink_role_of(&self, id: AgentId) -> SinkRole {
+        // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+        self.agents[id.0]
+            .as_deref()
+            .map_or(SinkRole::Active, |a| a.sink_role())
+    }
+
+    /// Processes deferred deliveries with key below `bound` through the
+    /// window's sink. A delivery touches nothing but the sink, the
     /// arena and the delivered counter, so the window defers deliveries
-    /// out of the hot selection loop entirely and drains them in
-    /// batches — at any point at or after their due time, and always
-    /// before an absorbed real delivery could observe the same sink out
-    /// of order. Each delivery still runs at its own instant: `ctx.now`
-    /// is the delivery time, never the drain time.
+    /// to its passive sink out of the hot selection loop entirely and
+    /// drains them in batches — at any point at or after their due time,
+    /// and always before a delivery that runs at its own position could
+    /// observe the same sink, or halt the run, out of order. Each
+    /// delivery still runs at its own instant: `ctx.now` is the delivery
+    /// time, never the drain time.
     fn fluid_drain(
         &mut self,
         slots: &mut FluidSlots,
@@ -444,28 +467,68 @@ impl Simulator {
         popped: &mut u64,
     ) {
         #[cfg(debug_assertions)]
-        let head = self.events.peek_entry().map(|(t, s, _)| (t, s));
-        while let Some(&(t, s, pkt)) = slots.delivers.front() {
+        let before = (
+            self.events.peek_entry().map(|(t, s, _)| (t, s)),
+            self.halt_requested,
+        );
+        while let Some(&(t, s, pkt)) = slots.deferred.front() {
             if slot_key(t, s) >= bound {
                 break;
             }
-            slots.delivers.pop_front();
+            slots.deferred.pop_front();
             *popped += 1;
             self.counters.delivered += 1;
             let p = self.arena.take(pkt);
-            self.deliver_to(dst, dst_id, t, p);
+            dst.on_packet(&mut self.ctx(dst_id, t), p);
             #[cfg(debug_assertions)]
             debug_assert!(
-                self.events.peek_entry().map(|(t, s, _)| (t, s)) == head && !self.halt_requested,
+                (
+                    self.events.peek_entry().map(|(t, s, _)| (t, s)),
+                    self.halt_requested
+                ) == before,
                 "passive sink mutated the event queue or halted the run"
+            );
+        }
+    }
+
+    /// One delivery the window runs at its own `(time, seq)` position
+    /// `key` (the clock already reads its time): an absorbed real
+    /// delivery, or one to a sink other than the window's own. The
+    /// deferred deliveries before `key` run first: they may share the
+    /// sink, and if this delivery halts the run, every event before it
+    /// has then run and none after it.
+    #[allow(clippy::too_many_arguments)]
+    fn fluid_deliver(
+        &mut self,
+        slots: &mut FluidSlots,
+        dst_box: &mut dyn Agent,
+        dst_id: AgentId,
+        key: SlotKey,
+        agent: AgentId,
+        packet: PacketRef,
+        popped: &mut u64,
+    ) {
+        self.fluid_drain(slots, dst_box, dst_id, key, popped);
+        self.counters.delivered += 1;
+        let p = self.arena.take(packet);
+        if agent == dst_id {
+            dst_box.on_packet(&mut self.ctx(agent, self.time), p);
+        } else {
+            #[cfg(debug_assertions)]
+            let head = self.events.peek_entry().map(|(t, s, _)| (t, s));
+            self.dispatch_agent(agent, AgentCall::Packet(p));
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                self.events.peek_entry().map(|(t, s, _)| (t, s)) == head,
+                "recording sink mutated the event queue"
             );
         }
     }
 
     /// One fluid arrival: TTL bookkeeping and the offer to the link,
     /// exactly what [`Simulator::handle_arrive`] does minus the TTL
-    /// expiry and multi-hop branches the fluid gate already excluded.
-    #[inline]
+    /// expiry and multi-hop branches the window already excluded.
+    #[inline(always)]
     fn fluid_arrive(
         &mut self,
         packet: PacketRef,
@@ -479,7 +542,7 @@ impl Simulator {
         let size = {
             let p = self.arena.get_mut(packet);
             p.ttl = p.ttl.saturating_sub(1);
-            debug_assert!(p.ttl > 0, "fluid packets start at DEFAULT_TTL");
+            debug_assert!(p.ttl > 0, "the window admits no packet that expires");
             p.size
         };
         // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
@@ -501,6 +564,85 @@ impl Simulator {
         }
     }
 
+    /// One transmission completion on the window's link at `vt` (key
+    /// `key`), virtual or absorbed from the queue: what
+    /// [`Simulator::handle_tx_done`] does, with the next completion and
+    /// the delivery kept in the window. A delivery to the window's own
+    /// sink is deferred; one to another recording sink waits in
+    /// `slots.ordered` for its own position; one to an active agent goes
+    /// into the queue, where it closes the window when due. The real
+    /// head (`next_real`, `real_key`) and `other` (the earliest event
+    /// outside the source's cycle) follow either move.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn fluid_tx_done(
+        &mut self,
+        link_id: LinkId,
+        prop: SimDuration,
+        vt: SimTime,
+        key: SlotKey,
+        slots: &mut FluidSlots,
+        dst_box: &mut dyn Agent,
+        dst_id: AgentId,
+        popped: &mut u64,
+        qops: &mut u64,
+        next_real: &mut Option<(SimTime, u64, Event)>,
+        real_key: &mut SlotKey,
+        other: &mut SlotKey,
+    ) {
+        *qops += 1;
+        // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
+        let link = &mut self.links[link_id.0];
+        let (pkt, more) = link.finish_transmission(vt);
+        let extra = link.egress_extra(); // zero: ingress-only impairment
+        if more {
+            let done = link.start_transmission(vt);
+            let s = self.events.consume_seq();
+            slots.tx_done = slot_key(done, s);
+        }
+        let dst = {
+            let p = self.arena.get_mut(pkt);
+            p.hop += 1;
+            debug_assert!(
+                // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
+                p.hop as usize == self.paths[p.path.0].len(),
+                "a window packet travels on"
+            );
+            p.dst
+        };
+        let s = self.events.consume_seq();
+        let at = vt + prop + extra;
+        if dst == dst_id {
+            slots.push_deferred(at, s, pkt);
+            // Deliveries already due drain at any point before the next
+            // observer; batching them keeps the hot loop a predictable
+            // fire/serve alternation.
+            if slots.deferred.len() >= DELIVER_DRAIN {
+                self.fluid_drain(slots, dst_box, dst_id, key, popped);
+            }
+            return;
+        }
+        match self.sink_role_of(dst) {
+            SinkRole::Passive | SinkRole::Halting => {
+                slots.push_ordered(at, s, dst, pkt);
+                *other = (*other).min(slots.aux);
+            }
+            SinkRole::Active => {
+                self.events.push_with_seq(
+                    at,
+                    s,
+                    Event::Deliver {
+                        agent: dst,
+                        packet: pkt,
+                    },
+                );
+                *next_real = self.events.peek_entry();
+                *real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
+                *other = (*other).min(*real_key);
+            }
+        }
+    }
+
     /// One fluid timer firing at `t`: the draw, the send and the re-arm,
     /// mutating exactly the state the `on_timer` → [`Ctx::send`] /
     /// [`Ctx::schedule_in`] path would. The two event pushes are elided:
@@ -516,13 +658,15 @@ impl Simulator {
         match fs.fluid_step(t) {
             FluidStep::Stop => {}
             FluidStep::Send { gap, size, seq } => {
-                let mut p = packet_to(route.dst, route.path, route.flow, size, seq, route.kind);
-                p.id = self.next_packet_id;
-                self.next_packet_id += 1;
-                p.src = slots.src;
-                p.sent_at = t;
-                self.counters.injected += 1;
-                let pkt = self.arena.alloc(p);
+                let p = packet_to(route.dst, route.path, route.flow, size, seq, route.kind);
+                let pkt = inject(
+                    &mut self.arena,
+                    &mut self.next_packet_id,
+                    &mut self.counters.injected,
+                    slots.src,
+                    t,
+                    p,
+                );
                 let s_arrive = self.events.consume_seq();
                 debug_assert!(slots.arrive == SLOT_EMPTY, "fluid arrive slot occupied");
                 slots.arrive = slot_key(t, s_arrive);
@@ -533,6 +677,209 @@ impl Simulator {
         }
     }
 
+    /// The packet a real timer at the head of the queue sends, when the
+    /// window can take the send over: its agent sends exactly one packet
+    /// ([`Agent::timer_packet`]) down a path of this one link, with a TTL
+    /// that survives the hop, and no carried arrival is pending.
+    fn takeable_timer(
+        &self,
+        agent: AgentId,
+        token: u64,
+        link_id: LinkId,
+        slots: &FluidSlots,
+    ) -> Option<Packet> {
+        if slots.probe != SLOT_EMPTY {
+            return None;
+        }
+        // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+        let p = self.agents[agent.0].as_deref()?.timer_packet(token)?;
+        // lint: allow(panic_free) -- the agent built the packet on a simulator-issued path
+        let one_link = self.paths[p.path.0].as_slice() == [link_id];
+        (one_link && p.ttl > 1).then_some(p)
+    }
+
+    /// The carried step at `slots.aux`, due before everything else
+    /// pending (the clock is not yet set): a carried probe arrival, or an
+    /// ordered delivery. Neither touches the queue. Out of line, so the
+    /// source's cycle stays a tight loop.
+    #[cold]
+    #[inline(never)]
+    fn fluid_carried(
+        &mut self,
+        slots: &mut FluidSlots,
+        dst_box: &mut dyn Agent,
+        dst_id: AgentId,
+        link_id: LinkId,
+    ) -> Tally {
+        let mut t = Tally {
+            popped: 1,
+            ..Tally::default()
+        };
+        let key = slots.aux;
+        let vt = slot_time(key);
+        self.time = vt;
+        if key == slots.probe {
+            let packet = slots.probe_ref;
+            slots.probe = SLOT_EMPTY;
+            slots.refresh_aux();
+            self.fluid_arrive(packet, link_id, vt, slots, &mut t.arrivals, &mut t.qops);
+        } else {
+            // lint: allow(panic_free) -- aux below the probe slot is the ordered front
+            let (_, _, agent, packet) = slots.ordered.pop_front().expect("ordered front");
+            slots.refresh_aux();
+            self.fluid_deliver(slots, dst_box, dst_id, key, agent, packet, &mut t.popped);
+        }
+        t
+    }
+
+    /// The real head, due before everything the window holds: absorbs
+    /// it when the window can, and returns whether it did, with the
+    /// step's tallies. Out of line, so the source's cycle stays a tight
+    /// loop.
+    #[cold]
+    #[inline(never)]
+    fn fluid_absorb(
+        &mut self,
+        slots: &mut FluidSlots,
+        dst_box: &mut dyn Agent,
+        route: &FluidRoute,
+        link_id: LinkId,
+        carry: bool,
+    ) -> (bool, Tally) {
+        let mut t = Tally::default();
+        let Some((rt, rs, event)) = self.events.peek_entry() else {
+            return (false, t);
+        };
+        if rt > self.run_deadline {
+            return (false, t);
+        }
+        let real_key = slot_key(rt, rs);
+        match event {
+            Event::Deliver { agent, packet } => {
+                let role = if agent == route.dst {
+                    SinkRole::Passive
+                } else {
+                    self.sink_role_of(agent)
+                };
+                let absorb = match role {
+                    SinkRole::Passive => true,
+                    SinkRole::Halting => carry,
+                    SinkRole::Active => false,
+                };
+                if !absorb {
+                    return (false, t);
+                }
+                self.events.pop();
+                t.popped += 1;
+                self.time = rt;
+                self.fluid_deliver(
+                    slots,
+                    dst_box,
+                    route.dst,
+                    real_key,
+                    agent,
+                    packet,
+                    &mut t.popped,
+                );
+            }
+            Event::Arrive { packet } if carry => {
+                // an arrival at this link that survives the hop: offered
+                // here, as `handle_arrive` would offer it
+                let p = self.arena.get(packet);
+                // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
+                let here = self.paths[p.path.0].get(p.hop as usize) == Some(&link_id);
+                if !here || p.ttl <= 1 {
+                    return (false, t);
+                }
+                self.events.pop();
+                t.popped += 1;
+                self.time = rt;
+                self.fluid_arrive(packet, link_id, rt, slots, &mut t.arrivals, &mut t.qops);
+            }
+            Event::TxDone { link } if carry && link == link_id => {
+                debug_assert!(slots.tx_done == SLOT_EMPTY, "link serving twice");
+                self.events.pop();
+                t.popped += 1;
+                self.time = rt;
+                // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
+                let prop = self.links[link_id.0].prop_delay();
+                // the caller re-reads the real head after an absorbed event
+                let (mut next, mut real, mut other) = (None, SLOT_EMPTY, SLOT_EMPTY);
+                self.fluid_tx_done(
+                    link_id,
+                    prop,
+                    rt,
+                    real_key,
+                    slots,
+                    dst_box,
+                    route.dst,
+                    &mut t.popped,
+                    &mut t.qops,
+                    &mut next,
+                    &mut real,
+                    &mut other,
+                );
+            }
+            Event::Timer { agent, token } if carry => {
+                let Some(p) = self.takeable_timer(agent, token, link_id, slots) else {
+                    // Any other timer runs here as the per-event loop would
+                    // run it: it can reach only its own agent and the
+                    // queue, never what the window holds back. A cross
+                    // source's timer closes the window instead: it opens
+                    // its own.
+                    // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+                    let Some(a) = self.agents[agent.0].as_mut() else {
+                        return (false, t);
+                    };
+                    if a.fluid_source().is_some() {
+                        return (false, t);
+                    }
+                    self.events.pop();
+                    t.popped += 1;
+                    self.time = rt;
+                    self.dispatch_agent(agent, AgentCall::Timer(token));
+                    return (true, t);
+                };
+                self.events.pop();
+                t.popped += 1;
+                self.time = rt;
+                // `Ctx::send`'s mutations, the arrival under the seq the
+                // push would take
+                let packet = inject(
+                    &mut self.arena,
+                    &mut self.next_packet_id,
+                    &mut self.counters.injected,
+                    agent,
+                    rt,
+                    p,
+                );
+                let arrive = slot_key(rt, self.events.consume_seq());
+                // As after a source's fire: the arrival holds the newest
+                // seq, so unless another pending key shares its
+                // nanosecond it is the next selection, and runs now.
+                let rest = self
+                    .events
+                    .peek_entry()
+                    .map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s))
+                    .min(slots.aux);
+                let t_hi = arrive & KEY_TIME;
+                let shared = [slots.timer, slots.arrive, slots.tx_done, rest]
+                    .iter()
+                    .any(|&k| k & KEY_TIME == t_hi);
+                if shared {
+                    slots.probe = arrive;
+                    slots.probe_ref = packet;
+                    slots.refresh_aux();
+                } else {
+                    t.popped += 1; // the elided selection still counts
+                    self.fluid_arrive(packet, link_id, rt, slots, &mut t.arrivals, &mut t.qops);
+                }
+            }
+            _ => return (false, t),
+        }
+        (true, t)
+    }
+
     /// The fluid fast-forward window: runs a fluid source's packets
     /// through the link and into the sink without queue round-trips.
     ///
@@ -540,16 +887,29 @@ impl Simulator {
     /// and transmission completions) are processed in exact merged
     /// `(time, seq)` order against the real queue, calling the same
     /// link/sink/counter mutations at the same timestamps the per-event
-    /// loop would. Deliveries are deferred and drained in batches —
-    /// legal because a delivery's only observers are the sink, the
+    /// loop would. On a link that no multi-link path crosses, every
+    /// packet the link serves is delivered right after it, and the
+    /// window carries all of the link's traffic: it takes packet timers
+    /// whose packets cross only this link ([`Agent::timer_packet`]) from
+    /// the queue and offers their arrivals through the same
+    /// [`Link::enqueue`], as it offers any real arrival at the link; it
+    /// absorbs the link's real transmission completions, runs other
+    /// agents' timers in place, and runs deliveries to halting sinks
+    /// such as a probe receiver. On a link shared with a multi-link path
+    /// it carries only its source's packets.
+    ///
+    /// Deliveries to the source's passive sink are deferred and drained
+    /// in batches — legal because their only observers are the sink, the
     /// arena and the delivered counter, and the drain runs before every
-    /// point at which any of those becomes observable again (an
-    /// absorbed real delivery, or window close via materialisation) —
-    /// so simulator state is bit-identical at every observable point.
-    /// The window closes when a foreign real event becomes due, the run
-    /// deadline is reached, or the source stops; any still-pending
-    /// virtual events are then materialised into the queue under their
-    /// originally allocated sequence numbers.
+    /// point at which any of those becomes observable again. A delivery
+    /// to any other recording sink runs at its own position, because it
+    /// may halt: the window then closes with the clock at that delivery,
+    /// having run every event before it and none after, as the per-event
+    /// loop would. The window also closes when a real event it cannot
+    /// absorb becomes due, the run deadline is reached, or nothing
+    /// virtual is pending; any still-pending virtual events are then
+    /// materialised into the queue under their originally allocated
+    /// sequence numbers.
     fn fluid_window(
         &mut self,
         src: AgentId,
@@ -561,7 +921,9 @@ impl Simulator {
         let deadline = self.run_deadline;
         // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
         let prop = self.links[link_id.0].prop_delay();
-        let mut slots = FluidSlots::new(src, token, std::mem::take(&mut self.fluid_scratch));
+        // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
+        let carry = !self.links[link_id.0].is_transit();
+        let mut slots = FluidSlots::new(src, token, std::mem::take(&mut self.fluid_queues));
         // Local tallies, flushed once per window (the per-event
         // thread-local increments would dominate the saved work).
         let mut popped = 0u64;
@@ -582,65 +944,57 @@ impl Simulator {
             .expect("fluid dst exists (checked by the gate)");
 
         // The head of the real queue, re-read only after an operation
-        // that can change it (a pop below, or an agent dispatch — the
-        // passive-sink contract forbids sends, but a debug build still
-        // re-checks). Nothing else pushes while the window is open:
-        // elided events live in `slots`, not the queue.
+        // that can change it: a pop, an agent dispatch, or a delivery to
+        // an active agent pushed by a completion. `other` is the earliest
+        // event outside the source's cycle (the real head, a carried probe
+        // arrival or an ordered delivery), so the cycle pays one
+        // comparison for all three.
         let mut next_real = self.events.peek_entry();
         let mut real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
-        // runs until the source stops (min_key None — leftover deliveries
-        // materialise below) or a `break` closes the window early
-        while let Some((vk, which)) = slots.min_key() {
-            // `vk`/`which`: earliest pending virtual event — a
-            // branch-light minimum over packed keys, no heap walk
-            // (deliveries are deferred and never compete for selection)
+        let mut other = real_key.min(slots.aux);
+        loop {
+            // `vk`/`which`: earliest pending event of the source's cycle
+            // — a branch-light minimum over packed keys, no heap walk
+            // (deferred deliveries never compete for selection)
+            let (vk, which) = slots.min_key();
 
-            if real_key < vk {
-                // lint: allow(panic_free) -- real_key < SLOT_EMPTY implies peek_entry was Some
-                let (rt, _, rev) = next_real.expect("real key implies a real head");
-                {
-                    if rt > deadline {
+            if other < vk {
+                let (ran, t) = if slots.aux < real_key {
+                    if slot_time(slots.aux) > deadline {
                         break;
                     }
-                    // A real event is due first. Deliveries to passive
-                    // sinks are what this window's own earlier packets
-                    // materialise into across window boundaries — process
-                    // them inline; anything else ends the window.
-                    let Event::Deliver { agent, packet } = rev else {
-                        break;
-                    };
-                    let to_dst = agent == route.dst;
-                    if !to_dst
-                        // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-                        && !self.agents[agent.0]
-                            .as_ref()
-                            .is_some_and(|a| a.is_passive_sink())
-                    {
+                    let t = self.fluid_carried(&mut slots, dst_box.as_mut(), route.dst, link_id);
+                    (true, t)
+                } else {
+                    // Nothing virtual pending: leftover deliveries
+                    // materialise below. On a transit link only a
+                    // delivery can be absorbed: anything else closes the
+                    // window here, before the out-of-line step.
+                    let absorbable =
+                        carry || matches!(next_real, Some((_, _, Event::Deliver { .. })));
+                    if !absorbable || (vk == SLOT_EMPTY && slots.aux == SLOT_EMPTY) {
                         break;
                     }
-                    // The absorbed delivery may share a sink with this
-                    // window's deferred ones: restore exact order first.
-                    self.fluid_drain(
-                        &mut slots,
-                        dst_box.as_mut(),
-                        route.dst,
-                        real_key,
-                        &mut popped,
-                    );
-                    self.events.pop();
-                    popped += 1;
-                    self.time = rt;
-                    self.counters.delivered += 1;
-                    let p = self.arena.take(packet);
-                    if to_dst {
-                        self.deliver_to(dst_box.as_mut(), agent, rt, p);
-                    } else {
-                        self.dispatch_agent(agent, AgentCall::Packet(p));
+                    let (ran, t) =
+                        self.fluid_absorb(&mut slots, dst_box.as_mut(), &route, link_id, carry);
+                    if ran {
+                        next_real = self.events.peek_entry();
+                        real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
                     }
-                    next_real = self.events.peek_entry();
-                    real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
-                    continue;
+                    (ran, t)
+                };
+                popped += t.popped;
+                arrivals += t.arrivals;
+                qops += t.qops;
+                if !ran || self.halt_requested {
+                    break;
                 }
+                other = real_key.min(slots.aux);
+                continue;
+            }
+            if vk == SLOT_EMPTY {
+                // nothing pending at all
+                break;
             }
             let vt = slot_time(vk);
             if vt > deadline {
@@ -659,11 +1013,13 @@ impl Simulator {
                     // selectable event lands on exactly this nanosecond
                     // (which would carry a smaller seq and sort first),
                     // the arrival is provably the next selection. Process
-                    // it inline and save a selection round trip.
+                    // it inline and save a selection round trip. (`other`
+                    // is the earliest of its set: if it lies after this
+                    // nanosecond, so does the rest of the set.)
                     let t_hi = (vt.as_nanos() as u128) << 64;
                     if slots.arrive != SLOT_EMPTY
                         && slots.tx_done & KEY_TIME != t_hi
-                        && real_key & KEY_TIME != t_hi
+                        && other & KEY_TIME != t_hi
                     {
                         let packet = slots.arrive_ref;
                         slots.arrive = SLOT_EMPTY;
@@ -685,33 +1041,20 @@ impl Simulator {
                 }
                 FluidNext::TxDone => {
                     slots.tx_done = SLOT_EMPTY;
-                    qops += 1;
-                    // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-                    let link = &mut self.links[link_id.0];
-                    let (pkt, more) = link.finish_transmission(vt);
-                    let extra = link.egress_extra(); // zero: ingress-only impairment
-                    if more {
-                        let done = link.start_transmission(vt);
-                        let s = self.events.consume_seq();
-                        slots.tx_done = slot_key(done, s);
-                    }
-                    self.arena.get_mut(pkt).hop += 1;
-                    let s = self.events.consume_seq();
-                    slots.push_deliver(vt + prop + extra, s, pkt);
-                    // Deliveries whose due time has passed can drain at
-                    // any point before the next observer; batching them
-                    // keeps the hot loop a predictable fire/serve
-                    // alternation.
-                    if slots.delivers.len() >= DELIVER_DRAIN {
-                        let bound = (vt.as_nanos() as u128 + 1) << 64;
-                        self.fluid_drain(
-                            &mut slots,
-                            dst_box.as_mut(),
-                            route.dst,
-                            bound,
-                            &mut popped,
-                        );
-                    }
+                    self.fluid_tx_done(
+                        link_id,
+                        prop,
+                        vt,
+                        vk,
+                        &mut slots,
+                        dst_box.as_mut(),
+                        route.dst,
+                        &mut popped,
+                        &mut qops,
+                        &mut next_real,
+                        &mut real_key,
+                        &mut other,
+                    );
                 }
             }
         }
@@ -719,7 +1062,8 @@ impl Simulator {
         // Deferred deliveries already behind the clock drain now (the
         // real loop must never pop an event in its past); ones at or
         // after `self.time` materialise below and are processed by the
-        // real loop in exact order.
+        // real loop in exact order. After a halt, `fluid_deliver` has
+        // already drained every one before the halting delivery.
         let bound = (self.time.as_nanos() as u128) << 64;
         self.fluid_drain(&mut slots, dst_box.as_mut(), route.dst, bound, &mut popped);
 
@@ -728,33 +1072,32 @@ impl Simulator {
 
         // materialise what the window didn't get to — under the seqs the
         // events would have carried had they never been elided
-        if slots.timer != SLOT_EMPTY {
-            self.events.push_with_seq(
-                slot_time(slots.timer),
-                slots.timer as u64,
-                Event::Timer {
-                    agent: src,
-                    token: slots.token,
-                },
-            );
-        }
-        if slots.arrive != SLOT_EMPTY {
-            self.events.push_with_seq(
-                slot_time(slots.arrive),
-                slots.arrive as u64,
-                Event::Arrive {
-                    packet: slots.arrive_ref,
-                },
-            );
-        }
-        if slots.tx_done != SLOT_EMPTY {
-            self.events.push_with_seq(
-                slot_time(slots.tx_done),
-                slots.tx_done as u64,
-                Event::TxDone { link: link_id },
-            );
-        }
-        for (t, s, p) in slots.delivers.drain(..) {
+        let mut materialise = |key: SlotKey, event: Event| {
+            if key != SLOT_EMPTY {
+                self.events.push_with_seq(slot_time(key), key as u64, event);
+            }
+        };
+        materialise(
+            slots.timer,
+            Event::Timer {
+                agent: src,
+                token: slots.token,
+            },
+        );
+        materialise(
+            slots.arrive,
+            Event::Arrive {
+                packet: slots.arrive_ref,
+            },
+        );
+        materialise(
+            slots.probe,
+            Event::Arrive {
+                packet: slots.probe_ref,
+            },
+        );
+        materialise(slots.tx_done, Event::TxDone { link: link_id });
+        for (t, s, p) in slots.deferred.drain(..) {
             self.events.push_with_seq(
                 t,
                 s,
@@ -764,7 +1107,14 @@ impl Simulator {
                 },
             );
         }
-        self.fluid_scratch = slots.delivers;
+        for (t, s, agent, p) in slots.ordered.drain(..) {
+            self.events
+                .push_with_seq(t, s, Event::Deliver { agent, packet: p });
+        }
+        self.fluid_queues = DeliveryQueues {
+            deferred: slots.deferred,
+            ordered: slots.ordered,
+        };
         prof::count_n(Cost::EventsPopped, popped);
         prof::count_n(Cost::PacketsSimulated, arrivals);
         prof::count_n(Cost::FluidPackets, arrivals);
@@ -882,24 +1232,11 @@ impl Simulator {
     fn dispatch_agent(&mut self, id: AgentId, call: AgentCall) {
         // lint: allow(panic_free) -- agent ids index the simulator's own table; the box is only absent mid-dispatch, which never re-enters
         let mut agent = self.agents[id.0].take().expect("re-entrant agent dispatch");
-        {
-            let mut ctx = Ctx {
-                now: self.time,
-                agent: id,
-                events: &mut self.events,
-                arena: &mut self.arena,
-                next_packet_id: &mut self.next_packet_id,
-                injected: &mut self.counters.injected,
-                halt: &mut self.halt_requested,
-                recorder: self
-                    .recorder
-                    .as_deref_mut()
-                    .map(|r| r as &mut (dyn Recorder + 'static)),
-            };
-            match call {
-                AgentCall::Start => agent.on_start(&mut ctx),
-                AgentCall::Packet(p) => agent.on_packet(&mut ctx, p),
-            }
+        let mut ctx = self.ctx(id, self.time);
+        match call {
+            AgentCall::Start => agent.on_start(&mut ctx),
+            AgentCall::Timer(token) => agent.on_timer(&mut ctx, token),
+            AgentCall::Packet(p) => agent.on_packet(&mut ctx, p),
         }
         // lint: allow(panic_free) -- restoring the box taken above; same id
         self.agents[id.0] = Some(agent);
@@ -928,6 +1265,7 @@ impl Drop for Simulator {
 
 enum AgentCall {
     Start,
+    Timer(u64),
     Packet(Packet),
 }
 
@@ -958,17 +1296,35 @@ fn slot_time(k: SlotKey) -> SimTime {
 /// keeping drains rare enough to amortise.
 const DELIVER_DRAIN: usize = 32;
 
+/// Cost tallies of a window step run out of line
+/// ([`Simulator::fluid_carried`], [`Simulator::fluid_absorb`]). Returned
+/// by value, so the window's own tallies stay out of memory the step
+/// could write.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Events processed, virtual or absorbed (`Cost::EventsPopped`).
+    popped: u64,
+    /// Arrivals offered to the link (`Cost::PacketsSimulated` and
+    /// `Cost::FluidPackets`).
+    arrivals: u64,
+    /// Accepted enqueues and completed transmissions (`Cost::QueueOps`).
+    qops: u64,
+}
+
 /// The fluid window's virtual event set. The window's structure bounds
-/// it exactly: at most one pending timer fire (the source re-arms once
-/// per packet), one arrival (created at the fire instant and consumed
-/// before the next fire), and one transmission completion (the link
-/// serialises one packet at a time). In-flight deliveries are kept
-/// aside in a deque — a FIFO link with constant propagation delay
-/// produces them in strictly increasing `(time, seq)` order, and they
-/// never compete for selection because they are drained lazily
-/// ([`Simulator::fluid_drain`]). Selecting the next event is therefore
-/// a branch-light three-way minimum over packed keys instead of a
-/// priority-queue operation.
+/// it exactly: at most one pending timer fire of the source (it re-arms
+/// once per packet), one arrival of the source (created at the fire
+/// instant and consumed before the next fire), one carried probe arrival
+/// (created when the window takes a packet timer; a second one while it
+/// is pending closes the window), and one transmission completion (the
+/// link serialises one packet at a time). In-flight deliveries wait in
+/// two deques — a FIFO link with constant propagation delay produces
+/// them in strictly increasing `(time, seq)` order. Deliveries to the
+/// source's sink are deferred and never compete for selection
+/// ([`Simulator::fluid_drain`]); deliveries to any other recording sink
+/// compete through `aux`. Selecting the next event is therefore a
+/// branch-light minimum over packed keys instead of a priority-queue
+/// operation.
 struct FluidSlots {
     src: AgentId,
     /// Token the source's timer chain carries (re-armed unchanged).
@@ -977,7 +1333,15 @@ struct FluidSlots {
     arrive: SlotKey,
     arrive_ref: PacketRef,
     tx_done: SlotKey,
-    delivers: std::collections::VecDeque<(SimTime, u64, PacketRef)>,
+    /// A carried probe packet's arrival.
+    probe: SlotKey,
+    probe_ref: PacketRef,
+    /// `min(probe, key of the front of ordered)`.
+    aux: SlotKey,
+    /// Deliveries to the source's passive sink.
+    deferred: VecDeque<(SimTime, u64, PacketRef)>,
+    /// Deliveries to other recording sinks, each run at its own position.
+    ordered: VecDeque<(SimTime, u64, AgentId, PacketRef)>,
 }
 
 /// Which slot [`FluidSlots::min_key`] selected.
@@ -988,15 +1352,21 @@ enum FluidNext {
     TxDone,
 }
 
+/// The window's delivery queues, kept on the simulator between windows.
+#[derive(Default)]
+struct DeliveryQueues {
+    deferred: VecDeque<(SimTime, u64, PacketRef)>,
+    ordered: VecDeque<(SimTime, u64, AgentId, PacketRef)>,
+}
+
 impl FluidSlots {
-    /// `delivers` is the simulator's reusable scratch deque (always
-    /// empty here) — windows open allocation-free.
-    fn new(
-        src: AgentId,
-        token: u64,
-        delivers: std::collections::VecDeque<(SimTime, u64, PacketRef)>,
-    ) -> Self {
-        debug_assert!(delivers.is_empty(), "fluid scratch handed over non-empty");
+    /// The slots of a window of `src`'s timer chain, over the
+    /// simulator's reusable (empty) delivery queues.
+    fn new(src: AgentId, token: u64, queues: DeliveryQueues) -> Self {
+        debug_assert!(
+            queues.deferred.is_empty() && queues.ordered.is_empty(),
+            "fluid deliveries left over from the last window"
+        );
         FluidSlots {
             src,
             token,
@@ -1004,15 +1374,20 @@ impl FluidSlots {
             arrive: SLOT_EMPTY,
             arrive_ref: PacketRef::DANGLING,
             tx_done: SLOT_EMPTY,
-            delivers,
+            probe: SLOT_EMPTY,
+            probe_ref: PacketRef::DANGLING,
+            aux: SLOT_EMPTY,
+            deferred: queues.deferred,
+            ordered: queues.ordered,
         }
     }
 
-    /// The earliest pending selectable event in full `(time, seq)`
-    /// order. Sequence numbers are unique, so the order is total and
-    /// the selection matches what a merged priority queue would pop.
+    /// The earliest pending event of the source's cycle (timer, arrival,
+    /// transmission completion) in full `(time, seq)` order, or
+    /// `SLOT_EMPTY`. Sequence numbers are unique, so the order is total
+    /// and the selection matches what a merged priority queue would pop.
     #[inline]
-    fn min_key(&self) -> Option<(SlotKey, FluidNext)> {
+    fn min_key(&self) -> (SlotKey, FluidNext) {
         let mut k = self.timer;
         let mut w = FluidNext::Timer;
         if self.arrive < k {
@@ -1023,22 +1398,39 @@ impl FluidSlots {
             k = self.tx_done;
             w = FluidNext::TxDone;
         }
-        if k == SLOT_EMPTY {
-            None
-        } else {
-            Some((k, w))
-        }
+        (k, w)
+    }
+
+    /// Recomputes `aux` after the probe slot or the ordered deque changed.
+    #[inline]
+    fn refresh_aux(&mut self) {
+        let front = self
+            .ordered
+            .front()
+            .map_or(SLOT_EMPTY, |&(t, s, _, _)| slot_key(t, s));
+        self.aux = self.probe.min(front);
     }
 
     #[inline]
-    fn push_deliver(&mut self, t: SimTime, s: u64, pkt: PacketRef) {
+    fn push_deferred(&mut self, t: SimTime, s: u64, pkt: PacketRef) {
         debug_assert!(
-            self.delivers
+            self.deferred
                 .back()
                 .is_none_or(|&(bt, bs, _)| (bt, bs) < (t, s)),
             "fluid deliveries out of order"
         );
-        self.delivers.push_back((t, s, pkt));
+        self.deferred.push_back((t, s, pkt));
+    }
+
+    fn push_ordered(&mut self, t: SimTime, s: u64, agent: AgentId, pkt: PacketRef) {
+        debug_assert!(
+            self.ordered
+                .back()
+                .is_none_or(|&(bt, bs, _, _)| (bt, bs) < (t, s)),
+            "fluid deliveries out of order"
+        );
+        self.ordered.push_back((t, s, agent, pkt));
+        self.refresh_aux();
     }
 }
 

@@ -343,6 +343,7 @@ impl TcpSender {
         self.dup_acks = 0;
         self.rto_backoff = 0;
 
+        let before = self.phase;
         match self.phase {
             Phase::FastRecovery => {
                 if ack >= self.recover {
@@ -370,7 +371,10 @@ impl TcpSender {
             }
         }
 
-        if ctx.recorder_active() {
+        // one line per phase change an ACK makes (slow start ends, or
+        // recovery exits); the changes into recovery and back to slow
+        // start come with a `tcp.loss` line
+        if self.phase != before && ctx.recorder_active() {
             ctx.emit(
                 "tcp.cwnd",
                 &[
@@ -556,6 +560,53 @@ mod tests {
         );
         // no spurious over-delivery: goodput cannot exceed capacity
         assert!(rate <= 5e6 * 1.01);
+    }
+
+    #[test]
+    fn cwnd_lines_mark_phase_changes() {
+        use abw_obs::{MemoryRecorder, OwnedValue};
+        use std::sync::{Arc, Mutex};
+
+        // the small buffer forces fast retransmits and timeouts, so the
+        // flow changes phase many times
+        let (mut sim, path, sink) = topo(5e6, SimDuration::from_millis(10), 8);
+        let trace = Arc::new(Mutex::new(MemoryRecorder::new()));
+        sim.set_recorder(Box::new(trace.clone()));
+        let cfg = TcpConfig::bulk(path, sink, FlowId(1));
+        let sender = sim.add_agent(Box::new(TcpSender::new(cfg)));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+        let events = trace.lock().expect("recorder lock").take_events();
+        let text = |e: &abw_obs::OwnedEvent, name: &str| match e.field(name) {
+            Some(OwnedValue::Str(s)) => s.clone(),
+            other => panic!("{}: field `{name}` is {other:?}", e.kind),
+        };
+        // every `tcp.cwnd` line reports a phase the flow was not in: the
+        // phase of its previous `tcp.cwnd` line, or the one a `tcp.loss`
+        // line starts
+        let mut phase = Phase::SlowStart.as_str().to_string();
+        let mut changes = 0;
+        for e in &events {
+            match e.kind.as_str() {
+                "tcp.cwnd" => {
+                    let next = text(e, "phase");
+                    assert_ne!(next, phase, "a `tcp.cwnd` line at {} ns", e.t_ns);
+                    phase = next;
+                    changes += 1;
+                }
+                "tcp.loss" => {
+                    phase = match text(e, "kind").as_str() {
+                        "fast_retransmit" => Phase::FastRecovery,
+                        _ => Phase::SlowStart,
+                    }
+                    .as_str()
+                    .to_string();
+                }
+                _ => {}
+            }
+        }
+        let s: &TcpSender = sim.agent(sender);
+        assert!(s.retransmits > 0, "the flow must lose packets");
+        assert!(changes > 1, "only {changes} phase changes traced");
     }
 
     #[test]

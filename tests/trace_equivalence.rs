@@ -182,3 +182,32 @@ fn traced_and_untraced_runs_have_identical_cost_counters() {
         assert_eq!(a, b, "cost counter `{name}`: untraced {a} != traced {b}");
     }
 }
+
+#[test]
+fn fuzz_trace_holds_the_serial_leg_once() {
+    use abw_core::scenario::dsl;
+    use abw_core::scenario::fuzz::{self, FuzzConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let _guard = global_lock();
+    // seed 3 generates light scenarios; two workers make the parallel
+    // leg run on real worker threads
+    let mut config = FuzzConfig::new(3, 1);
+    config.jobs = 2;
+    let mut report = None;
+    let fuzzed = traced(|| report = Some(fuzz::run(&config)));
+    let report = report.expect("the fuzz run ran");
+    assert!(report.failures.is_empty(), "seed 3 must pass");
+    // the parallel and fluid-off legs are compared with the serial one,
+    // not recorded: the trace is one serial traced run of the spec
+    let spec = fuzz::gen_spec(&mut StdRng::seed_from_u64(3), 3, 0);
+    let serial = traced(|| {
+        dsl::run_specs(std::slice::from_ref(&spec), &Executor::serial());
+    });
+    assert!(!serial.is_empty(), "the serial run wrote a trace");
+    assert_eq!(
+        String::from_utf8_lossy(&fuzzed),
+        String::from_utf8_lossy(&serial)
+    );
+}

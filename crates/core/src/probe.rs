@@ -80,27 +80,17 @@ impl Agent for ProbeSender {
             self.current = Some((spec, id));
             return;
         }
-        let p = self
-            .timer_packet(token)
-            .expect("packet timer with no stream");
-        ctx.send(p);
-    }
-
-    /// A per-packet timer (token = packet index) only sends its packet,
-    /// so a fluid window on a single-link path can take it.
-    fn timer_packet(&self, token: u64) -> Option<Packet> {
-        if token == TOKEN_LAUNCH {
-            return None;
-        }
-        let (spec, id) = self.current.as_ref()?;
-        Some(packet_to(
+        // per-packet timer: token is the packet index
+        let (spec, id) = self.current.as_ref().expect("packet timer with no stream");
+        let p = packet_to(
             self.dst,
             self.path,
             self.flow,
             spec.size(),
             token,
             PacketKind::Probe { stream: *id },
-        ))
+        );
+        ctx.send(p);
     }
 }
 

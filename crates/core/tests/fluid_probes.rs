@@ -1,9 +1,9 @@
 //! The fluid window carrying probe streams: on a single-link path it
-//! takes the probe sender's packet timers, serves the probe packets and
+//! runs the probe sender's packet timers, serves the probe packets and
 //! runs the receiver's halting deliveries, and every stream (and every
 //! tool round) must come out exactly as on the per-event path.
 //!
-//! Both tests read `Cost::FluidPackets` deltas, which are process-wide
+//! The tests read `Cost::FluidPackets` deltas, which are process-wide
 //! once flushed, so they take turns on one lock and this file holds no
 //! other test.
 

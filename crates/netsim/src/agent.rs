@@ -6,13 +6,12 @@
 //! down a path, delivering directly to a peer (uncongested reverse path),
 //! and scheduling timers.
 //!
-//! Three optional methods declare what an agent does, so that the
+//! Two optional methods declare what an agent does, so that the
 //! simulator's fluid window can run its events without dispatching
-//! them: [`Agent::fluid_source`] (a cross-traffic source's timer loop),
-//! [`Agent::timer_packet`] (a timer that only sends one packet) and
-//! [`Agent::sink_role`] (a sink that only records what arrives, and
-//! whether it may halt the run). The defaults keep an agent on the
-//! per-event path.
+//! them one by one: [`Agent::fluid_source`] (a cross-traffic source's
+//! timer loop) and [`Agent::sink_role`] (a sink that only records what
+//! arrives, and whether it may halt the run). The defaults keep an
+//! agent's packets on the per-event path.
 
 use std::any::Any;
 
@@ -60,16 +59,6 @@ pub trait Agent: Any + Send {
     /// [`SinkRole::Active`], keeps every delivery on the per-event path.
     fn sink_role(&self) -> SinkRole {
         SinkRole::Active
-    }
-
-    /// The packet that firing timer `token` sends, when sending it is
-    /// all the timer does: `on_timer(ctx, token)` must then be exactly
-    /// `ctx.send(packet)`, with no other change to the agent. A fluid
-    /// window that carries the packet's link takes such a timer from the
-    /// queue and makes the send itself, with the mutations
-    /// [`Ctx::send`] makes. `None` (the default) for every other timer.
-    fn timer_packet(&self, _token: u64) -> Option<Packet> {
-        None
     }
 }
 

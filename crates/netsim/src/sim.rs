@@ -7,13 +7,13 @@
 //! timer fire, arrival, transmission completion, delivery — as plain
 //! state mutation in the merged `(time, seq)` order against the real
 //! queue. On a link that no multi-link path crosses it also carries the
-//! link's other traffic: packet timers ([`Agent::timer_packet`]) such as
-//! a probe stream's, other arrivals at the link, its transmission
-//! completions, other agents' timers, and deliveries to recording sinks
-//! ([`SinkRole`]), including the probe receiver's, which may halt the
-//! run. It closes before any event it cannot carry, materialising what
-//! it elided under the sequence numbers the events would have had, so
-//! every observable state is the per-event loop's.
+//! link's other traffic: it runs other agents' timers in place (a probe
+//! stream's packet timers among them), offers their arrivals at the
+//! link, absorbs its transmission completions, and runs deliveries to
+//! recording sinks ([`SinkRole`]), the probe receiver's included, which
+//! may halt the run. It closes before any event it cannot carry,
+//! materialising what it elided under the sequence numbers the events
+//! would have had, so every observable state is the per-event loop's.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -498,6 +498,7 @@ impl Simulator {
     /// sink, and if this delivery halts the run, every event before it
     /// has then run and none after it.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn fluid_deliver(
         &mut self,
         slots: &mut FluidSlots,
@@ -677,91 +678,51 @@ impl Simulator {
         }
     }
 
-    /// The packet a real timer at the head of the queue sends, when the
-    /// window can take the send over: its agent sends exactly one packet
-    /// ([`Agent::timer_packet`]) down a path of this one link, with a TTL
-    /// that survives the hop, and no carried arrival is pending.
-    fn takeable_timer(
-        &self,
-        agent: AgentId,
-        token: u64,
-        link_id: LinkId,
-        slots: &FluidSlots,
-    ) -> Option<Packet> {
-        if slots.probe != SLOT_EMPTY {
-            return None;
-        }
-        // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-        let p = self.agents[agent.0].as_deref()?.timer_packet(token)?;
-        // lint: allow(panic_free) -- the agent built the packet on a simulator-issued path
-        let one_link = self.paths[p.path.0].as_slice() == [link_id];
-        (one_link && p.ttl > 1).then_some(p)
-    }
-
-    /// The carried step at `slots.aux`, due before everything else
-    /// pending (the clock is not yet set): a carried probe arrival, or an
-    /// ordered delivery. Neither touches the queue. Out of line, so the
-    /// source's cycle stays a tight loop.
-    #[cold]
+    /// The ordered delivery at `slots.aux`, due before everything else
+    /// pending (the clock is not yet set). It does not touch the queue.
+    /// Out of line, so the source's cycle stays a tight loop.
     #[inline(never)]
-    fn fluid_carried(
+    fn fluid_ordered(
         &mut self,
         slots: &mut FluidSlots,
         dst_box: &mut dyn Agent,
         dst_id: AgentId,
-        link_id: LinkId,
     ) -> Tally {
         let mut t = Tally {
             popped: 1,
             ..Tally::default()
         };
         let key = slots.aux;
-        let vt = slot_time(key);
-        self.time = vt;
-        if key == slots.probe {
-            let packet = slots.probe_ref;
-            slots.probe = SLOT_EMPTY;
-            slots.refresh_aux();
-            self.fluid_arrive(packet, link_id, vt, slots, &mut t.arrivals, &mut t.qops);
-        } else {
-            // lint: allow(panic_free) -- aux below the probe slot is the ordered front
-            let (_, _, agent, packet) = slots.ordered.pop_front().expect("ordered front");
-            slots.refresh_aux();
-            self.fluid_deliver(slots, dst_box, dst_id, key, agent, packet, &mut t.popped);
-        }
+        self.time = slot_time(key);
+        // lint: allow(panic_free) -- aux below SLOT_EMPTY is the ordered front's key
+        let (_, _, agent, packet) = slots.ordered.pop_front().expect("ordered front");
+        slots.refresh_aux();
+        self.fluid_deliver(slots, dst_box, dst_id, key, agent, packet, &mut t.popped);
         t
     }
 
-    /// The real head, due before everything the window holds: absorbs
+    /// The real head `(rt, key, event)`, due before everything the
+    /// window holds and not a delivery to the window's own sink: absorbs
     /// it when the window can, and returns whether it did, with the
     /// step's tallies. Out of line, so the source's cycle stays a tight
     /// loop.
-    #[cold]
+    #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn fluid_absorb(
         &mut self,
         slots: &mut FluidSlots,
         dst_box: &mut dyn Agent,
-        route: &FluidRoute,
+        dst_id: AgentId,
         link_id: LinkId,
         carry: bool,
+        rt: SimTime,
+        key: SlotKey,
+        event: Event,
     ) -> (bool, Tally) {
         let mut t = Tally::default();
-        let Some((rt, rs, event)) = self.events.peek_entry() else {
-            return (false, t);
-        };
-        if rt > self.run_deadline {
-            return (false, t);
-        }
-        let real_key = slot_key(rt, rs);
         match event {
             Event::Deliver { agent, packet } => {
-                let role = if agent == route.dst {
-                    SinkRole::Passive
-                } else {
-                    self.sink_role_of(agent)
-                };
-                let absorb = match role {
+                let absorb = match self.sink_role_of(agent) {
                     SinkRole::Passive => true,
                     SinkRole::Halting => carry,
                     SinkRole::Active => false,
@@ -772,15 +733,7 @@ impl Simulator {
                 self.events.pop();
                 t.popped += 1;
                 self.time = rt;
-                self.fluid_deliver(
-                    slots,
-                    dst_box,
-                    route.dst,
-                    real_key,
-                    agent,
-                    packet,
-                    &mut t.popped,
-                );
+                self.fluid_deliver(slots, dst_box, dst_id, key, agent, packet, &mut t.popped);
             }
             Event::Arrive { packet } if carry => {
                 // an arrival at this link that survives the hop: offered
@@ -809,10 +762,10 @@ impl Simulator {
                     link_id,
                     prop,
                     rt,
-                    real_key,
+                    key,
                     slots,
                     dst_box,
-                    route.dst,
+                    dst_id,
                     &mut t.popped,
                     &mut t.qops,
                     &mut next,
@@ -821,59 +774,25 @@ impl Simulator {
                 );
             }
             Event::Timer { agent, token } if carry => {
-                let Some(p) = self.takeable_timer(agent, token, link_id, slots) else {
-                    // Any other timer runs here as the per-event loop would
-                    // run it: it can reach only its own agent and the
-                    // queue, never what the window holds back. A cross
-                    // source's timer closes the window instead: it opens
-                    // its own.
-                    // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-                    let Some(a) = self.agents[agent.0].as_mut() else {
-                        return (false, t);
-                    };
-                    if a.fluid_source().is_some() {
-                        return (false, t);
-                    }
-                    self.events.pop();
-                    t.popped += 1;
-                    self.time = rt;
-                    self.dispatch_agent(agent, AgentCall::Timer(token));
-                    return (true, t);
+                // Any timer but a cross source's runs here, as the
+                // per-event loop would run it: it reaches only its own
+                // agent and the queue, never what the window holds back.
+                // A probe sender's packet timer pushes its arrival, which
+                // the window then offers to the link like any other. A
+                // cross source's timer closes the window: it opens its
+                // own. So does a timer of the window's source or sink,
+                // whose box is out of the table.
+                // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+                let Some(a) = self.agents[agent.0].as_mut() else {
+                    return (false, t);
                 };
+                if a.fluid_source().is_some() {
+                    return (false, t);
+                }
                 self.events.pop();
                 t.popped += 1;
                 self.time = rt;
-                // `Ctx::send`'s mutations, the arrival under the seq the
-                // push would take
-                let packet = inject(
-                    &mut self.arena,
-                    &mut self.next_packet_id,
-                    &mut self.counters.injected,
-                    agent,
-                    rt,
-                    p,
-                );
-                let arrive = slot_key(rt, self.events.consume_seq());
-                // As after a source's fire: the arrival holds the newest
-                // seq, so unless another pending key shares its
-                // nanosecond it is the next selection, and runs now.
-                let rest = self
-                    .events
-                    .peek_entry()
-                    .map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s))
-                    .min(slots.aux);
-                let t_hi = arrive & KEY_TIME;
-                let shared = [slots.timer, slots.arrive, slots.tx_done, rest]
-                    .iter()
-                    .any(|&k| k & KEY_TIME == t_hi);
-                if shared {
-                    slots.probe = arrive;
-                    slots.probe_ref = packet;
-                    slots.refresh_aux();
-                } else {
-                    t.popped += 1; // the elided selection still counts
-                    self.fluid_arrive(packet, link_id, rt, slots, &mut t.arrivals, &mut t.qops);
-                }
+                self.dispatch_agent(agent, AgentCall::Timer(token));
             }
             _ => return (false, t),
         }
@@ -889,14 +808,13 @@ impl Simulator {
     /// link/sink/counter mutations at the same timestamps the per-event
     /// loop would. On a link that no multi-link path crosses, every
     /// packet the link serves is delivered right after it, and the
-    /// window carries all of the link's traffic: it takes packet timers
-    /// whose packets cross only this link ([`Agent::timer_packet`]) from
-    /// the queue and offers their arrivals through the same
-    /// [`Link::enqueue`], as it offers any real arrival at the link; it
-    /// absorbs the link's real transmission completions, runs other
-    /// agents' timers in place, and runs deliveries to halting sinks
-    /// such as a probe receiver. On a link shared with a multi-link path
-    /// it carries only its source's packets.
+    /// window carries all of the link's traffic: it runs other agents'
+    /// timers in place (a probe stream's packet timers among them),
+    /// offers every real arrival at the link through the same
+    /// [`Link::enqueue`], absorbs the link's real transmission
+    /// completions, and runs deliveries to halting sinks such as a probe
+    /// receiver. On a link shared with a multi-link path it carries only
+    /// its source's packets.
     ///
     /// Deliveries to the source's passive sink are deferred and drained
     /// in batches — legal because their only observers are the sink, the
@@ -946,9 +864,8 @@ impl Simulator {
         // The head of the real queue, re-read only after an operation
         // that can change it: a pop, an agent dispatch, or a delivery to
         // an active agent pushed by a completion. `other` is the earliest
-        // event outside the source's cycle (the real head, a carried probe
-        // arrival or an ordered delivery), so the cycle pays one
-        // comparison for all three.
+        // event outside the source's cycle (the real head or an ordered
+        // delivery), so the cycle pays one comparison for both.
         let mut next_real = self.events.peek_entry();
         let mut real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
         let mut other = real_key.min(slots.aux);
@@ -959,34 +876,68 @@ impl Simulator {
             let (vk, which) = slots.min_key();
 
             if other < vk {
-                let (ran, t) = if slots.aux < real_key {
+                if slots.aux < real_key {
                     if slot_time(slots.aux) > deadline {
                         break;
                     }
-                    let t = self.fluid_carried(&mut slots, dst_box.as_mut(), route.dst, link_id);
-                    (true, t)
+                    let t = self.fluid_ordered(&mut slots, dst_box.as_mut(), route.dst);
+                    popped += t.popped;
                 } else {
+                    // lint: allow(panic_free) -- real_key < SLOT_EMPTY implies peek_entry was Some
+                    let (rt, _, rev) = next_real.expect("real key implies a real head");
                     // Nothing virtual pending: leftover deliveries
-                    // materialise below. On a transit link only a
-                    // delivery can be absorbed: anything else closes the
-                    // window here, before the out-of-line step.
-                    let absorbable =
-                        carry || matches!(next_real, Some((_, _, Event::Deliver { .. })));
-                    if !absorbable || (vk == SLOT_EMPTY && slots.aux == SLOT_EMPTY) {
+                    // materialise below.
+                    if rt > deadline || (vk == SLOT_EMPTY && slots.aux == SLOT_EMPTY) {
                         break;
                     }
-                    let (ran, t) =
-                        self.fluid_absorb(&mut slots, dst_box.as_mut(), &route, link_id, carry);
-                    if ran {
-                        next_real = self.events.peek_entry();
-                        real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
+                    match rev {
+                        // What this source's earlier windows
+                        // materialised, on any link: delivered in line.
+                        Event::Deliver { agent, packet } if agent == route.dst => {
+                            self.events.pop();
+                            popped += 1;
+                            self.time = rt;
+                            self.fluid_deliver(
+                                &mut slots,
+                                dst_box.as_mut(),
+                                route.dst,
+                                real_key,
+                                agent,
+                                packet,
+                                &mut popped,
+                            );
+                        }
+                        // On a transit link only a delivery can be
+                        // absorbed: anything else closes the window here,
+                        // before the out-of-line step.
+                        Event::Arrive { .. } | Event::TxDone { .. } | Event::Timer { .. }
+                            if !carry =>
+                        {
+                            break;
+                        }
+                        _ => {
+                            let (ran, t) = self.fluid_absorb(
+                                &mut slots,
+                                dst_box.as_mut(),
+                                route.dst,
+                                link_id,
+                                carry,
+                                rt,
+                                real_key,
+                                rev,
+                            );
+                            popped += t.popped;
+                            arrivals += t.arrivals;
+                            qops += t.qops;
+                            if !ran {
+                                break;
+                            }
+                        }
                     }
-                    (ran, t)
-                };
-                popped += t.popped;
-                arrivals += t.arrivals;
-                qops += t.qops;
-                if !ran || self.halt_requested {
+                    next_real = self.events.peek_entry();
+                    real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
+                }
+                if self.halt_requested {
                     break;
                 }
                 other = real_key.min(slots.aux);
@@ -1088,12 +1039,6 @@ impl Simulator {
             slots.arrive,
             Event::Arrive {
                 packet: slots.arrive_ref,
-            },
-        );
-        materialise(
-            slots.probe,
-            Event::Arrive {
-                packet: slots.probe_ref,
             },
         );
         materialise(slots.tx_done, Event::TxDone { link: link_id });
@@ -1297,7 +1242,7 @@ fn slot_time(k: SlotKey) -> SimTime {
 const DELIVER_DRAIN: usize = 32;
 
 /// Cost tallies of a window step run out of line
-/// ([`Simulator::fluid_carried`], [`Simulator::fluid_absorb`]). Returned
+/// ([`Simulator::fluid_ordered`], [`Simulator::fluid_absorb`]). Returned
 /// by value, so the window's own tallies stay out of memory the step
 /// could write.
 #[derive(Clone, Copy, Default)]
@@ -1314,17 +1259,16 @@ struct Tally {
 /// The fluid window's virtual event set. The window's structure bounds
 /// it exactly: at most one pending timer fire of the source (it re-arms
 /// once per packet), one arrival of the source (created at the fire
-/// instant and consumed before the next fire), one carried probe arrival
-/// (created when the window takes a packet timer; a second one while it
-/// is pending closes the window), and one transmission completion (the
-/// link serialises one packet at a time). In-flight deliveries wait in
-/// two deques — a FIFO link with constant propagation delay produces
-/// them in strictly increasing `(time, seq)` order. Deliveries to the
-/// source's sink are deferred and never compete for selection
-/// ([`Simulator::fluid_drain`]); deliveries to any other recording sink
-/// compete through `aux`. Selecting the next event is therefore a
-/// branch-light minimum over packed keys instead of a priority-queue
-/// operation.
+/// instant and consumed before the next fire), and one transmission
+/// completion (the link serialises one packet at a time). Every other
+/// packet the window carries, a probe packet among them, arrives through
+/// the real queue. In-flight deliveries wait in two deques — a FIFO link
+/// with constant propagation delay produces them in strictly increasing
+/// `(time, seq)` order. Deliveries to the source's sink are deferred and
+/// never compete for selection ([`Simulator::fluid_drain`]); deliveries
+/// to any other recording sink compete through `aux`. Selecting the next
+/// event is therefore a branch-light minimum over packed keys instead of
+/// a priority-queue operation.
 struct FluidSlots {
     src: AgentId,
     /// Token the source's timer chain carries (re-armed unchanged).
@@ -1333,10 +1277,7 @@ struct FluidSlots {
     arrive: SlotKey,
     arrive_ref: PacketRef,
     tx_done: SlotKey,
-    /// A carried probe packet's arrival.
-    probe: SlotKey,
-    probe_ref: PacketRef,
-    /// `min(probe, key of the front of ordered)`.
+    /// Key of the front of `ordered`, or `SLOT_EMPTY`.
     aux: SlotKey,
     /// Deliveries to the source's passive sink.
     deferred: VecDeque<(SimTime, u64, PacketRef)>,
@@ -1374,8 +1315,6 @@ impl FluidSlots {
             arrive: SLOT_EMPTY,
             arrive_ref: PacketRef::DANGLING,
             tx_done: SLOT_EMPTY,
-            probe: SLOT_EMPTY,
-            probe_ref: PacketRef::DANGLING,
             aux: SLOT_EMPTY,
             deferred: queues.deferred,
             ordered: queues.ordered,
@@ -1401,14 +1340,13 @@ impl FluidSlots {
         (k, w)
     }
 
-    /// Recomputes `aux` after the probe slot or the ordered deque changed.
+    /// Recomputes `aux` after the ordered deque changed.
     #[inline]
     fn refresh_aux(&mut self) {
-        let front = self
+        self.aux = self
             .ordered
             .front()
             .map_or(SLOT_EMPTY, |&(t, s, _, _)| slot_key(t, s));
-        self.aux = self.probe.min(front);
     }
 
     #[inline]

@@ -1,11 +1,12 @@
-//! The fluid window carrying probe streams: on a single-link path it
-//! runs the probe sender's packet timers, serves the probe packets and
-//! runs the receiver's halting deliveries, and every stream (and every
-//! tool round) must come out exactly as on the per-event path.
+//! The fluid window carrying probe streams: it runs the probe sender's
+//! packet timers, serves the probe packets hop by hop on every link it
+//! holds and runs the receiver's halting deliveries, and every stream
+//! (and every tool round) must come out exactly as on the per-event
+//! path, on one link and on paths of several.
 //!
-//! The tests read `Cost::FluidPackets` deltas, which are process-wide
-//! once flushed, so they take turns on one lock and this file holds no
-//! other test.
+//! The tests read `prof` cost deltas, which are process-wide once
+//! flushed, so they take turns on one lock and this file holds no other
+//! test.
 
 use std::sync::Mutex;
 
@@ -14,30 +15,48 @@ use abw_core::scenario::{CrossKind, HopSpec, Scenario};
 use abw_core::stream::StreamSpec;
 use abw_core::tools::registry::{self, ToolConfig};
 use abw_netsim::{ImpairmentConfig, LinkCounters, LossModel, SimCounters, SimDuration, SimTime};
-use abw_obs::prof::{self, Cost};
+use abw_obs::prof::{self, Cost, CostSnapshot, ALL_COSTS};
 
 static MEASURING: Mutex<()> = Mutex::new(());
 
-/// Runs `f` and returns its result with the packets the fluid window
-/// simulated meanwhile.
-fn with_fluid_packets<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// Runs `f` and returns its result with the cost counters it added. The
+/// simulator must be dropped inside `f`, so that the totals it adds then
+/// (`Injected`, `Delivered`, …) count too.
+fn with_costs<T>(f: impl FnOnce() -> T) -> (T, CostSnapshot) {
     let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let before = prof::snapshot();
     let out = f();
-    (out, prof::snapshot().delta(&before).get(Cost::FluidPackets))
+    (out, prof::snapshot().delta(&before))
+}
+
+/// Asserts that a run with the window on cost what the run with it off
+/// did, in every counter but the window's own: the same events popped,
+/// packets simulated, queue operations, RNG draws and simulator totals.
+fn assert_same_costs(on: &CostSnapshot, off: &CostSnapshot, case: &str) {
+    for cost in ALL_COSTS {
+        if matches!(cost, Cost::FluidPackets | Cost::FfSkips) {
+            continue;
+        }
+        assert_eq!(on.get(cost), off.get(cost), "{case}: {}", cost.name());
+    }
+}
+
+/// Every link's counters, busy time and peak queue depth.
+type LinkStates = Vec<(LinkCounters, SimDuration, u64)>;
+
+fn link_states(s: &Scenario) -> LinkStates {
+    s.links
+        .iter()
+        .map(|&l| {
+            let l = s.sim.link(l);
+            (l.counters(), l.busy_log().total_busy(), l.peak_queue_pkts())
+        })
+        .collect()
 }
 
 /// Everything a stream leaves behind: its records, the clock after it,
-/// the packet counters, and the link's counters, busy time and peak
-/// queue depth.
-type StreamObservables = (
-    Vec<ProbeRecord>,
-    SimTime,
-    SimCounters,
-    LinkCounters,
-    SimDuration,
-    u64,
-);
+/// the packet counters, and every link's state.
+type StreamObservables = (Vec<ProbeRecord>, SimTime, SimCounters, LinkStates);
 
 /// Periodic streams below and above the avail-bw, a pair and a chirp,
 /// with the gaps before them that move each launch against the cross
@@ -89,14 +108,14 @@ fn streams() -> Vec<(StreamSpec, SimDuration)> {
     ]
 }
 
-/// Warms a single hop up with the window on or off, sends every stream
-/// through `ProbeRunner::run_stream`, and returns what each stream left
-/// behind plus the cross packets injected while probing.
-fn probe(hop: &HopSpec, fluid: bool) -> (Vec<StreamObservables>, u64, u64) {
-    let mut s = Scenario::from_hops(vec![hop.clone()], 23);
+/// Warms the path `hops` up with the window on or off, sends every
+/// stream through `ProbeRunner::run_stream`, and returns what each
+/// stream left behind, the cross packets injected while probing, the
+/// probe packets sent, and the arrivals at each link.
+fn probe(hops: &[HopSpec], fluid: bool) -> (Vec<StreamObservables>, u64, u64, Vec<u64>) {
+    let mut s = Scenario::from_hops(hops.to_vec(), 23);
     s.sim.set_fluid(fluid);
     s.warm_up(SimDuration::from_millis(200));
-    let link = s.links[0];
     let mut runner = s.runner();
     let injected_before = s.sim.counters().injected;
     let mut probes = 0u64;
@@ -105,18 +124,21 @@ fn probe(hop: &HopSpec, fluid: bool) -> (Vec<StreamObservables>, u64, u64) {
         runner.stream_gap = gap;
         let r = runner.run_stream(&mut s.sim, &spec);
         probes += u64::from(spec.count());
-        let l = s.sim.link(link);
-        out.push((
-            r.records,
-            s.sim.now(),
-            s.sim.counters(),
-            l.counters(),
-            l.busy_log().total_busy(),
-            l.peak_queue_pkts(),
-        ));
+        out.push((r.records, s.sim.now(), s.sim.counters(), link_states(&s)));
     }
     let cross = s.sim.counters().injected - injected_before - probes;
-    (out, cross, probes)
+    // every packet that reached a link: served, still queued (the one
+    // on the wire included), or lost there
+    let arrivals = s
+        .links
+        .iter()
+        .map(|&l| {
+            let l = s.sim.link(l);
+            let c = l.counters();
+            c.forwarded_pkts + l.queue_len() as u64 + c.dropped_pkts + c.impaired_pkts
+        })
+        .collect();
+    (out, cross, probes, arrivals)
 }
 
 /// The link impairments the window admits: none, or ingress loss.
@@ -125,79 +147,146 @@ fn ingress_only() -> Vec<(&'static str, Option<ImpairmentConfig>)> {
         ("pristine", None),
         ("1% loss", Some(ImpairmentConfig::iid_loss(0.01))),
         ("30% loss", Some(ImpairmentConfig::iid_loss(0.3))),
-        (
-            "Gilbert-Elliott",
-            Some(
-                ImpairmentConfig::none().with_loss(LossModel::GilbertElliott {
-                    p_good_to_bad: 0.05,
-                    p_bad_to_good: 0.3,
-                    loss_bad: 0.5,
-                    loss_good: 0.0,
-                }),
-            ),
-        ),
+        ("Gilbert-Elliott", Some(gilbert_elliott())),
         ("total loss", Some(ImpairmentConfig::iid_loss(1.0))),
     ]
 }
 
-#[test]
-fn probe_streams_in_the_fluid_window_are_bit_identical_to_event_loop() {
-    abw_netsim::invariants::arm();
+fn gilbert_elliott() -> ImpairmentConfig {
+    ImpairmentConfig::none().with_loss(LossModel::GilbertElliott {
+        p_good_to_bad: 0.05,
+        p_bad_to_good: 0.3,
+        loss_bad: 0.5,
+        loss_good: 0.0,
+    })
+}
+
+/// Three canonical tight hops whose middle hop carries `impairment`.
+fn middle_impaired(impairment: ImpairmentConfig) -> Vec<HopSpec> {
+    let mut hops = Scenario::multi_tight(3, CrossKind::Poisson, 0).hops;
+    hops[1].impairment = Some(impairment);
+    hops
+}
+
+/// A path to probe: its name, its hops, whether it is pristine (the
+/// window must then carry most probe packet-hops), and the hop the
+/// window may never hold, if any.
+struct Path {
+    name: String,
+    hops: Vec<HopSpec>,
+    pristine: bool,
+    never_held: Option<usize>,
+}
+
+fn paths() -> Vec<Path> {
+    let mut out = Vec::new();
     // CBR cross traffic puts fires and completions on the same
     // nanosecond as probe events: tie-breaks by sequence number matter
     for cross in [CrossKind::Poisson, CrossKind::Cbr] {
         for (name, impairment) in ingress_only() {
             let mut hop = HopSpec::canonical(cross);
             hop.impairment = impairment;
-            let case = format!("{cross:?}, {name}");
-            let ((fluid, cross_pkts, probe_pkts), in_window) =
-                with_fluid_packets(|| probe(&hop, true));
-            let (per_event, ..) = probe(&hop, false);
-            for (k, (got, want)) in fluid.iter().zip(&per_event).enumerate() {
-                assert_eq!(got, want, "{case}: stream {k}");
-            }
-            assert_eq!(fluid.len(), per_event.len(), "{case}");
+            out.push(Path {
+                name: format!("{cross:?}, {name}"),
+                pristine: name == "pristine",
+                hops: vec![hop],
+                never_held: None,
+            });
+        }
+        for n in [2, 3, 5] {
+            out.push(Path {
+                name: format!("{cross:?}, {n} tight links"),
+                hops: Scenario::multi_tight(n, cross, 0).hops,
+                pristine: true,
+                never_held: None,
+            });
+        }
+    }
+    out.push(Path {
+        name: "idle narrow link before the tight link".into(),
+        hops: Scenario::tight_not_narrow(100e6, 0).hops,
+        pristine: true,
+        never_held: None,
+    });
+    out.push(Path {
+        name: "1% loss on the middle of 3 links".into(),
+        hops: middle_impaired(ImpairmentConfig::iid_loss(0.01)),
+        pristine: false,
+        never_held: None,
+    });
+    out.push(Path {
+        name: "Gilbert-Elliott middle of 3 links".into(),
+        hops: middle_impaired(gilbert_elliott()),
+        pristine: false,
+        never_held: None,
+    });
+    out.push(Path {
+        name: "jitter on the middle of 3 links".into(),
+        hops: middle_impaired(ImpairmentConfig::none().with_jitter(SimDuration::from_micros(100))),
+        pristine: false,
+        never_held: Some(1),
+    });
+    out
+}
+
+#[test]
+fn probe_streams_in_the_fluid_window_are_bit_identical_to_event_loop() {
+    abw_netsim::invariants::arm();
+    for path in paths() {
+        let case = &path.name;
+        let ((fluid, cross_pkts, probe_pkts, arrivals), on) =
+            with_costs(|| probe(&path.hops, true));
+        let ((per_event, ..), off) = with_costs(|| probe(&path.hops, false));
+        for (k, (got, want)) in fluid.iter().zip(&per_event).enumerate() {
+            assert_eq!(got, want, "{case}: stream {k}");
+        }
+        assert_eq!(fluid.len(), per_event.len(), "{case}");
+        assert_same_costs(&on, &off, case);
+        let in_window = on.get(Cost::FluidPackets);
+        if let Some(hop) = path.never_held {
+            // no arrival at the jitter link ran in a window
+            assert!(
+                in_window + arrivals[hop] <= on.get(Cost::PacketsSimulated),
+                "{case}: the window held hop {hop}"
+            );
+        }
+        if path.pristine {
             // the warm-up's cross packets ran in the window too; beyond
             // them and the cross packets sent while probing, the window
-            // must have offered most probe packets to the link itself
-            let warm_up_fluid = {
-                let (_, n) = with_fluid_packets(|| {
-                    let mut s = Scenario::from_hops(vec![hop.clone()], 23);
-                    s.warm_up(SimDuration::from_millis(200));
-                });
-                n
-            };
-            let carried = in_window.saturating_sub(warm_up_fluid + cross_pkts);
+            // must have offered most probe packet-hops to their links
+            let (_, warm_up) = with_costs(|| {
+                let mut s = Scenario::from_hops(path.hops.clone(), 23);
+                s.warm_up(SimDuration::from_millis(200));
+            });
+            let carried = in_window.saturating_sub(warm_up.get(Cost::FluidPackets) + cross_pkts);
+            let hops = path.hops.len() as u64;
             assert!(
-                carried * 2 > probe_pkts,
-                "{case}: only {carried} of {probe_pkts} probe packets ran in the window"
+                carried * 2 > probe_pkts * hops,
+                "{case}: only {carried} of {} probe packet-hops ran in the window",
+                probe_pkts * hops
             );
         }
     }
 }
 
-/// One round of `tool` on a warmed-up single hop: the verdict, the
-/// clock and packet counters after it, and the link's counters, busy
-/// time and peak queue depth.
+/// One round of `tool` on the warmed-up path `hops`: the verdict, the
+/// clock and packet counters after it, and every link's state.
 fn tool_round(
-    hop: &HopSpec,
+    hops: &[HopSpec],
     tool: &str,
     fluid: bool,
-) -> (String, SimTime, SimCounters, LinkCounters, SimDuration, u64) {
-    let mut s = Scenario::from_hops(vec![hop.clone()], 29);
+) -> (String, SimTime, SimCounters, LinkStates) {
+    let mut s = Scenario::from_hops(hops.to_vec(), 29);
     s.sim.set_fluid(fluid);
     s.warm_up(SimDuration::from_millis(200));
     let entry = registry::find(tool).expect("registered tool");
     let mut estimator = entry.build(&ToolConfig::quick());
     let verdict = s.session().drive(&mut s.sim, estimator.as_mut());
-    let l = s.sim.link(s.links[0]);
     (
         format!("{verdict:?}"),
         s.sim.now(),
         s.sim.counters(),
-        l.counters(),
-        l.busy_log().total_busy(),
-        l.peak_queue_pkts(),
+        link_states(&s),
     )
 }
 
@@ -206,13 +295,28 @@ fn tool_rounds_in_the_fluid_window_are_bit_identical_to_event_loop() {
     abw_netsim::invariants::arm();
     // BFind's load ramp runs its own agent: its timers run inside the
     // window, its packets arrive through the queue, and its echoes go
-    // to an active agent. Pathload and pathChirp run probe streams.
-    for (name, impairment) in ingress_only().into_iter().take(3) {
-        let mut hop = HopSpec::canonical(CrossKind::Cbr);
-        hop.impairment = impairment;
+    // to an active agent; on several links its TTL-limited probes
+    // expire on the way. Pathload and pathChirp run probe streams.
+    let mut paths: Vec<(String, Vec<HopSpec>)> = ingress_only()
+        .into_iter()
+        .take(3)
+        .map(|(name, impairment)| {
+            let mut hop = HopSpec::canonical(CrossKind::Cbr);
+            hop.impairment = impairment;
+            (name.to_string(), vec![hop])
+        })
+        .collect();
+    paths.push((
+        "3 tight links".into(),
+        Scenario::multi_tight(3, CrossKind::Poisson, 0).hops,
+    ));
+    for (name, hops) in &paths {
         for tool in ["bfind", "pathload", "pathchirp"] {
-            let (fluid, _) = with_fluid_packets(|| tool_round(&hop, tool, true));
-            assert_eq!(fluid, tool_round(&hop, tool, false), "{name}: {tool}");
+            let case = format!("{name}: {tool}");
+            let (fluid, on) = with_costs(|| tool_round(hops, tool, true));
+            let (per_event, off) = with_costs(|| tool_round(hops, tool, false));
+            assert_eq!(fluid, per_event, "{case}");
+            assert_same_costs(&on, &off, &case);
         }
     }
 }
@@ -226,7 +330,11 @@ fn probe_streams_on_timing_impairments_stay_per_event() {
     ];
     for config in timing {
         let hop = HopSpec::canonical(CrossKind::Poisson).with_impairment(config.clone());
-        let (_, simulated) = with_fluid_packets(|| probe(&hop, true));
-        assert_eq!(simulated, 0, "{config:?} must keep the per-event path");
+        let (_, costs) = with_costs(|| probe(&[hop], true));
+        assert_eq!(
+            costs.get(Cost::FluidPackets),
+            0,
+            "{config:?} must keep the per-event path"
+        );
     }
 }

@@ -6,11 +6,11 @@
 //! down a path, delivering directly to a peer (uncongested reverse path),
 //! and scheduling timers.
 //!
-//! Two optional methods declare what an agent does, so that the
+//! Optional methods declare what an agent does, so that the
 //! simulator's fluid window can run its events without dispatching
-//! them one by one: [`Agent::fluid_source`] (a cross-traffic source's
-//! timer loop) and [`Agent::sink_role`] (a sink that only records what
-//! arrives, and whether it may halt the run). The defaults keep an
+//! them one by one: [`Agent::fluid_route`] and [`Agent::fluid_step`] (a
+//! cross-traffic source's timer loop) and [`Agent::sink_role`] (a sink
+//! that only records what arrives, and whether it may halt the run). The defaults keep an
 //! agent's packets on the per-event path.
 
 use std::any::Any;
@@ -40,17 +40,27 @@ pub trait Agent: Any + Send {
     /// Called when a packet addressed to this agent is delivered.
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
 
-    /// The agent's fluid-source view, when it has one.
+    /// Where the agent's packets go, when it is a fluid source.
     ///
     /// A fluid source is an agent whose *entire* timer behaviour is "draw
     /// the next (gap, size), send one packet now, re-arm the same timer"
-    /// — exactly the shape of a cross-traffic generator. Exposing that
-    /// shape lets the simulator run the source through the fluid
-    /// fast-forward loop in [`run_until`](crate::sim::Simulator::run_until),
-    /// which produces bit-identical state without a queue round-trip per
-    /// packet. Agents with any other timer behaviour must return `None`.
-    fn fluid_source(&mut self) -> Option<&mut dyn FluidSource> {
+    /// — exactly the shape of a cross-traffic generator — and whose
+    /// every packet goes down the same route. Exposing that shape lets
+    /// the simulator run the source through the fluid fast-forward loop
+    /// in [`run_until`](crate::sim::Simulator::run_until), which produces
+    /// bit-identical state without a queue round-trip per packet, calling
+    /// [`Agent::fluid_step`] for each timer fire. Agents with any other
+    /// timer behaviour must return `None`.
+    fn fluid_route(&self) -> Option<FluidRoute> {
         None
+    }
+
+    /// Performs one timer firing of a fluid source at `now`: the draw,
+    /// the send-side counter updates, and the decision to stop. Must
+    /// mutate exactly the state `on_timer` would, in the same order.
+    /// Called only on an agent whose [`Agent::fluid_route`] is `Some`.
+    fn fluid_step(&mut self, _now: SimTime) -> FluidStep {
+        FluidStep::Stop
     }
 
     /// What `on_packet` may do to the simulation (see [`SinkRole`]).
@@ -80,7 +90,7 @@ pub enum SinkRole {
     Halting,
 }
 
-/// One step of a fluid source's timer loop (see [`Agent::fluid_source`]).
+/// One step of a fluid source's timer loop (see [`Agent::fluid_step`]).
 #[derive(Debug, Clone, Copy)]
 pub enum FluidStep {
     /// Send a `size`-byte packet with sequence number `seq` now, and
@@ -106,19 +116,6 @@ pub struct FluidRoute {
     pub flow: FlowId,
     /// Packet kind stamped on the packets.
     pub kind: PacketKind,
-}
-
-/// The timer loop of a cross-traffic generator, factored so the
-/// simulator can drive it directly (fluid fast-forward) with exactly
-/// the same RNG draws and counter updates as the `on_timer` path.
-pub trait FluidSource {
-    /// Where this source's packets go.
-    fn fluid_route(&self) -> FluidRoute;
-
-    /// Performs one timer firing at `now`: the draw, the send-side
-    /// counter updates, and the decision to stop. Must mutate exactly
-    /// the state `on_timer` would, in the same order.
-    fn fluid_step(&mut self, now: SimTime) -> FluidStep;
 }
 
 /// Handle through which an agent acts on the simulation.

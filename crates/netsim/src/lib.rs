@@ -45,9 +45,7 @@ pub mod packet;
 pub mod sim;
 pub mod time;
 
-pub use agent::{
-    packet_to, Agent, CountingSink, Ctx, FluidRoute, FluidSource, FluidStep, SinkRole,
-};
+pub use agent::{packet_to, Agent, CountingSink, Ctx, FluidRoute, FluidStep, SinkRole};
 pub use arena::{PacketArena, PacketRef};
 pub use impair::{Impairment, ImpairmentConfig, LossModel, ReorderSpec};
 pub use link::{BusyLog, Link, LinkConfig, LinkCounters};

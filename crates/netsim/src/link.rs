@@ -147,9 +147,6 @@ pub struct Link {
     peak_queue_pkts: u64,
     /// Injected-fault pipeline, if any (loss/reorder/jitter/flaps).
     impairment: Option<Box<Impairment>>,
-    /// Set when a path of more than one link crosses this link: a packet
-    /// it serves may travel on instead of being delivered.
-    transit: bool,
     /// Capacity the in-flight (or most recent) transmission was started
     /// at. Differs from `config.capacity_bps` only under rate flaps; the
     /// busy-period invariant must use the rate the packet was actually
@@ -176,7 +173,6 @@ impl Link {
             accepted_pkts: 0,
             peak_queue_pkts: 0,
             impairment: None,
-            transit: false,
             tx_capacity_bps: config.capacity_bps,
             tx_memo: (0, 0.0, SimDuration::ZERO),
         }
@@ -199,18 +195,6 @@ impl Link {
     /// sequence is a pure function of `(config, seed)`.
     pub fn set_impairment(&mut self, config: ImpairmentConfig, seed: u64) {
         self.impairment = Some(Box::new(Impairment::new(config, seed)));
-    }
-
-    /// Records that a path of more than one link crosses this link.
-    pub(crate) fn mark_transit(&mut self) {
-        self.transit = true;
-    }
-
-    /// True when a path of more than one link crosses this link. A
-    /// fluid window on a link that only one-link paths cross carries all
-    /// of its traffic (see `Simulator::fluid_window`).
-    pub(crate) fn is_transit(&self) -> bool {
-        self.transit
     }
 
     /// The installed impairment pipeline, if any.

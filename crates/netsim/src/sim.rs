@@ -2,18 +2,21 @@
 //!
 //! Besides the per-event loop, `run_until` has one exact fast path, the
 //! fluid window ([`Simulator::set_fluid`]). A timer fire of a cross
-//! source ([`crate::agent::FluidSource`]) on a single-link path into a
-//! passive sink opens it, and it then runs the source's packets —
-//! timer fire, arrival, transmission completion, delivery — as plain
-//! state mutation in the merged `(time, seq)` order against the real
-//! queue. On a link that no multi-link path crosses it also carries the
-//! link's other traffic: it runs other agents' timers in place (a probe
-//! stream's packet timers among them), offers their arrivals at the
-//! link, absorbs its transmission completions, and runs deliveries to
-//! recording sinks ([`SinkRole`]), the probe receiver's included, which
-//! may halt the run. It closes before any event it cannot carry,
-//! materialising what it elided under the sequence numbers the events
-//! would have had, so every observable state is the per-event loop's.
+//! source ([`Agent::fluid_route`]) on a single-link path into a
+//! passive sink opens it. The window then runs, as plain state mutation
+//! in the merged `(time, seq)` order against the real queue, every such
+//! source whose timer comes due (a *lane*: timer fire, arrival,
+//! transmission completion, delivery) and every link a lane or a carried
+//! packet reaches (a *held* link), unless it has jitter, reorder or
+//! flaps. It runs other agents' timers in place (a probe stream's packet
+//! timers among them), offers their arrivals at held links, absorbs the
+//! links' transmission completions, pushes a served packet that travels
+//! on as its next hop's arrival and absorbs that when it is due, and
+//! runs deliveries to recording sinks ([`SinkRole`]), the probe
+//! receiver's included, which may halt the run. It closes before any
+//! event it cannot carry, materialising what it elided under the
+//! sequence numbers the events would have had, so every observable state
+//! is the per-event loop's.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -21,7 +24,7 @@ use std::collections::VecDeque;
 use abw_obs::prof::{self, Cost};
 use abw_obs::{Event as ObsEvent, Field, Recorder};
 
-use crate::agent::{inject, packet_to, Agent, Ctx, FluidRoute, FluidSource, FluidStep, SinkRole};
+use crate::agent::{inject, packet_to, Agent, Ctx, FluidRoute, FluidStep, SinkRole};
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
 use crate::impair::{Impairment, ImpairmentConfig};
@@ -64,7 +67,7 @@ pub struct Simulator {
     counters: SimCounters,
     started: bool,
     /// When true (default), timer fires of agents exposing
-    /// [`Agent::fluid_source`] run through the fluid fast-forward window
+    /// [`Agent::fluid_route`] run through the fluid fast-forward window
     /// in the event loop — bit-identical state, no queue round-trip per
     /// cross-traffic packet, traced or not.
     fluid_enabled: bool,
@@ -81,10 +84,10 @@ pub struct Simulator {
     /// nothing; agents ([`Ctx::emit`]) and the layers above
     /// ([`Simulator::emit`]) do.
     recorder: Option<Box<dyn Recorder + Send>>,
-    /// The fluid window's delivery queues, kept between windows: taken at
-    /// window open and handed back (empty) at close, so opening a window
-    /// never allocates.
-    fluid_queues: DeliveryQueues,
+    /// The fluid window's lanes, held links and delivery deques, kept
+    /// between windows: taken at window open and handed back (empty) at
+    /// close, so opening a window does not allocate.
+    window: Window,
 }
 
 // A simulation must be movable to a worker thread: the parallel
@@ -125,7 +128,7 @@ impl Simulator {
             halt_requested: false,
             icmp_replies: true,
             recorder,
-            fluid_queues: DeliveryQueues::default(),
+            window: Window::default(),
         }
     }
 
@@ -175,12 +178,6 @@ impl Simulator {
         assert!(!hops.is_empty(), "a path needs at least one link");
         for l in &hops {
             assert!(l.0 < self.links.len(), "path references unknown link");
-        }
-        if hops.len() > 1 {
-            for l in &hops {
-                // lint: allow(panic_free) -- checked against the link table just above
-                self.links[l.0].mark_transit();
-            }
         }
         self.paths.push(hops);
         PathId(self.paths.len() - 1)
@@ -375,42 +372,15 @@ impl Simulator {
         }
     }
 
-    /// Dispatches a timer fire, routing fluid-capable sources through the
-    /// fast-forward window when the topology around them is fluid-safe.
+    /// Dispatches a timer fire, opening a fluid window for a cross source
+    /// whose surroundings are fluid-safe ([`Simulator::lane_link`]).
     fn dispatch_timer(&mut self, id: AgentId, token: u64) {
         // lint: allow(panic_free) -- agent ids index the simulator's own table; the box is only absent mid-dispatch, which never re-enters
         let mut agent = self.agents[id.0].take().expect("re-entrant agent dispatch");
-        if self.fluid_enabled {
-            if let Some(fs) = agent.fluid_source() {
-                let route = fs.fluid_route();
-                // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
-                let hops = &self.paths[route.path.0];
-                // Fluid-safe: a single link into a passive sink, whose
-                // impairment (if any) acts only at ingress. Loss draws
-                // keep their order because the window calls
-                // `Link::enqueue` in the exact merged event order, and a
-                // loss-only link adds no egress delay, so deliveries stay
-                // FIFO. Anything else (a multi-hop source path,
-                // jitter/reorder/flaps, a sink that is not passive) falls
-                // back to the exact per-event path.
-                if hops.len() == 1 {
-                    // lint: allow(panic_free) -- guarded: hops.len() == 1
-                    let link_id = hops[0];
-                    // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-                    let safe = self.links[link_id.0]
-                        .impairment()
-                        .is_none_or(Impairment::is_ingress_only)
-                        // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-                        && self.agents[route.dst.0]
-                            .as_ref()
-                            .is_some_and(|a| a.sink_role() == SinkRole::Passive);
-                    if safe {
-                        self.fluid_window(id, fs, route, link_id, token);
-                        // lint: allow(panic_free) -- restoring the box taken above; same id
-                        self.agents[id.0] = Some(agent);
-                        return;
-                    }
-                }
+        if let Some(route) = agent.fluid_route().filter(|_| self.fluid_enabled) {
+            if let Some(link) = self.lane_link(&route, &[]) {
+                self.fluid_window(id, agent, route, link, token);
+                return;
             }
         }
         agent.on_timer(&mut self.ctx(id, self.time), token);
@@ -418,10 +388,57 @@ impl Simulator {
         self.agents[id.0] = Some(agent);
     }
 
+    /// The link a cross source with `route` runs on as a window lane,
+    /// when it is fluid-safe: its path is a single link the window can
+    /// hold ([`Simulator::holdable`]), into a passive sink that is in the
+    /// agent table or already held by the window (`sinks`). Anything
+    /// else (a multi-hop source path, a jitter, reorder or flap link, a
+    /// sink that is not passive) keeps the source on the per-event path.
+    fn lane_link(&self, route: &FluidRoute, sinks: &[HeldSink]) -> Option<LinkId> {
+        // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
+        let &[link] = &self.paths[route.path.0][..] else {
+            return None;
+        };
+        let passive_sink = sinks.iter().any(|s| s.id == route.dst)
+            // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+            || self.agents[route.dst.0]
+                .as_deref()
+                .is_some_and(|a| a.sink_role() == SinkRole::Passive);
+        (passive_sink && self.holdable(link)).then_some(link)
+    }
+
+    /// Whether a window may hold `link`: its impairment, if any, acts
+    /// only at ingress. Loss draws keep their order because the window
+    /// calls `Link::enqueue` in the exact merged event order, and a
+    /// loss-only link adds no egress delay, so deliveries stay FIFO.
+    /// Jitter and reorder holds would break that order, and a capacity
+    /// flap changes the rate at the next transmission start.
+    fn holdable(&self, link: LinkId) -> bool {
+        // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
+        self.links[link.0]
+            .impairment()
+            .is_none_or(Impairment::is_ingress_only)
+    }
+
+    /// The window's index of `link`, holding it first if it is not held
+    /// yet and may be; `None` when it may not.
+    fn try_hold(&self, w: &mut Window, link: LinkId) -> Option<usize> {
+        // lint: allow(panic_free) -- the window sizes `held` to the link table at open
+        let j = w.held[link.0];
+        match j {
+            NOT_HELD if self.holdable(link) => {
+                // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
+                Some(w.hold(link, self.links[link.0].prop_delay()))
+            }
+            NOT_HELD => None,
+            _ => Some(j),
+        }
+    }
+
     /// The [`Ctx`] an agent `id` acts through at `now`. Its box stays
     /// with the caller: the agent table's ([`Simulator::dispatch_agent`]),
-    /// a timer's, or the fluid window's sink, whose take/restore through
-    /// the table the window hoists out of its loop.
+    /// a timer's, or a window's sink, whose take/restore through the
+    /// table the window hoists out of its loop.
     #[inline]
     fn ctx(&mut self, id: AgentId, now: SimTime) -> Ctx<'_> {
         Ctx {
@@ -440,8 +457,8 @@ impl Simulator {
     }
 
     /// The [`SinkRole`] of `id`, read through the agent table. An agent
-    /// whose box is out of the table (the fluid window's own source)
-    /// counts as active.
+    /// whose box is out of the table (a window lane's source) counts as
+    /// active.
     fn sink_role_of(&self, id: AgentId) -> SinkRole {
         // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
         self.agents[id.0]
@@ -449,113 +466,118 @@ impl Simulator {
             .map_or(SinkRole::Active, |a| a.sink_role())
     }
 
-    /// Processes deferred deliveries with key below `bound` through the
-    /// window's sink. A delivery touches nothing but the sink, the
-    /// arena and the delivered counter, so the window defers deliveries
-    /// to its passive sink out of the hot selection loop entirely and
-    /// drains them in batches — at any point at or after their due time,
-    /// and always before a delivery that runs at its own position could
-    /// observe the same sink, or halt the run, out of order. Each
-    /// delivery still runs at its own instant: `ctx.now` is the delivery
-    /// time, never the drain time.
-    fn fluid_drain(
+    /// Adopts the cross source `id` (its box `agent`, its timer's
+    /// `token`) as a window lane on `link`: holds the link and the sink,
+    /// and runs the timer fire the caller popped, at the current clock.
+    fn adopt(
         &mut self,
-        slots: &mut FluidSlots,
-        dst: &mut dyn Agent,
-        dst_id: AgentId,
-        bound: SlotKey,
-        popped: &mut u64,
+        w: &mut Window,
+        id: AgentId,
+        agent: Box<dyn Agent>,
+        route: FluidRoute,
+        link: LinkId,
+        token: u64,
     ) {
-        #[cfg(debug_assertions)]
-        let before = (
-            self.events.peek_entry().map(|(t, s, _)| (t, s)),
-            self.halt_requested,
-        );
-        while let Some(&(t, s, pkt)) = slots.deferred.front() {
-            if slot_key(t, s) >= bound {
-                break;
+        // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
+        let j = w.hold(link, self.links[link.0].prop_delay());
+        if !w.sinks.iter().any(|s| s.id == route.dst) {
+            // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+            let sink = self.agents[route.dst.0]
+                .take()
+                // lint: allow(panic_free) -- `lane_link` found the sink in the table, since it is not held
+                .expect("a lane's sink is in the table or held");
+            // lint: allow(panic_free) -- `hold` returned an index into the held links
+            let hl = &mut w.links[j];
+            if hl.hint.dst == NO_AGENT {
+                hl.hint = Hint {
+                    path: route.path,
+                    dst: route.dst,
+                    sink: w.sinks.len(),
+                };
             }
-            slots.deferred.pop_front();
-            *popped += 1;
-            self.counters.delivered += 1;
-            let p = self.arena.take(pkt);
-            dst.on_packet(&mut self.ctx(dst_id, t), p);
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                (
-                    self.events.peek_entry().map(|(t, s, _)| (t, s)),
-                    self.halt_requested
-                ) == before,
-                "passive sink mutated the event queue or halted the run"
-            );
+            w.sinks.push(HeldSink {
+                id: route.dst,
+                agent: sink,
+                link: j,
+            });
+        }
+        let i = w.lanes.len();
+        let slot = w.slots.push(Next::Fire(i));
+        let mut lane = Lane {
+            id,
+            agent,
+            token,
+            route,
+            link: j,
+            timer: SLOT_EMPTY,
+            arrive: SLOT_EMPTY,
+            arrive_ref: PacketRef::DANGLING,
+        };
+        self.lane_fire(&mut lane, self.time);
+        let (key, next) = lane.next_slot(i);
+        w.slots.set(slot, key, next);
+        w.lanes.push(lane);
+    }
+
+    /// One timer fire of `lane` at `t`: the draw, the send and the
+    /// re-arm, mutating exactly the state the `on_timer` →
+    /// [`Ctx::send`] / [`Ctx::schedule_in`] path would. The two event
+    /// pushes are elided: their sequence numbers are still allocated (in
+    /// the same order) and the events go into the lane's slots instead
+    /// of the queue. The caller updates the lane's key.
+    fn lane_fire(&mut self, lane: &mut Lane, t: SimTime) {
+        match lane.agent.fluid_step(t) {
+            FluidStep::Stop => lane.timer = SLOT_EMPTY,
+            FluidStep::Send { gap, size, seq } => {
+                let r = &lane.route;
+                let p = packet_to(r.dst, r.path, r.flow, size, seq, r.kind);
+                let pkt = inject(
+                    &mut self.arena,
+                    &mut self.next_packet_id,
+                    &mut self.counters.injected,
+                    lane.id,
+                    t,
+                    p,
+                );
+                debug_assert!(lane.arrive == SLOT_EMPTY, "lane arrival slot occupied");
+                lane.arrive = slot_key(t, self.events.consume_seq());
+                lane.arrive_ref = pkt;
+                lane.timer = slot_key(t + gap, self.events.consume_seq());
+            }
         }
     }
 
-    /// One delivery the window runs at its own `(time, seq)` position
-    /// `key` (the clock already reads its time): an absorbed real
-    /// delivery, or one to a sink other than the window's own. The
-    /// deferred deliveries before `key` run first: they may share the
-    /// sink, and if this delivery halts the run, every event before it
-    /// has then run and none after it.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn fluid_deliver(
-        &mut self,
-        slots: &mut FluidSlots,
-        dst_box: &mut dyn Agent,
-        dst_id: AgentId,
-        key: SlotKey,
-        agent: AgentId,
-        packet: PacketRef,
-        popped: &mut u64,
-    ) {
-        self.fluid_drain(slots, dst_box, dst_id, key, popped);
-        self.counters.delivered += 1;
-        let p = self.arena.take(packet);
-        if agent == dst_id {
-            dst_box.on_packet(&mut self.ctx(agent, self.time), p);
-        } else {
-            #[cfg(debug_assertions)]
-            let head = self.events.peek_entry().map(|(t, s, _)| (t, s));
-            self.dispatch_agent(agent, AgentCall::Packet(p));
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                self.events.peek_entry().map(|(t, s, _)| (t, s)) == head,
-                "recording sink mutated the event queue"
-            );
-        }
-    }
-
-    /// One fluid arrival: TTL bookkeeping and the offer to the link,
-    /// exactly what [`Simulator::handle_arrive`] does minus the TTL
-    /// expiry and multi-hop branches the window already excluded.
+    /// One arrival at the held link `j` at `vt`: TTL bookkeeping and the
+    /// offer to the link, exactly what [`Simulator::handle_arrive`] does
+    /// minus the TTL expiry the window excludes.
     #[inline(always)]
-    fn fluid_arrive(
+    fn window_arrive(
         &mut self,
+        w: &mut Window,
+        j: usize,
         packet: PacketRef,
-        link_id: LinkId,
         vt: SimTime,
-        slots: &mut FluidSlots,
-        arrivals: &mut u64,
-        qops: &mut u64,
+        tally: &mut Tally,
     ) {
-        *arrivals += 1;
+        tally.arrivals += 1;
         let size = {
             let p = self.arena.get_mut(packet);
             p.ttl = p.ttl.saturating_sub(1);
             debug_assert!(p.ttl > 0, "the window admits no packet that expires");
             p.size
         };
+        // lint: allow(panic_free) -- callers pass an index into the held links
+        let hl = &mut w.links[j];
         // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-        let link = &mut self.links[link_id.0];
+        let link = &mut self.links[hl.id.0];
         match link.enqueue(packet, size, vt) {
             EnqueueOutcome::Accepted { starts_service } => {
-                *qops += 1;
+                tally.qops += 1;
                 if starts_service {
                     let done = link.start_transmission(vt);
-                    let s = self.events.consume_seq();
-                    debug_assert!(slots.tx_done == SLOT_EMPTY, "link already serving");
-                    slots.tx_done = slot_key(done, s);
+                    debug_assert!(hl.tx_done == SLOT_EMPTY, "link already serving");
+                    hl.tx_done = slot_key(done, self.events.consume_seq());
+                    w.slots.set_key(hl.slot, hl.tx_done);
                 }
             }
             // the link already counted the drop or the ingress loss
@@ -565,263 +587,316 @@ impl Simulator {
         }
     }
 
-    /// One transmission completion on the window's link at `vt` (key
+    /// One transmission completion on the held link `j` at `vt` (key
     /// `key`), virtual or absorbed from the queue: what
-    /// [`Simulator::handle_tx_done`] does, with the next completion and
-    /// the delivery kept in the window. A delivery to the window's own
-    /// sink is deferred; one to another recording sink waits in
-    /// `slots.ordered` for its own position; one to an active agent goes
-    /// into the queue, where it closes the window when due. The real
-    /// head (`next_real`, `real_key`) and `other` (the earliest event
-    /// outside the source's cycle) follow either move.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Simulator::handle_tx_done`] does, with the next completion kept
+    /// in the window. A packet that travels on is pushed as its next
+    /// hop's arrival under the sequence number the per-event loop would
+    /// give it; a delivery is deferred, ordered or pushed by
+    /// [`Simulator::window_delivery`]. Returns whether it pushed an event
+    /// into the queue.
     #[inline(always)]
-    fn fluid_tx_done(
+    fn window_tx_done(
         &mut self,
-        link_id: LinkId,
-        prop: SimDuration,
+        w: &mut Window,
+        j: usize,
         vt: SimTime,
         key: SlotKey,
-        slots: &mut FluidSlots,
-        dst_box: &mut dyn Agent,
-        dst_id: AgentId,
-        popped: &mut u64,
-        qops: &mut u64,
-        next_real: &mut Option<(SimTime, u64, Event)>,
-        real_key: &mut SlotKey,
-        other: &mut SlotKey,
-    ) {
-        *qops += 1;
+        tally: &mut Tally,
+    ) -> bool {
+        tally.qops += 1;
+        // lint: allow(panic_free) -- callers pass an index into the held links
+        let hl = &mut w.links[j];
         // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-        let link = &mut self.links[link_id.0];
+        let link = &mut self.links[hl.id.0];
         let (pkt, more) = link.finish_transmission(vt);
         let extra = link.egress_extra(); // zero: ingress-only impairment
-        if more {
+        hl.tx_done = if more {
             let done = link.start_transmission(vt);
-            let s = self.events.consume_seq();
-            slots.tx_done = slot_key(done, s);
-        }
-        let dst = {
+            slot_key(done, self.events.consume_seq())
+        } else {
+            SLOT_EMPTY
+        };
+        w.slots.set_key(hl.slot, hl.tx_done);
+        let (hop, path, dst) = {
             let p = self.arena.get_mut(pkt);
             p.hop += 1;
-            debug_assert!(
-                // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
-                p.hop as usize == self.paths[p.path.0].len(),
-                "a window packet travels on"
-            );
-            p.dst
+            (p.hop, p.path, p.dst)
         };
         let s = self.events.consume_seq();
-        let at = vt + prop + extra;
-        if dst == dst_id {
-            slots.push_deferred(at, s, pkt);
+        let at = vt + hl.prop + extra;
+        // a lane's packet: its path is this one link
+        if path == hl.hint.path && dst == hl.hint.dst {
+            hl.deferred.push_back(Deferred {
+                t: at,
+                s,
+                pkt,
+                sink: hl.hint.sink,
+            });
             // Deliveries already due drain at any point before the next
             // observer; batching them keeps the hot loop a predictable
             // fire/serve alternation.
-            if slots.deferred.len() >= DELIVER_DRAIN {
-                self.fluid_drain(slots, dst_box, dst_id, key, popped);
+            if hl.deferred.len() >= DELIVER_DRAIN {
+                tally.popped += self.drain_link(hl, &mut w.sinks, key);
             }
+            return false;
+        }
+        // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
+        if (hop as usize) < self.paths[path.0].len() {
+            self.events
+                .push_with_seq(at, s, Event::Arrive { packet: pkt });
+            return true;
+        }
+        self.window_delivery(w, j, at, s, dst, pkt)
+    }
+
+    /// A delivery from the held link `j` to an agent other than the
+    /// link's first bound sink: deferred when the window holds the sink
+    /// for this link, run at its own position for any other recording
+    /// sink, and pushed into the queue for an active agent, where it
+    /// closes the window when due. Out of line, so the cross traffic's
+    /// cycle stays a tight loop.
+    #[inline(never)]
+    fn window_delivery(
+        &mut self,
+        w: &mut Window,
+        j: usize,
+        t: SimTime,
+        s: u64,
+        agent: AgentId,
+        pkt: PacketRef,
+    ) -> bool {
+        let held = w.sinks.iter().position(|h| h.id == agent);
+        // lint: allow(panic_free) -- callers pass an index into the held links
+        let hl = &mut w.links[j];
+        // lint: allow(panic_free) -- `position` returned an index into the held sinks
+        if let Some(sink) = held.filter(|&k| w.sinks[k].link == j) {
+            hl.deferred.push_back(Deferred { t, s, pkt, sink });
+        } else if held.is_some() || self.sink_role_of(agent) != SinkRole::Active {
+            if hl.ordered.is_empty() {
+                w.aux = w.aux.min(slot_key(t, s));
+            }
+            hl.ordered.push_back((t, s, agent, pkt));
+        } else {
+            self.events
+                .push_with_seq(t, s, Event::Deliver { agent, packet: pkt });
+            return true;
+        }
+        false
+    }
+
+    /// Runs the deferred deliveries of the held link `hl` with key below
+    /// `bound` through their held sinks. A delivery to a passive sink
+    /// touches nothing but the sink, the arena and the delivered counter,
+    /// and every sink's deferred deliveries sit in one link's deque, in
+    /// key order. So the window drains them in batches, at any point at
+    /// or after their due time, and always before a step that runs at
+    /// its own position could observe the same sink, or halt the run,
+    /// out of order. Each delivery still runs at its own instant:
+    /// `ctx.now` is the delivery time, never the drain time.
+    fn drain_link(&mut self, hl: &mut HeldLink, sinks: &mut [HeldSink], bound: SlotKey) -> u64 {
+        debug_assert!(
+            bound <= hl.ordered_key(),
+            "a delivery that runs at its own position is overdue"
+        );
+        let mut drained = 0;
+        #[cfg(debug_assertions)]
+        let before = (
+            self.events.peek_entry().map(|(t, s, _)| (t, s)),
+            self.halt_requested,
+        );
+        while let Some(&d) = hl.deferred.front() {
+            if slot_key(d.t, d.s) >= bound {
+                break;
+            }
+            hl.deferred.pop_front();
+            drained += 1;
+            self.counters.delivered += 1;
+            let p = self.arena.take(d.pkt);
+            if let Some(sink) = sinks.get_mut(d.sink) {
+                sink.agent.on_packet(&mut self.ctx(sink.id, d.t), p);
+            }
+            #[cfg(debug_assertions)]
+            debug_assert!(
+                (
+                    self.events.peek_entry().map(|(t, s, _)| (t, s)),
+                    self.halt_requested
+                ) == before,
+                "passive sink mutated the event queue or halted the run"
+            );
+        }
+        drained
+    }
+
+    /// [`Simulator::drain_link`] on every held link.
+    fn drain_all(&mut self, w: &mut Window, bound: SlotKey) -> u64 {
+        let mut drained = 0;
+        for hl in &mut w.links {
+            drained += self.drain_link(hl, &mut w.sinks, bound);
+        }
+        drained
+    }
+
+    /// One delivery the window runs at its own position (the clock
+    /// already reads its time, and the deferred deliveries before it
+    /// have drained): to a held sink through its box, to any other
+    /// recording sink through the agent table.
+    fn deliver_in_place(&mut self, w: &mut Window, agent: AgentId, packet: PacketRef) {
+        self.counters.delivered += 1;
+        let p = self.arena.take(packet);
+        if let Some(sink) = w.sinks.iter_mut().find(|h| h.id == agent) {
+            sink.agent.on_packet(&mut self.ctx(agent, self.time), p);
             return;
         }
-        match self.sink_role_of(dst) {
-            SinkRole::Passive | SinkRole::Halting => {
-                slots.push_ordered(at, s, dst, pkt);
-                *other = (*other).min(slots.aux);
-            }
-            SinkRole::Active => {
-                self.events.push_with_seq(
-                    at,
-                    s,
-                    Event::Deliver {
-                        agent: dst,
-                        packet: pkt,
-                    },
-                );
-                *next_real = self.events.peek_entry();
-                *real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
-                *other = (*other).min(*real_key);
-            }
-        }
+        #[cfg(debug_assertions)]
+        let head = self.events.peek_entry().map(|(t, s, _)| (t, s));
+        self.dispatch_agent(agent, AgentCall::Packet(p));
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.events.peek_entry().map(|(t, s, _)| (t, s)) == head,
+            "recording sink mutated the event queue"
+        );
     }
 
-    /// One fluid timer firing at `t`: the draw, the send and the re-arm,
-    /// mutating exactly the state the `on_timer` → [`Ctx::send`] /
-    /// [`Ctx::schedule_in`] path would. The two event pushes are elided:
-    /// their sequence numbers are still allocated (in the same order) and
-    /// the events go into the window's virtual slots instead of the queue.
-    fn fluid_fire(
-        &mut self,
-        fs: &mut dyn FluidSource,
-        route: &FluidRoute,
-        t: SimTime,
-        slots: &mut FluidSlots,
-    ) {
-        match fs.fluid_step(t) {
-            FluidStep::Stop => {}
-            FluidStep::Send { gap, size, seq } => {
-                let p = packet_to(route.dst, route.path, route.flow, size, seq, route.kind);
-                let pkt = inject(
-                    &mut self.arena,
-                    &mut self.next_packet_id,
-                    &mut self.counters.injected,
-                    slots.src,
-                    t,
-                    p,
-                );
-                let s_arrive = self.events.consume_seq();
-                debug_assert!(slots.arrive == SLOT_EMPTY, "fluid arrive slot occupied");
-                slots.arrive = slot_key(t, s_arrive);
-                slots.arrive_ref = pkt;
-                let s_timer = self.events.consume_seq();
-                slots.timer = slot_key(t + gap, s_timer);
-            }
-        }
-    }
-
-    /// The ordered delivery at `slots.aux`, due before everything else
-    /// pending (the clock is not yet set). It does not touch the queue.
-    /// Out of line, so the source's cycle stays a tight loop.
+    /// The ordered delivery at `w.aux`, due before everything else
+    /// pending (the clock is not yet set), and the events it popped. It
+    /// does not touch the queue. Out of line, so the cross traffic's
+    /// cycle stays a tight loop, and the tallies come back by value, so
+    /// the window's own stay out of memory the step could write.
     #[inline(never)]
-    fn fluid_ordered(
-        &mut self,
-        slots: &mut FluidSlots,
-        dst_box: &mut dyn Agent,
-        dst_id: AgentId,
-    ) -> Tally {
-        let mut t = Tally {
-            popped: 1,
-            ..Tally::default()
+    fn window_ordered(&mut self, w: &mut Window) -> u64 {
+        let key = w.aux;
+        let Some(j) = w.links.iter().position(|l| l.ordered_key() == key) else {
+            return 0;
         };
-        let key = slots.aux;
         self.time = slot_time(key);
-        // lint: allow(panic_free) -- aux below SLOT_EMPTY is the ordered front's key
-        let (_, _, agent, packet) = slots.ordered.pop_front().expect("ordered front");
-        slots.refresh_aux();
-        self.fluid_deliver(slots, dst_box, dst_id, key, agent, packet, &mut t.popped);
-        t
+        let popped = 1 + self.drain_all(w, key);
+        // lint: allow(panic_free) -- `position` returned an index into the held links
+        let Some((_, _, agent, pkt)) = w.links[j].ordered.pop_front() else {
+            return popped;
+        };
+        w.aux = w
+            .links
+            .iter()
+            .map(HeldLink::ordered_key)
+            .min()
+            .unwrap_or(SLOT_EMPTY);
+        self.deliver_in_place(w, agent, pkt);
+        popped
     }
 
     /// The real head `(rt, key, event)`, due before everything the
-    /// window holds and not a delivery to the window's own sink: absorbs
-    /// it when the window can, and returns whether it did, with the
-    /// step's tallies. Out of line, so the source's cycle stays a tight
-    /// loop.
-    #[allow(clippy::too_many_arguments)]
+    /// window holds: absorbs it when the window can, and returns the
+    /// step's tallies if it did. Out of line, so the cross traffic's
+    /// cycle stays a tight loop.
     #[inline(never)]
-    fn fluid_absorb(
+    fn window_absorb(
         &mut self,
-        slots: &mut FluidSlots,
-        dst_box: &mut dyn Agent,
-        dst_id: AgentId,
-        link_id: LinkId,
-        carry: bool,
+        w: &mut Window,
         rt: SimTime,
         key: SlotKey,
         event: Event,
-    ) -> (bool, Tally) {
-        let mut t = Tally::default();
+    ) -> Option<Tally> {
+        // every absorbed event is one the per-event loop would pop
+        let mut tally = Tally {
+            popped: 1,
+            ..Tally::default()
+        };
         match event {
             Event::Deliver { agent, packet } => {
-                let absorb = match self.sink_role_of(agent) {
-                    SinkRole::Passive => true,
-                    SinkRole::Halting => carry,
-                    SinkRole::Active => false,
-                };
-                if !absorb {
-                    return (false, t);
+                // a delivery to a recording sink runs at its own
+                // position; one to an active agent closes the window
+                if !w.sinks.iter().any(|h| h.id == agent)
+                    && self.sink_role_of(agent) == SinkRole::Active
+                {
+                    return None;
                 }
                 self.events.pop();
-                t.popped += 1;
                 self.time = rt;
-                self.fluid_deliver(slots, dst_box, dst_id, key, agent, packet, &mut t.popped);
+                tally.popped += self.drain_all(w, key);
+                self.deliver_in_place(w, agent, packet);
             }
-            Event::Arrive { packet } if carry => {
-                // an arrival at this link that survives the hop: offered
-                // here, as `handle_arrive` would offer it
+            Event::Arrive { packet } => {
+                // an arrival that survives the hop, at a link the window
+                // holds or may hold: offered as `handle_arrive` would
                 let p = self.arena.get(packet);
-                // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
-                let here = self.paths[p.path.0].get(p.hop as usize) == Some(&link_id);
-                if !here || p.ttl <= 1 {
-                    return (false, t);
+                // lint: allow(panic_free) -- an arrival's hop is below its path length
+                let link = self.paths[p.path.0][p.hop as usize];
+                if p.ttl <= 1 {
+                    return None;
                 }
+                let j = self.try_hold(w, link)?;
                 self.events.pop();
-                t.popped += 1;
                 self.time = rt;
-                self.fluid_arrive(packet, link_id, rt, slots, &mut t.arrivals, &mut t.qops);
+                self.window_arrive(w, j, packet, rt, &mut tally);
             }
-            Event::TxDone { link } if carry && link == link_id => {
-                debug_assert!(slots.tx_done == SLOT_EMPTY, "link serving twice");
+            Event::TxDone { link } => {
+                let j = self.try_hold(w, link)?;
+                // lint: allow(panic_free) -- `try_hold` returned an index into the held links
+                debug_assert!(w.links[j].tx_done == SLOT_EMPTY, "link serving twice");
                 self.events.pop();
-                t.popped += 1;
                 self.time = rt;
-                // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-                let prop = self.links[link_id.0].prop_delay();
                 // the caller re-reads the real head after an absorbed event
-                let (mut next, mut real, mut other) = (None, SLOT_EMPTY, SLOT_EMPTY);
-                self.fluid_tx_done(
-                    link_id,
-                    prop,
-                    rt,
-                    key,
-                    slots,
-                    dst_box,
-                    dst_id,
-                    &mut t.popped,
-                    &mut t.qops,
-                    &mut next,
-                    &mut real,
-                    &mut other,
-                );
+                self.window_tx_done(w, j, rt, key, &mut tally);
             }
-            Event::Timer { agent, token } if carry => {
-                // Any timer but a cross source's runs here, as the
-                // per-event loop would run it: it reaches only its own
-                // agent and the queue, never what the window holds back.
-                // A probe sender's packet timer pushes its arrival, which
-                // the window then offers to the link like any other. A
-                // cross source's timer closes the window: it opens its
-                // own. So does a timer of the window's source or sink,
-                // whose box is out of the table.
+            Event::Timer { agent, token } => {
+                // A timer of an agent whose box is out of the table (a
+                // held sink's) closes the window.
                 // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-                let Some(a) = self.agents[agent.0].as_mut() else {
-                    return (false, t);
-                };
-                if a.fluid_source().is_some() {
-                    return (false, t);
+                let a = self.agents[agent.0].as_mut()?;
+                if let Some(route) = a.fluid_route() {
+                    // A cross source joins the window as a lane when it
+                    // is fluid-safe, and closes it otherwise.
+                    let link = self.lane_link(&route, &w.sinks)?;
+                    // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
+                    let a = self.agents[agent.0].take()?;
+                    self.events.pop();
+                    self.time = rt;
+                    self.adopt(w, agent, a, route, link, token);
+                } else {
+                    // Any other timer runs here, as the per-event loop
+                    // would run it: it reaches only its own agent and
+                    // the queue, never what the window holds back. A
+                    // probe sender's packet timer pushes its arrival,
+                    // which the window then offers to the link like any
+                    // other.
+                    self.events.pop();
+                    self.time = rt;
+                    tally.popped += self.drain_all(w, key);
+                    self.dispatch_agent(agent, AgentCall::Timer(token));
                 }
-                self.events.pop();
-                t.popped += 1;
-                self.time = rt;
-                self.dispatch_agent(agent, AgentCall::Timer(token));
             }
-            _ => return (false, t),
         }
-        (true, t)
+        Some(tally)
     }
 
-    /// The fluid fast-forward window: runs a fluid source's packets
-    /// through the link and into the sink without queue round-trips.
+    /// The fluid fast-forward window: runs cross sources' packets
+    /// through their links and into their sinks, and the packets of
+    /// everything else on those links hop by hop, without queue
+    /// round-trips.
     ///
-    /// Virtual events (the source's timer fires, its packets' arrivals
-    /// and transmission completions) are processed in exact merged
-    /// `(time, seq)` order against the real queue, calling the same
-    /// link/sink/counter mutations at the same timestamps the per-event
-    /// loop would. On a link that no multi-link path crosses, every
-    /// packet the link serves is delivered right after it, and the
-    /// window carries all of the link's traffic: it runs other agents'
-    /// timers in place (a probe stream's packet timers among them),
-    /// offers every real arrival at the link through the same
-    /// [`Link::enqueue`], absorbs the link's real transmission
-    /// completions, and runs deliveries to halting sinks such as a probe
-    /// receiver. On a link shared with a multi-link path it carries only
-    /// its source's packets.
+    /// The window is a set of *lanes* and *held links*. A lane is one
+    /// adopted cross source: its timer fires, its packets' arrivals, and
+    /// the deferred deliveries to its sink. A held link is one whose
+    /// transmission completions the window runs. The window opens with
+    /// one lane, adopts every fluid-safe cross source whose timer
+    /// reaches the head of the queue, and holds every link a lane or a
+    /// carried packet reaches, unless it has jitter, reorder or flaps.
+    /// Virtual events are processed in exact merged `(time, seq)` order
+    /// against the real queue, calling the same link/sink/counter
+    /// mutations at the same timestamps the per-event loop would: each
+    /// step picks the earliest of the lanes' earliest keys, the held
+    /// links' completions, the ordered deliveries and the real head.
     ///
-    /// Deliveries to the source's passive sink are deferred and drained
-    /// in batches — legal because their only observers are the sink, the
-    /// arena and the delivered counter, and the drain runs before every
-    /// point at which any of those becomes observable again. A delivery
-    /// to any other recording sink runs at its own position, because it
-    /// may halt: the window then closes with the clock at that delivery,
+    /// From the real queue the window absorbs other agents' timers (run
+    /// in place, a probe stream's packet timers among them), arrivals at
+    /// links it holds or may hold, their transmission completions, and
+    /// deliveries to recording sinks. A packet a held link serves that
+    /// travels on goes back into the queue as its next hop's arrival,
+    /// and the window absorbs it when it is due. Deliveries to a lane's
+    /// passive sink are deferred and drained in batches; a delivery to
+    /// any other recording sink runs at its own position, because it may
+    /// halt: the window then closes with the clock at that delivery,
     /// having run every event before it and none after, as the per-event
     /// loop would. The window also closes when a real event it cannot
     /// absorb becomes due, the run deadline is reached, or nothing
@@ -831,116 +906,62 @@ impl Simulator {
     fn fluid_window(
         &mut self,
         src: AgentId,
-        fs: &mut dyn FluidSource,
+        agent: Box<dyn Agent>,
         route: FluidRoute,
-        link_id: LinkId,
+        link: LinkId,
         token: u64,
     ) {
         let deadline = self.run_deadline;
-        // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-        let prop = self.links[link_id.0].prop_delay();
-        // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
-        let carry = !self.links[link_id.0].is_transit();
-        let mut slots = FluidSlots::new(src, token, std::mem::take(&mut self.fluid_queues));
+        let mut w = std::mem::take(&mut self.window);
+        w.open(self.links.len());
         // Local tallies, flushed once per window (the per-event
         // thread-local increments would dominate the saved work).
-        let mut popped = 0u64;
-        let mut arrivals = 0u64;
-        let mut qops = 0u64;
+        let mut tally = Tally::default();
 
         // the initiating timer was popped (and counted) by the main loop
-        self.fluid_fire(fs, &route, self.time, &mut slots);
-
-        // The sink's box is held out for the whole window: each delivery
-        // is a direct `on_packet` call instead of the per-dispatch
-        // take/restore through the agent table. Restored after the loop —
-        // every exit path below is a `break`.
-        // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-        let mut dst_box = self.agents[route.dst.0]
-            .take()
-            // lint: allow(panic_free) -- the fluid gate checked the dst slot is occupied
-            .expect("fluid dst exists (checked by the gate)");
+        self.adopt(&mut w, src, agent, route, link, token);
 
         // The head of the real queue, re-read only after an operation
-        // that can change it: a pop, an agent dispatch, or a delivery to
-        // an active agent pushed by a completion. `other` is the earliest
-        // event outside the source's cycle (the real head or an ordered
-        // delivery), so the cycle pays one comparison for both.
+        // that can change it: a pop, an agent dispatch, or a push by a
+        // completion. `other` is the earliest event outside the lanes'
+        // and links' slots (the real head or an ordered delivery), so a
+        // step pays one comparison for both.
         let mut next_real = self.events.peek_entry();
         let mut real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
-        let mut other = real_key.min(slots.aux);
+        let mut other = real_key.min(w.aux);
         loop {
-            // `vk`/`which`: earliest pending event of the source's cycle
-            // — a branch-light minimum over packed keys, no heap walk
-            // (deferred deliveries never compete for selection)
-            let (vk, which) = slots.min_key();
+            // `vk`: the earliest key of the lanes and held links, and
+            // `at` the slot that holds it
+            let (vk, at) = w.slots.top();
 
             if other < vk {
-                if slots.aux < real_key {
-                    if slot_time(slots.aux) > deadline {
+                if w.aux < real_key {
+                    if slot_time(w.aux) > deadline {
                         break;
                     }
-                    let t = self.fluid_ordered(&mut slots, dst_box.as_mut(), route.dst);
-                    popped += t.popped;
+                    tally.popped += self.window_ordered(&mut w);
                 } else {
-                    // lint: allow(panic_free) -- real_key < SLOT_EMPTY implies peek_entry was Some
-                    let (rt, _, rev) = next_real.expect("real key implies a real head");
+                    let Some((rt, _, event)) = next_real else {
+                        break;
+                    };
                     // Nothing virtual pending: leftover deliveries
                     // materialise below.
-                    if rt > deadline || (vk == SLOT_EMPTY && slots.aux == SLOT_EMPTY) {
+                    if rt > deadline || (vk == SLOT_EMPTY && w.aux == SLOT_EMPTY) {
                         break;
                     }
-                    match rev {
-                        // What this source's earlier windows
-                        // materialised, on any link: delivered in line.
-                        Event::Deliver { agent, packet } if agent == route.dst => {
-                            self.events.pop();
-                            popped += 1;
-                            self.time = rt;
-                            self.fluid_deliver(
-                                &mut slots,
-                                dst_box.as_mut(),
-                                route.dst,
-                                real_key,
-                                agent,
-                                packet,
-                                &mut popped,
-                            );
-                        }
-                        // On a transit link only a delivery can be
-                        // absorbed: anything else closes the window here,
-                        // before the out-of-line step.
-                        Event::Arrive { .. } | Event::TxDone { .. } | Event::Timer { .. }
-                            if !carry =>
-                        {
-                            break;
-                        }
-                        _ => {
-                            let (ran, t) = self.fluid_absorb(
-                                &mut slots,
-                                dst_box.as_mut(),
-                                route.dst,
-                                link_id,
-                                carry,
-                                rt,
-                                real_key,
-                                rev,
-                            );
-                            popped += t.popped;
-                            arrivals += t.arrivals;
-                            qops += t.qops;
-                            if !ran {
-                                break;
-                            }
-                        }
-                    }
+                    let Some(t) = self.window_absorb(&mut w, rt, real_key, event) else {
+                        break;
+                    };
+                    tally.popped += t.popped;
+                    tally.arrivals += t.arrivals;
+                    tally.qops += t.qops;
                     next_real = self.events.peek_entry();
                     real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
                 }
                 if self.halt_requested {
                     break;
                 }
-                other = real_key.min(slots.aux);
+                other = real_key.min(w.aux);
                 continue;
             }
             if vk == SLOT_EMPTY {
@@ -953,117 +974,118 @@ impl Simulator {
             }
 
             self.time = vt;
-            popped += 1; // EventsPopped parity with the per-event loop
-            match which {
-                FluidNext::Timer => {
-                    slots.timer = SLOT_EMPTY;
-                    self.fluid_fire(fs, &route, vt, &mut slots);
+            tally.popped += 1; // EventsPopped parity with the per-event loop
+            match w.slots.next(at) {
+                Next::Fire(i) => {
+                    // lint: allow(panic_free) -- a lane's slot names its index
+                    let lane = &mut w.lanes[i];
+                    self.lane_fire(lane, vt);
+                    let second = w.slots.second(at);
                     // The arrival the fire just created sits at this same
                     // instant, and its sequence number is larger than any
                     // event allocated before it — so unless some other
-                    // selectable event lands on exactly this nanosecond
-                    // (which would carry a smaller seq and sort first),
-                    // the arrival is provably the next selection. Process
-                    // it inline and save a selection round trip. (`other`
-                    // is the earliest of its set: if it lies after this
-                    // nanosecond, so does the rest of the set.)
-                    let t_hi = (vt.as_nanos() as u128) << 64;
-                    if slots.arrive != SLOT_EMPTY
-                        && slots.tx_done & KEY_TIME != t_hi
+                    // event lands on exactly this nanosecond (which would
+                    // carry a smaller seq and sort first), the arrival is
+                    // provably the next selection. Process it inline and
+                    // save a selection round trip.
+                    let t_hi = vk & KEY_TIME;
+                    if lane.arrive != SLOT_EMPTY
+                        && second & KEY_TIME != t_hi
                         && other & KEY_TIME != t_hi
                     {
-                        let packet = slots.arrive_ref;
-                        slots.arrive = SLOT_EMPTY;
-                        popped += 1; // the elided selection still counts
-                        self.fluid_arrive(
-                            packet,
-                            link_id,
-                            vt,
-                            &mut slots,
-                            &mut arrivals,
-                            &mut qops,
-                        );
+                        let (j, packet) = (lane.link, lane.arrive_ref);
+                        lane.arrive = SLOT_EMPTY;
+                        w.slots.set_key(at, lane.timer);
+                        tally.popped += 1; // the elided selection still counts
+                        self.window_arrive(&mut w, j, packet, vt, &mut tally);
+                    } else {
+                        let (key, next) = lane.next_slot(i);
+                        w.slots.set(at, key, next);
                     }
                 }
-                FluidNext::Arrive => {
-                    let packet = slots.arrive_ref;
-                    slots.arrive = SLOT_EMPTY;
-                    self.fluid_arrive(packet, link_id, vt, &mut slots, &mut arrivals, &mut qops);
+                Next::Arrive(i) => {
+                    // lint: allow(panic_free) -- a lane's slot names its index
+                    let lane = &mut w.lanes[i];
+                    let (j, packet) = (lane.link, lane.arrive_ref);
+                    lane.arrive = SLOT_EMPTY;
+                    w.slots.set(at, lane.timer, Next::Fire(i));
+                    self.window_arrive(&mut w, j, packet, vt, &mut tally);
                 }
-                FluidNext::TxDone => {
-                    slots.tx_done = SLOT_EMPTY;
-                    self.fluid_tx_done(
-                        link_id,
-                        prop,
-                        vt,
-                        vk,
-                        &mut slots,
-                        dst_box.as_mut(),
-                        route.dst,
-                        &mut popped,
-                        &mut qops,
-                        &mut next_real,
-                        &mut real_key,
-                        &mut other,
-                    );
+                Next::TxDone(j) => {
+                    if self.window_tx_done(&mut w, j, vt, vk, &mut tally) {
+                        next_real = self.events.peek_entry();
+                        real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
+                    }
+                    other = real_key.min(w.aux);
                 }
             }
         }
+        self.close_window(w, tally);
+    }
 
-        // Deferred deliveries already behind the clock drain now (the
-        // real loop must never pop an event in its past); ones at or
-        // after `self.time` materialise below and are processed by the
-        // real loop in exact order. After a halt, `fluid_deliver` has
-        // already drained every one before the halting delivery.
+    /// Closes a window: drains the deferred deliveries already behind
+    /// the clock (the real loop must never pop an event in its past),
+    /// hands the lanes' and sinks' boxes back to the agent table, and
+    /// materialises what the window didn't get to — under the seqs the
+    /// events would have carried had they never been elided. Deferred
+    /// deliveries at or after `self.time` are processed by the real loop
+    /// in exact order. After a halt, every deferred delivery before the
+    /// halting step has drained already.
+    fn close_window(&mut self, mut w: Window, mut tally: Tally) {
         let bound = (self.time.as_nanos() as u128) << 64;
-        self.fluid_drain(&mut slots, dst_box.as_mut(), route.dst, bound, &mut popped);
-
-        // lint: allow(panic_free) -- restoring the box taken above; same id
-        self.agents[route.dst.0] = Some(dst_box);
-
-        // materialise what the window didn't get to — under the seqs the
-        // events would have carried had they never been elided
+        tally.popped += self.drain_all(&mut w, bound);
+        for sink in w.sinks.drain(..) {
+            // lint: allow(panic_free) -- restoring a box the window took; same id
+            self.agents[sink.id.0] = Some(sink.agent);
+        }
         let mut materialise = |key: SlotKey, event: Event| {
             if key != SLOT_EMPTY {
                 self.events.push_with_seq(slot_time(key), key as u64, event);
             }
         };
-        materialise(
-            slots.timer,
-            Event::Timer {
-                agent: src,
-                token: slots.token,
-            },
-        );
-        materialise(
-            slots.arrive,
-            Event::Arrive {
-                packet: slots.arrive_ref,
-            },
-        );
-        materialise(slots.tx_done, Event::TxDone { link: link_id });
-        for (t, s, p) in slots.deferred.drain(..) {
-            self.events.push_with_seq(
-                t,
-                s,
-                Event::Deliver {
-                    agent: route.dst,
-                    packet: p,
+        for lane in w.lanes.drain(..) {
+            materialise(
+                lane.timer,
+                Event::Timer {
+                    agent: lane.id,
+                    token: lane.token,
                 },
             );
+            materialise(
+                lane.arrive,
+                Event::Arrive {
+                    packet: lane.arrive_ref,
+                },
+            );
+            // lint: allow(panic_free) -- restoring a box the window took; same id
+            self.agents[lane.id.0] = Some(lane.agent);
         }
-        for (t, s, agent, p) in slots.ordered.drain(..) {
-            self.events
-                .push_with_seq(t, s, Event::Deliver { agent, packet: p });
+        for mut hl in w.links.drain(..) {
+            materialise(hl.tx_done, Event::TxDone { link: hl.id });
+            for d in hl.deferred.drain(..) {
+                let agent = self.arena.get(d.pkt).dst;
+                materialise(
+                    slot_key(d.t, d.s),
+                    Event::Deliver {
+                        agent,
+                        packet: d.pkt,
+                    },
+                );
+            }
+            for (t, s, agent, packet) in hl.ordered.drain(..) {
+                materialise(slot_key(t, s), Event::Deliver { agent, packet });
+            }
+            // lint: allow(panic_free) -- the window sized `held` to the link table at open
+            w.held[hl.id.0] = NOT_HELD;
+            w.spare.push((hl.deferred, hl.ordered));
         }
-        self.fluid_queues = DeliveryQueues {
-            deferred: slots.deferred,
-            ordered: slots.ordered,
-        };
-        prof::count_n(Cost::EventsPopped, popped);
-        prof::count_n(Cost::PacketsSimulated, arrivals);
-        prof::count_n(Cost::FluidPackets, arrivals);
-        prof::count_n(Cost::QueueOps, qops);
+        w.slots.clear();
+        w.aux = SLOT_EMPTY;
+        self.window = w;
+        prof::count_n(Cost::EventsPopped, tally.popped);
+        prof::count_n(Cost::PacketsSimulated, tally.arrivals);
+        prof::count_n(Cost::FluidPackets, tally.arrivals);
+        prof::count_n(Cost::QueueOps, tally.qops);
     }
 
     /// A packet reaches the router feeding `path[hop]`: decrement TTL,
@@ -1236,139 +1258,336 @@ fn slot_time(k: SlotKey) -> SimTime {
     SimTime::from_nanos((k >> 64) as u64)
 }
 
-/// Deferred deliveries drain in batches of roughly this many (see
-/// [`Simulator::fluid_drain`]); the threshold bounds the deque while
+/// Deferred deliveries drain in batches of roughly this many per link
+/// (see [`Simulator::drain_link`]); the threshold bounds the deque while
 /// keeping drains rare enough to amortise.
 const DELIVER_DRAIN: usize = 32;
 
-/// Cost tallies of a window step run out of line
-/// ([`Simulator::fluid_ordered`], [`Simulator::fluid_absorb`]). Returned
-/// by value, so the window's own tallies stay out of memory the step
-/// could write.
+/// [`Window::held`] of a link the window does not hold.
+const NOT_HELD: usize = usize::MAX;
+
+/// [`Hint::dst`] of a link no held sink is bound to yet.
+const NO_AGENT: AgentId = AgentId(usize::MAX);
+
+/// Cost tallies of one window, flushed into the `prof` counters when it
+/// closes.
 #[derive(Clone, Copy, Default)]
 struct Tally {
     /// Events processed, virtual or absorbed (`Cost::EventsPopped`).
     popped: u64,
-    /// Arrivals offered to the link (`Cost::PacketsSimulated` and
+    /// Arrivals offered to held links (`Cost::PacketsSimulated` and
     /// `Cost::FluidPackets`).
     arrivals: u64,
     /// Accepted enqueues and completed transmissions (`Cost::QueueOps`).
     qops: u64,
 }
 
-/// The fluid window's virtual event set. The window's structure bounds
-/// it exactly: at most one pending timer fire of the source (it re-arms
-/// once per packet), one arrival of the source (created at the fire
-/// instant and consumed before the next fire), and one transmission
-/// completion (the link serialises one packet at a time). Every other
-/// packet the window carries, a probe packet among them, arrives through
-/// the real queue. In-flight deliveries wait in two deques — a FIFO link
-/// with constant propagation delay produces them in strictly increasing
-/// `(time, seq)` order. Deliveries to the source's sink are deferred and
-/// never compete for selection ([`Simulator::fluid_drain`]); deliveries
-/// to any other recording sink compete through `aux`. Selecting the next
-/// event is therefore a branch-light minimum over packed keys instead of
-/// a priority-queue operation.
-struct FluidSlots {
-    src: AgentId,
+/// The window's pending events: one slot per lane (its earliest key)
+/// and one per held link (its pending completion), under a tournament
+/// tree. Each inner node holds the earlier key of its two subtrees and
+/// the slot that holds it, so picking the next event reads the root,
+/// and a slot whose key changes replays only the `log n` matches on its
+/// way up: a window of 24 lanes picks almost as cheaply as a window of
+/// one.
+#[derive(Default)]
+struct Slots {
+    /// What each slot runs.
+    next: Vec<Next>,
+    /// Node `n` of the tree: the leaf of slot `s` is node `cap + s`
+    /// (`SLOT_EMPTY` for a leaf without a slot), and an inner node
+    /// `1..cap` holds the winner of nodes `2n` and `2n + 1`. Entry 0 is
+    /// unused.
+    tree: Vec<(SlotKey, usize)>,
+    /// Leaves: a power of two, at least 2 and at least the slot count.
+    cap: usize,
+}
+
+impl Slots {
+    /// Adds an empty slot that runs `next`, and returns it.
+    fn push(&mut self, next: Next) -> usize {
+        let slot = self.next.len();
+        self.next.push(next);
+        if slot >= self.cap {
+            // double the leaves in place: the old leaves move up to the
+            // new leaf row, the new ones start empty, and every inner
+            // match is replayed
+            let old = self.cap;
+            self.cap = (2 * old).max(2);
+            self.tree.resize(2 * self.cap, (SLOT_EMPTY, 0));
+            self.tree.copy_within(old..2 * old, self.cap);
+            for (s, leaf) in self.tree.iter_mut().skip(self.cap).enumerate() {
+                if s >= old {
+                    *leaf = (SLOT_EMPTY, s);
+                }
+            }
+            for n in (1..self.cap).rev() {
+                self.play(n);
+            }
+        }
+        slot
+    }
+
+    /// Replays the match at inner node `n`; ties (two empty keys) go to
+    /// the left.
+    #[inline(always)]
+    fn play(&mut self, n: usize) {
+        // lint: allow(panic_free) -- inner nodes are below `cap`, and `tree` has `2 cap` entries
+        let (a, b) = (self.tree[2 * n], self.tree[2 * n + 1]);
+        // lint: allow(panic_free) -- inner nodes are below `cap`, and `tree` has `2 cap` entries
+        self.tree[n] = if b.0 < a.0 { b } else { a };
+    }
+
+    /// The earliest key and its slot; `SLOT_EMPTY` when none is pending.
+    /// With two leaves, the one match is played here rather than on
+    /// every update: a window of one lane on one link picks as its
+    /// single-source ancestor did.
+    #[inline(always)]
+    fn top(&self) -> (SlotKey, usize) {
+        // lint: allow(panic_free) -- a slice pattern over the full range, not an index
+        if let [_, _, a, b] = self.tree[..] {
+            return if b.0 < a.0 { b } else { a };
+        }
+        self.tree.get(1).copied().unwrap_or((SLOT_EMPTY, 0))
+    }
+
+    /// The earliest key of every slot but `slot`: the best of the
+    /// subtrees `slot` beat on its way to the root.
+    #[inline(always)]
+    fn second(&self, slot: usize) -> SlotKey {
+        let mut best = SLOT_EMPTY;
+        let mut n = self.cap + slot;
+        while n > 1 {
+            best = best.min(self.tree.get(n ^ 1).map_or(SLOT_EMPTY, |e| e.0));
+            n /= 2;
+        }
+        best
+    }
+
+    /// What `slot` runs.
+    #[inline(always)]
+    fn next(&self, slot: usize) -> Next {
+        self.next.get(slot).copied().unwrap_or(Next::TxDone(0))
+    }
+
+    /// Sets the key of `slot` and what it runs.
+    #[inline(always)]
+    fn set(&mut self, slot: usize, key: SlotKey, next: Next) {
+        if let Some(n) = self.next.get_mut(slot) {
+            *n = next;
+        }
+        self.set_key(slot, key);
+    }
+
+    /// Sets the key of `slot` and replays its matches up to the root:
+    /// at each level the new winner of the slot's side meets the winner
+    /// of the sibling subtree.
+    #[inline(always)]
+    fn set_key(&mut self, slot: usize, key: SlotKey) {
+        let mut n = self.cap + slot;
+        let mut win = (key, slot);
+        if let Some(leaf) = self.tree.get_mut(n) {
+            *leaf = win;
+        }
+        if self.cap <= 2 {
+            return;
+        }
+        while n > 1 {
+            if let Some(&sibling) = self.tree.get(n ^ 1) {
+                win = earlier(sibling, win);
+            }
+            n /= 2;
+            if let Some(node) = self.tree.get_mut(n) {
+                *node = win;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.next.clear();
+        self.tree.clear();
+        self.cap = 0;
+    }
+}
+
+/// The earlier of two tree entries (`b` on a tie), picked with masks
+/// rather than a branch: which slot wins a match is as unpredictable as
+/// the traffic.
+#[inline(always)]
+fn earlier(a: (SlotKey, usize), b: (SlotKey, usize)) -> (SlotKey, usize) {
+    let lt = a.0 < b.0;
+    let m = SlotKey::from(lt).wrapping_neg();
+    let m_slot = usize::from(lt).wrapping_neg();
+    ((a.0 & m) | (b.0 & !m), (a.1 & m_slot) | (b.1 & !m_slot))
+}
+
+/// What a slot runs, with the index of its lane or held link.
+#[derive(Clone, Copy)]
+enum Next {
+    /// The lane's timer fire.
+    Fire(usize),
+    /// The arrival of the lane's packet at its link.
+    Arrive(usize),
+    /// The held link's transmission completion.
+    TxDone(usize),
+}
+
+/// A lane: one cross source the window adopted. Its structure bounds its
+/// virtual events exactly: at most one pending timer fire (it re-arms
+/// once per packet) and one arrival (created at the fire instant and
+/// consumed before the next fire).
+struct Lane {
+    id: AgentId,
+    /// The source's box, out of the agent table while the window runs.
+    agent: Box<dyn Agent>,
     /// Token the source's timer chain carries (re-armed unchanged).
     token: u64,
+    route: FluidRoute,
+    /// Index of its link among the window's held links.
+    link: usize,
     timer: SlotKey,
     arrive: SlotKey,
     arrive_ref: PacketRef,
+}
+
+impl Lane {
+    /// The earliest pending event of lane `i`: its key and what runs.
+    #[inline]
+    fn next_slot(&self, i: usize) -> (SlotKey, Next) {
+        if self.arrive < self.timer {
+            (self.arrive, Next::Arrive(i))
+        } else {
+            (self.timer, Next::Fire(i))
+        }
+    }
+}
+
+/// A link whose transmission completions the window runs: at most one
+/// pending (the link serialises one packet at a time), plus the
+/// deliveries of the packets it served. A FIFO link with constant
+/// propagation delay, which a loss-only link is, produces its deliveries
+/// in strictly increasing `(time, seq)` order, so the link's deques hold
+/// them in key order: the deferred ones in one, the ones that run at
+/// their own position in the other.
+struct HeldLink {
+    id: LinkId,
+    prop: SimDuration,
     tx_done: SlotKey,
-    /// Key of the front of `ordered`, or `SLOT_EMPTY`.
-    aux: SlotKey,
-    /// Deliveries to the source's passive sink.
-    deferred: VecDeque<(SimTime, u64, PacketRef)>,
-    /// Deliveries to other recording sinks, each run at its own position.
-    ordered: VecDeque<(SimTime, u64, AgentId, PacketRef)>,
+    /// Its slot in [`Window::slots`].
+    slot: usize,
+    /// The first lane on this link: its packets are deferred without a
+    /// search.
+    hint: Hint,
+    /// Deliveries to the held sinks bound to this link.
+    deferred: VecDeque<Deferred>,
+    /// Deliveries to any other recording sink, each run at its own
+    /// position.
+    ordered: VecDeque<Ordered>,
 }
 
-/// Which slot [`FluidSlots::min_key`] selected.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FluidNext {
-    Timer,
-    Arrive,
-    TxDone,
-}
-
-/// The window's delivery queues, kept on the simulator between windows.
-#[derive(Default)]
-struct DeliveryQueues {
-    deferred: VecDeque<(SimTime, u64, PacketRef)>,
-    ordered: VecDeque<(SimTime, u64, AgentId, PacketRef)>,
-}
-
-impl FluidSlots {
-    /// The slots of a window of `src`'s timer chain, over the
-    /// simulator's reusable (empty) delivery queues.
-    fn new(src: AgentId, token: u64, queues: DeliveryQueues) -> Self {
-        debug_assert!(
-            queues.deferred.is_empty() && queues.ordered.is_empty(),
-            "fluid deliveries left over from the last window"
-        );
-        FluidSlots {
-            src,
-            token,
-            timer: SLOT_EMPTY,
-            arrive: SLOT_EMPTY,
-            arrive_ref: PacketRef::DANGLING,
-            tx_done: SLOT_EMPTY,
-            aux: SLOT_EMPTY,
-            deferred: queues.deferred,
-            ordered: queues.ordered,
-        }
-    }
-
-    /// The earliest pending event of the source's cycle (timer, arrival,
-    /// transmission completion) in full `(time, seq)` order, or
-    /// `SLOT_EMPTY`. Sequence numbers are unique, so the order is total
-    /// and the selection matches what a merged priority queue would pop.
+impl HeldLink {
+    /// The key of the link's earliest ordered delivery, or `SLOT_EMPTY`.
     #[inline]
-    fn min_key(&self) -> (SlotKey, FluidNext) {
-        let mut k = self.timer;
-        let mut w = FluidNext::Timer;
-        if self.arrive < k {
-            k = self.arrive;
-            w = FluidNext::Arrive;
-        }
-        if self.tx_done < k {
-            k = self.tx_done;
-            w = FluidNext::TxDone;
-        }
-        (k, w)
-    }
-
-    /// Recomputes `aux` after the ordered deque changed.
-    #[inline]
-    fn refresh_aux(&mut self) {
-        self.aux = self
-            .ordered
+    fn ordered_key(&self) -> SlotKey {
+        self.ordered
             .front()
-            .map_or(SLOT_EMPTY, |&(t, s, _, _)| slot_key(t, s));
+            .map_or(SLOT_EMPTY, |&(t, s, _, _)| slot_key(t, s))
+    }
+}
+
+/// The path and sink of the first lane on a held link, and the sink's
+/// index among the held sinks.
+#[derive(Clone, Copy)]
+struct Hint {
+    path: PathId,
+    dst: AgentId,
+    sink: usize,
+}
+
+/// A lane's passive sink, whose box the window holds out of the agent
+/// table, so that each delivery is a direct `on_packet` call instead of
+/// the per-dispatch take/restore. Its deferred deliveries all sit in the
+/// deque of one held link, in key order.
+struct HeldSink {
+    id: AgentId,
+    agent: Box<dyn Agent>,
+    /// Index of the held link whose deque holds its deferred deliveries.
+    link: usize,
+}
+
+/// A delivery of a held link that runs at its own position: its time,
+/// sequence number, agent and packet.
+type Ordered = (SimTime, u64, AgentId, PacketRef);
+
+/// A deferred delivery of a held link; the packet's `dst` names the
+/// agent.
+#[derive(Clone, Copy)]
+struct Deferred {
+    t: SimTime,
+    s: u64,
+    pkt: PacketRef,
+    /// Index of the held sink it is deferred to.
+    sink: usize,
+}
+
+/// The fluid window's lanes, held links and held sinks
+/// ([`Simulator::fluid_window`]). Kept on the simulator between windows,
+/// empty: taken at window open and handed back at close, so opening a
+/// window allocates nothing once the vectors and deques have grown.
+#[derive(Default)]
+struct Window {
+    lanes: Vec<Lane>,
+    links: Vec<HeldLink>,
+    sinks: Vec<HeldSink>,
+    /// Each lane's earliest event and each held link's pending
+    /// completion.
+    slots: Slots,
+    /// The held-link index of every simulator link, or [`NOT_HELD`].
+    held: Vec<usize>,
+    /// The earliest ordered delivery on any held link, or `SLOT_EMPTY`.
+    aux: SlotKey,
+    /// Delivery deques of links held by earlier windows, for reuse.
+    spare: Vec<(VecDeque<Deferred>, VecDeque<Ordered>)>,
+}
+
+impl Window {
+    /// Readies an empty window over a simulator of `links` links.
+    fn open(&mut self, links: usize) {
+        debug_assert!(
+            self.lanes.is_empty() && self.links.is_empty() && self.sinks.is_empty(),
+            "window state left over from the last window"
+        );
+        if self.held.len() < links {
+            self.held.resize(links, NOT_HELD);
+        }
+        self.aux = SLOT_EMPTY;
     }
 
-    #[inline]
-    fn push_deferred(&mut self, t: SimTime, s: u64, pkt: PacketRef) {
-        debug_assert!(
-            self.deferred
-                .back()
-                .is_none_or(|&(bt, bs, _)| (bt, bs) < (t, s)),
-            "fluid deliveries out of order"
-        );
-        self.deferred.push_back((t, s, pkt));
-    }
-
-    fn push_ordered(&mut self, t: SimTime, s: u64, agent: AgentId, pkt: PacketRef) {
-        debug_assert!(
-            self.ordered
-                .back()
-                .is_none_or(|&(bt, bs, _, _)| (bt, bs) < (t, s)),
-            "fluid deliveries out of order"
-        );
-        self.ordered.push_back((t, s, agent, pkt));
-        self.refresh_aux();
+    /// Holds `link` (propagation delay `prop`) unless it is held, and
+    /// returns its index.
+    fn hold(&mut self, link: LinkId, prop: SimDuration) -> usize {
+        if let Some(&j) = self.held.get(link.0).filter(|&&j| j != NOT_HELD) {
+            return j;
+        }
+        let j = self.links.len();
+        if let Some(h) = self.held.get_mut(link.0) {
+            *h = j;
+        }
+        let slot = self.slots.push(Next::TxDone(j));
+        let (deferred, ordered) = self.spare.pop().unwrap_or_default();
+        self.links.push(HeldLink {
+            id: link,
+            prop,
+            tx_done: SLOT_EMPTY,
+            slot,
+            hint: Hint {
+                path: PathId(usize::MAX),
+                dst: NO_AGENT,
+                sink: 0,
+            },
+            deferred,
+            ordered,
+        });
+        j
     }
 }
 

@@ -1,8 +1,8 @@
 //! Driving an [`ArrivalProcess`] onto a path.
 
 use abw_netsim::{
-    packet_to, Agent, AgentId, Ctx, FlowId, FluidRoute, FluidSource, FluidStep, PacketKind, PathId,
-    SimDuration, SimTime, Simulator,
+    packet_to, Agent, AgentId, Ctx, FlowId, FluidRoute, FluidStep, PacketKind, PathId, SimDuration,
+    SimTime, Simulator,
 };
 
 use crate::process::{ArrivalProcess, ParetoOnOff};
@@ -101,19 +101,13 @@ impl Agent for SourceAgent {
         }
     }
 
-    fn fluid_source(&mut self) -> Option<&mut dyn FluidSource> {
-        Some(self)
-    }
-}
-
-impl FluidSource for SourceAgent {
-    fn fluid_route(&self) -> FluidRoute {
-        FluidRoute {
+    fn fluid_route(&self) -> Option<FluidRoute> {
+        Some(FluidRoute {
             path: self.path,
             dst: self.dst,
             flow: self.flow,
             kind: PacketKind::Data,
-        }
+        })
     }
 
     fn fluid_step(&mut self, now: SimTime) -> FluidStep {
@@ -178,8 +172,8 @@ mod tests {
     use super::*;
     use crate::process::{Cbr, ParetoInterarrival, PoissonProcess};
     use crate::sizes::SizeDist;
-    use abw_netsim::{CountingSink, ImpairmentConfig, LinkConfig, LossModel};
-    use abw_obs::prof::{self, Cost};
+    use abw_netsim::{CountingSink, ImpairmentConfig, LinkConfig, LinkId, LossModel};
+    use abw_obs::prof::{self, Cost, CostSnapshot, ALL_COSTS};
 
     fn build(capacity_bps: f64) -> (Simulator, PathId, AgentId) {
         let mut sim = Simulator::new();
@@ -244,42 +238,45 @@ mod tests {
         assert!((util - 0.5).abs() < 0.02, "utilisation {util}");
     }
 
-    /// Sink packets, bytes, first and last arrival; injected and
-    /// delivered counters; link drops, impairment losses, busy time and
-    /// peak queue.
+    /// Each sink's packets, bytes, first and last arrival; the injected
+    /// and delivered counters; each link's drops, impairment losses,
+    /// busy time and peak queue.
     type Observables = (
+        Vec<(u64, u64, Option<SimTime>, Option<SimTime>)>,
         u64,
         u64,
-        Option<SimTime>,
-        Option<SimTime>,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
-        u64,
+        Vec<(u64, u64, u64, u64)>,
     );
 
-    /// Runs the sources `spawn` adds over one bottleneck, impaired by
-    /// `impairment` when given, and returns every observable the fluid
-    /// fast-forward path could plausibly disturb.
+    /// What `spawn` adds over the links it is given: its sources and
+    /// the sinks to observe.
+    type Spawn<'a> = &'a dyn Fn(&mut Simulator, &[LinkId]) -> (Vec<AgentId>, Vec<AgentId>);
+
+    /// Runs the sources `spawn` adds over `links` bottleneck links, each
+    /// impaired by `impairment` when given, and returns every observable
+    /// the fluid fast-forward path could plausibly disturb.
     fn run_observables(
         fluid: bool,
         impairment: Option<&ImpairmentConfig>,
-        spawn: &dyn Fn(&mut Simulator, PathId, AgentId) -> Vec<AgentId>,
+        links: usize,
+        spawn: Spawn<'_>,
     ) -> Observables {
         let mut sim = Simulator::new();
         sim.set_fluid(fluid);
         // 60 Mb/s offered into a 50 Mb/s link with a tight queue: the
         // window must reproduce drop-tail decisions, not just timings
-        let link = sim
-            .add_link(LinkConfig::new(50e6, SimDuration::from_millis(1)).with_queue_bytes(15_000));
-        if let Some(config) = impairment {
-            sim.impair_link(link, config.clone(), 11);
-        }
-        let path = sim.add_path(vec![link]);
-        let sink = sim.add_agent(Box::new(CountingSink::new()));
-        let sources = spawn(&mut sim, path, sink);
+        let links: Vec<LinkId> = (0..links)
+            .map(|i| {
+                let link = sim.add_link(
+                    LinkConfig::new(50e6, SimDuration::from_millis(1)).with_queue_bytes(15_000),
+                );
+                if let Some(config) = impairment {
+                    sim.impair_link(link, config.clone(), 11 + i as u64);
+                }
+                link
+            })
+            .collect();
+        let (sources, sinks) = spawn(&mut sim, &links);
         for &src in &sources {
             sim.agent_mut::<SourceAgent>(src).stop_at = Some(SimTime::from_nanos(1_600_000_000));
         }
@@ -296,33 +293,60 @@ mod tests {
             }
         }
         sim.run_to_quiescence();
-        let s: &CountingSink = sim.agent(sink);
-        let l = sim.link(abw_netsim::LinkId(0));
+        let sinks = sinks
+            .iter()
+            .map(|&id| {
+                let s: &CountingSink = sim.agent(id);
+                (s.packets, s.bytes, s.first_arrival, s.last_arrival)
+            })
+            .collect();
+        let links = links
+            .iter()
+            .map(|&id| {
+                let l = sim.link(id);
+                (
+                    l.counters().dropped_pkts,
+                    l.counters().impaired_pkts,
+                    l.busy_log().total_busy().as_nanos(),
+                    l.peak_queue_pkts(),
+                )
+            })
+            .collect();
         let c = sim.counters();
-        (
-            s.packets,
-            s.bytes,
-            s.first_arrival,
-            s.last_arrival,
-            c.injected,
-            c.delivered,
-            l.counters().dropped_pkts,
-            l.counters().impaired_pkts,
-            l.busy_log().total_busy().as_nanos(),
-            l.peak_queue_pkts(),
-        )
+        (sinks, c.injected, c.delivered, links)
     }
 
-    /// `run`'s result and the packets the fluid window simulated while
-    /// it ran on this thread. A snapshot flushes the calling thread's
-    /// tallies into the process-wide totals, so measuring tests take
-    /// turns: no other thread's flush lands between the two snapshots.
-    fn with_fluid_packets<T>(run: impl FnOnce() -> T) -> (T, u64) {
+    /// `run`'s result and the cost counters it added on this thread, the
+    /// totals of the simulators it dropped included. A snapshot flushes
+    /// the calling thread's tallies into the process-wide totals, so
+    /// measuring tests take turns: no other thread's flush lands between
+    /// the two snapshots.
+    fn with_costs<T>(run: impl FnOnce() -> T) -> (T, CostSnapshot) {
         static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
         let before = prof::snapshot();
         let out = run();
-        (out, prof::snapshot().delta(&before).get(Cost::FluidPackets))
+        (out, prof::snapshot().delta(&before))
+    }
+
+    /// Runs `spawn` with the window on and off, asserts the two runs
+    /// agree on every observable and on every cost counter but the
+    /// window's own, and returns the packets the window simulated.
+    fn assert_fluid_identical(
+        impairment: Option<&ImpairmentConfig>,
+        links: usize,
+        spawn: Spawn<'_>,
+        case: &str,
+    ) -> u64 {
+        let (fluid, on) = with_costs(|| run_observables(true, impairment, links, spawn));
+        let (per_event, off) = with_costs(|| run_observables(false, impairment, links, spawn));
+        assert_eq!(fluid, per_event, "{case}");
+        for cost in ALL_COSTS {
+            if !matches!(cost, Cost::FluidPackets | Cost::FfSkips) {
+                assert_eq!(on.get(cost), off.get(cost), "{case}: {}", cost.name());
+            }
+        }
+        on.get(Cost::FluidPackets)
     }
 
     #[test]
@@ -336,8 +360,36 @@ mod tests {
             || Box::new(ParetoInterarrival::new(60e6, MTU, 1.5, 7)),
         ];
         // 16 sources on one link: windows hand off between sources
-        let aggregate = |sim: &mut Simulator, path, sink| {
-            spawn_aggregate(sim, 16, 60e6, 150e6, 1500, path, sink, 1, 7)
+        let aggregate = |sim: &mut Simulator, links: &[LinkId]| {
+            let path = sim.add_path(links.to_vec());
+            let sink = sim.add_agent(Box::new(CountingSink::new()));
+            let sources = spawn_aggregate(sim, 16, 60e6, 150e6, 1500, path, sink, 1, 7);
+            (sources, vec![sink])
+        };
+        // Cross traffic on each of two links and a flow across both, all
+        // into one sink: the window holds both links, carries the flow's
+        // packets from the first to the second, and runs the deliveries
+        // from the link the sink is not bound to at their own position.
+        let two_links = |sim: &mut Simulator, links: &[LinkId]| {
+            let sink = sim.add_agent(Box::new(CountingSink::new()));
+            let mut paths: Vec<PathId> = links.iter().map(|&l| sim.add_path(vec![l])).collect();
+            paths.push(sim.add_path(links.to_vec()));
+            let sources = paths
+                .into_iter()
+                .enumerate()
+                .map(|(i, path)| {
+                    let rate_bps = if i < 2 { 30e6 } else { 25e6 };
+                    let process = PoissonProcess::new(rate_bps, MTU, 7 + i as u64);
+                    let flow = FlowId(i as u32);
+                    sim.add_agent(Box::new(SourceAgent::new(
+                        Box::new(process),
+                        path,
+                        sink,
+                        flow,
+                    )))
+                })
+                .collect();
+            (sources, vec![sink])
         };
         // the link impairments the fluid window admits: ingress loss only
         let ingress_only = [
@@ -356,39 +408,36 @@ mod tests {
         for impairment in &ingress_only {
             let impairment = impairment.as_ref();
             for (i, make) in shapes.iter().enumerate() {
-                let spawn = |sim: &mut Simulator, path, sink| {
-                    vec![sim.add_agent(Box::new(SourceAgent::new(make(), path, sink, FlowId(1))))]
+                let spawn = |sim: &mut Simulator, links: &[LinkId]| {
+                    let path = sim.add_path(links.to_vec());
+                    let sink = sim.add_agent(Box::new(CountingSink::new()));
+                    let source = SourceAgent::new(make(), path, sink, FlowId(1));
+                    (vec![sim.add_agent(Box::new(source))], vec![sink])
                 };
-                let (fluid, simulated) =
-                    with_fluid_packets(|| run_observables(true, impairment, &spawn));
-                assert!(
-                    simulated > 0,
-                    "shape {i}, {impairment:?}: the window never opened"
-                );
-                assert_eq!(
-                    fluid,
-                    run_observables(false, impairment, &spawn),
-                    "shape {i}, {impairment:?}"
-                );
+                let case = format!("shape {i}, {impairment:?}");
+                let simulated = assert_fluid_identical(impairment, 1, &spawn, &case);
+                assert!(simulated > 0, "{case}: the window never opened");
             }
-            assert_eq!(
-                run_observables(true, impairment, &aggregate),
-                run_observables(false, impairment, &aggregate),
-                "aggregate, {impairment:?}"
+            assert_fluid_identical(
+                impairment,
+                1,
+                &aggregate,
+                &format!("aggregate, {impairment:?}"),
             );
+            let case = format!("two links, {impairment:?}");
+            let simulated = assert_fluid_identical(impairment, 2, &two_links, &case);
+            assert!(simulated > 0, "{case}: the window never opened");
         }
     }
 
     #[test]
     fn fluid_window_stays_shut_on_timing_impairments() {
-        let spawn = |sim: &mut Simulator, path, sink| {
+        let spawn = |sim: &mut Simulator, links: &[LinkId]| {
+            let path = sim.add_path(links.to_vec());
+            let sink = sim.add_agent(Box::new(CountingSink::new()));
             let process = PoissonProcess::new(60e6, SizeDist::Constant(1500), 7);
-            vec![sim.add_agent(Box::new(SourceAgent::new(
-                Box::new(process),
-                path,
-                sink,
-                FlowId(1),
-            )))]
+            let source = SourceAgent::new(Box::new(process), path, sink, FlowId(1));
+            (vec![sim.add_agent(Box::new(source))], vec![sink])
         };
         let timing = [
             ImpairmentConfig::none().with_jitter(SimDuration::from_micros(100)),
@@ -397,8 +446,12 @@ mod tests {
             ImpairmentConfig::iid_loss(0.01).with_jitter(SimDuration::from_micros(100)),
         ];
         for config in &timing {
-            let (_, simulated) = with_fluid_packets(|| run_observables(true, Some(config), &spawn));
-            assert_eq!(simulated, 0, "{config:?} must keep the per-event path");
+            let (_, costs) = with_costs(|| run_observables(true, Some(config), 1, &spawn));
+            assert_eq!(
+                costs.get(Cost::FluidPackets),
+                0,
+                "{config:?} must keep the per-event path"
+            );
         }
     }
 

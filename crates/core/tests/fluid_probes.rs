@@ -168,13 +168,12 @@ fn middle_impaired(impairment: ImpairmentConfig) -> Vec<HopSpec> {
     hops
 }
 
-/// A path to probe: its name, its hops, whether it is pristine (the
-/// window must then carry most probe packet-hops), and the hop the
-/// window may never hold, if any.
+/// A path to probe: its name, its hops, and the hop the window may never
+/// hold, if any. On a path without one, the window must carry most
+/// probe packet-hops.
 struct Path {
     name: String,
     hops: Vec<HopSpec>,
-    pristine: bool,
     never_held: Option<usize>,
 }
 
@@ -188,7 +187,6 @@ fn paths() -> Vec<Path> {
             hop.impairment = impairment;
             out.push(Path {
                 name: format!("{cross:?}, {name}"),
-                pristine: name == "pristine",
                 hops: vec![hop],
                 never_held: None,
             });
@@ -197,7 +195,6 @@ fn paths() -> Vec<Path> {
             out.push(Path {
                 name: format!("{cross:?}, {n} tight links"),
                 hops: Scenario::multi_tight(n, cross, 0).hops,
-                pristine: true,
                 never_held: None,
             });
         }
@@ -205,25 +202,21 @@ fn paths() -> Vec<Path> {
     out.push(Path {
         name: "idle narrow link before the tight link".into(),
         hops: Scenario::tight_not_narrow(100e6, 0).hops,
-        pristine: true,
         never_held: None,
     });
     out.push(Path {
         name: "1% loss on the middle of 3 links".into(),
         hops: middle_impaired(ImpairmentConfig::iid_loss(0.01)),
-        pristine: false,
         never_held: None,
     });
     out.push(Path {
         name: "Gilbert-Elliott middle of 3 links".into(),
         hops: middle_impaired(gilbert_elliott()),
-        pristine: false,
         never_held: None,
     });
     out.push(Path {
         name: "jitter on the middle of 3 links".into(),
         hops: middle_impaired(ImpairmentConfig::none().with_jitter(SimDuration::from_micros(100))),
-        pristine: false,
         never_held: Some(1),
     });
     out
@@ -249,8 +242,7 @@ fn probe_streams_in_the_fluid_window_are_bit_identical_to_event_loop() {
                 in_window + arrivals[hop] <= on.get(Cost::PacketsSimulated),
                 "{case}: the window held hop {hop}"
             );
-        }
-        if path.pristine {
+        } else {
             // the warm-up's cross packets ran in the window too; beyond
             // them and the cross packets sent while probing, the window
             // must have offered most probe packet-hops to their links

@@ -19,7 +19,6 @@
 //! is the per-event loop's.
 
 use std::any::Any;
-use std::collections::VecDeque;
 
 use abw_obs::prof::{self, Cost};
 use abw_obs::{Event as ObsEvent, Field, Recorder};
@@ -84,7 +83,7 @@ pub struct Simulator {
     /// nothing; agents ([`Ctx::emit`]) and the layers above
     /// ([`Simulator::emit`]) do.
     recorder: Option<Box<dyn Recorder + Send>>,
-    /// The fluid window's lanes, held links and delivery deques, kept
+    /// The fluid window's lanes, held links and delivery queues, kept
     /// between windows: taken at window open and handed back (empty) at
     /// close, so opening a window does not allocate.
     window: Window,
@@ -502,20 +501,20 @@ impl Simulator {
             });
         }
         let i = w.lanes.len();
-        let slot = w.slots.push(Next::Fire(i));
         let mut lane = Lane {
             id,
             agent,
             token,
             route,
             link: j,
+            slot: w.slots.push(Next::Fire(i)),
             timer: SLOT_EMPTY,
             arrive: SLOT_EMPTY,
             arrive_ref: PacketRef::DANGLING,
         };
         self.lane_fire(&mut lane, self.time);
         let (key, next) = lane.next_slot(i);
-        w.slots.set(slot, key, next);
+        w.slots.set(lane.slot, key, next);
         w.lanes.push(lane);
     }
 
@@ -594,7 +593,7 @@ impl Simulator {
     /// hop's arrival under the sequence number the per-event loop would
     /// give it; a delivery is deferred, ordered or pushed by
     /// [`Simulator::window_delivery`]. Returns whether it pushed an event
-    /// into the queue.
+    /// into the queue or ordered a delivery.
     #[inline(always)]
     fn window_tx_done(
         &mut self,
@@ -627,7 +626,7 @@ impl Simulator {
         let at = vt + hl.prop + extra;
         // a lane's packet: its path is this one link
         if path == hl.hint.path && dst == hl.hint.dst {
-            hl.deferred.push_back(Deferred {
+            hl.deferred.push(Deferred {
                 t: at,
                 s,
                 pkt,
@@ -654,8 +653,8 @@ impl Simulator {
     /// link's first bound sink: deferred when the window holds the sink
     /// for this link, run at its own position for any other recording
     /// sink, and pushed into the queue for an active agent, where it
-    /// closes the window when due. Out of line, so the cross traffic's
-    /// cycle stays a tight loop.
+    /// closes the window when due. Returns whether it ordered or pushed
+    /// it. Out of line, so the cross traffic's cycle stays a tight loop.
     #[inline(never)]
     fn window_delivery(
         &mut self,
@@ -671,51 +670,47 @@ impl Simulator {
         let hl = &mut w.links[j];
         // lint: allow(panic_free) -- `position` returned an index into the held sinks
         if let Some(sink) = held.filter(|&k| w.sinks[k].link == j) {
-            hl.deferred.push_back(Deferred { t, s, pkt, sink });
-        } else if held.is_some() || self.sink_role_of(agent) != SinkRole::Active {
-            if hl.ordered.is_empty() {
-                w.aux = w.aux.min(slot_key(t, s));
-            }
-            hl.ordered.push_back((t, s, agent, pkt));
+            hl.deferred.push(Deferred { t, s, pkt, sink });
+            return false;
+        }
+        if held.is_some() || self.sink_role_of(agent) != SinkRole::Active {
+            let key = slot_key(t, s);
+            let at = w.ordered.partition_point(|o| o.0 > key);
+            w.ordered.insert(at, (key, agent, pkt));
+            w.aux = w.aux.min(key);
         } else {
             self.events
                 .push_with_seq(t, s, Event::Deliver { agent, packet: pkt });
-            return true;
         }
-        false
+        true
     }
 
     /// Runs the deferred deliveries of the held link `hl` with key below
     /// `bound` through their held sinks. A delivery to a passive sink
     /// touches nothing but the sink, the arena and the delivered counter,
-    /// and every sink's deferred deliveries sit in one link's deque, in
+    /// and every sink's deferred deliveries sit in one link's queue, in
     /// key order. So the window drains them in batches, at any point at
     /// or after their due time, and always before a step that runs at
     /// its own position could observe the same sink, or halt the run,
     /// out of order. Each delivery still runs at its own instant:
     /// `ctx.now` is the delivery time, never the drain time.
     fn drain_link(&mut self, hl: &mut HeldLink, sinks: &mut [HeldSink], bound: SlotKey) -> u64 {
-        debug_assert!(
-            bound <= hl.ordered_key(),
-            "a delivery that runs at its own position is overdue"
-        );
         let mut drained = 0;
         #[cfg(debug_assertions)]
         let before = (
             self.events.peek_entry().map(|(t, s, _)| (t, s)),
             self.halt_requested,
         );
-        while let Some(&d) = hl.deferred.front() {
+        while let Some(&d) = hl.deferred.get(drained) {
             if slot_key(d.t, d.s) >= bound {
                 break;
             }
-            hl.deferred.pop_front();
             drained += 1;
             self.counters.delivered += 1;
             let p = self.arena.take(d.pkt);
-            if let Some(sink) = sinks.get_mut(d.sink) {
-                sink.agent.on_packet(&mut self.ctx(sink.id, d.t), p);
-            }
+            // lint: allow(panic_free) -- a deferred delivery names a held sink
+            let sink = &mut sinks[d.sink];
+            sink.agent.on_packet(&mut self.ctx(sink.id, d.t), p);
             #[cfg(debug_assertions)]
             debug_assert!(
                 (
@@ -725,14 +720,27 @@ impl Simulator {
                 "passive sink mutated the event queue or halted the run"
             );
         }
-        drained
+        if drained > 0 {
+            hl.deferred.drain(..drained);
+        }
+        drained as u64
     }
 
     /// [`Simulator::drain_link`] on every held link.
     fn drain_all(&mut self, w: &mut Window, bound: SlotKey) -> u64 {
+        debug_assert!(
+            bound <= w.aux,
+            "a delivery that runs at its own position is overdue"
+        );
         let mut drained = 0;
         for hl in &mut w.links {
-            drained += self.drain_link(hl, &mut w.sinks, bound);
+            if hl
+                .deferred
+                .first()
+                .is_some_and(|d| slot_key(d.t, d.s) < bound)
+            {
+                drained += self.drain_link(hl, &mut w.sinks, bound);
+            }
         }
         drained
     }
@@ -766,21 +774,11 @@ impl Simulator {
     #[inline(never)]
     fn window_ordered(&mut self, w: &mut Window) -> u64 {
         let key = w.aux;
-        let Some(j) = w.links.iter().position(|l| l.ordered_key() == key) else {
-            return 0;
-        };
         self.time = slot_time(key);
         let popped = 1 + self.drain_all(w, key);
-        // lint: allow(panic_free) -- `position` returned an index into the held links
-        let Some((_, _, agent, pkt)) = w.links[j].ordered.pop_front() else {
-            return popped;
-        };
-        w.aux = w
-            .links
-            .iter()
-            .map(HeldLink::ordered_key)
-            .min()
-            .unwrap_or(SLOT_EMPTY);
+        // lint: allow(panic_free) -- `aux` is the key of the last ordered delivery
+        let (_, agent, pkt) = w.ordered.pop().expect("an ordered delivery at `aux`");
+        w.aux = w.ordered.last().map_or(SLOT_EMPTY, |o| o.0);
         self.deliver_in_place(w, agent, pkt);
         popped
     }
@@ -923,22 +921,25 @@ impl Simulator {
 
         // The head of the real queue, re-read only after an operation
         // that can change it: a pop, an agent dispatch, or a push by a
-        // completion. `other` is the earliest event outside the lanes'
-        // and links' slots (the real head or an ordered delivery), so a
-        // step pays one comparison for both.
+        // completion. `limit` sorts after every event due by the
+        // deadline and before every later one. `other` is the earliest
+        // of the real head, the ordered deliveries and `limit`, so a
+        // step pays one comparison for all three.
+        let limit = slot_key(deadline, u64::MAX);
         let mut next_real = self.events.peek_entry();
         let mut real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
-        let mut other = real_key.min(w.aux);
+        let mut other = real_key.min(w.aux).min(limit);
         loop {
             // `vk`: the earliest key of the lanes and held links, and
-            // `at` the slot that holds it
-            let (vk, at) = w.slots.top();
+            // `next` what runs at it
+            let Node { key: vk, next } = w.slots.top();
 
-            if other < vk {
+            if other <= vk {
+                // the deadline comes first, or nothing is pending
+                if other == limit {
+                    break;
+                }
                 if w.aux < real_key {
-                    if slot_time(w.aux) > deadline {
-                        break;
-                    }
                     tally.popped += self.window_ordered(&mut w);
                 } else {
                     let Some((rt, _, event)) = next_real else {
@@ -946,7 +947,7 @@ impl Simulator {
                     };
                     // Nothing virtual pending: leftover deliveries
                     // materialise below.
-                    if rt > deadline || (vk == SLOT_EMPTY && w.aux == SLOT_EMPTY) {
+                    if vk == SLOT_EMPTY && w.aux == SLOT_EMPTY {
                         break;
                     }
                     let Some(t) = self.window_absorb(&mut w, rt, real_key, event) else {
@@ -961,46 +962,41 @@ impl Simulator {
                 if self.halt_requested {
                     break;
                 }
-                other = real_key.min(w.aux);
+                other = real_key.min(w.aux).min(limit);
                 continue;
             }
-            if vk == SLOT_EMPTY {
-                // nothing pending at all
-                break;
-            }
+            // below `limit`: pending, and due by the deadline
             let vt = slot_time(vk);
-            if vt > deadline {
-                break;
-            }
-
             self.time = vt;
             tally.popped += 1; // EventsPopped parity with the per-event loop
-            match w.slots.next(at) {
+            match next {
                 Next::Fire(i) => {
                     // lint: allow(panic_free) -- a lane's slot names its index
                     let lane = &mut w.lanes[i];
                     self.lane_fire(lane, vt);
-                    let second = w.slots.second(at);
                     // The arrival the fire just created sits at this same
                     // instant, and its sequence number is larger than any
                     // event allocated before it — so unless some other
                     // event lands on exactly this nanosecond (which would
                     // carry a smaller seq and sort first), the arrival is
                     // provably the next selection. Process it inline and
-                    // save a selection round trip.
+                    // save a selection round trip. The lane's slot moves
+                    // to its re-armed timer first, so the root is the
+                    // earliest key but the arrival's (a timer re-armed on
+                    // this nanosecond only makes the check conservative).
+                    w.slots.set_key(lane.slot, lane.timer);
                     let t_hi = vk & KEY_TIME;
                     if lane.arrive != SLOT_EMPTY
-                        && second & KEY_TIME != t_hi
+                        && w.slots.top().key & KEY_TIME != t_hi
                         && other & KEY_TIME != t_hi
                     {
                         let (j, packet) = (lane.link, lane.arrive_ref);
                         lane.arrive = SLOT_EMPTY;
-                        w.slots.set_key(at, lane.timer);
                         tally.popped += 1; // the elided selection still counts
                         self.window_arrive(&mut w, j, packet, vt, &mut tally);
                     } else {
                         let (key, next) = lane.next_slot(i);
-                        w.slots.set(at, key, next);
+                        w.slots.set(lane.slot, key, next);
                     }
                 }
                 Next::Arrive(i) => {
@@ -1008,15 +1004,15 @@ impl Simulator {
                     let lane = &mut w.lanes[i];
                     let (j, packet) = (lane.link, lane.arrive_ref);
                     lane.arrive = SLOT_EMPTY;
-                    w.slots.set(at, lane.timer, Next::Fire(i));
+                    w.slots.set(lane.slot, lane.timer, Next::Fire(i));
                     self.window_arrive(&mut w, j, packet, vt, &mut tally);
                 }
                 Next::TxDone(j) => {
                     if self.window_tx_done(&mut w, j, vt, vk, &mut tally) {
                         next_real = self.events.peek_entry();
                         real_key = next_real.map_or(SLOT_EMPTY, |(t, s, _)| slot_key(t, s));
+                        other = real_key.min(w.aux).min(limit);
                     }
-                    other = real_key.min(w.aux);
                 }
             }
         }
@@ -1072,12 +1068,12 @@ impl Simulator {
                     },
                 );
             }
-            for (t, s, agent, packet) in hl.ordered.drain(..) {
-                materialise(slot_key(t, s), Event::Deliver { agent, packet });
-            }
             // lint: allow(panic_free) -- the window sized `held` to the link table at open
             w.held[hl.id.0] = NOT_HELD;
-            w.spare.push((hl.deferred, hl.ordered));
+            w.spare.push(hl.deferred);
+        }
+        for (key, agent, packet) in w.ordered.drain(..) {
+            materialise(key, Event::Deliver { agent, packet });
         }
         w.slots.clear();
         w.aux = SLOT_EMPTY;
@@ -1259,7 +1255,7 @@ fn slot_time(k: SlotKey) -> SimTime {
 }
 
 /// Deferred deliveries drain in batches of roughly this many per link
-/// (see [`Simulator::drain_link`]); the threshold bounds the deque while
+/// (see [`Simulator::drain_link`]); the threshold bounds the queue while
 /// keeping drains rare enough to amortise.
 const DELIVER_DRAIN: usize = 32;
 
@@ -1284,46 +1280,59 @@ struct Tally {
 
 /// The window's pending events: one slot per lane (its earliest key)
 /// and one per held link (its pending completion), under a tournament
-/// tree. Each inner node holds the earlier key of its two subtrees and
-/// the slot that holds it, so picking the next event reads the root,
-/// and a slot whose key changes replays only the `log n` matches on its
-/// way up: a window of 24 lanes picks almost as cheaply as a window of
-/// one.
+/// tree. Each inner node holds the earlier of its two subtrees' nodes,
+/// so picking the next event reads the root, and a slot whose key
+/// changes replays only the `log n` matches on its way up: a window of
+/// 24 lanes picks almost as cheaply as a window of one.
 #[derive(Default)]
 struct Slots {
-    /// What each slot runs.
-    next: Vec<Next>,
     /// Node `n` of the tree: the leaf of slot `s` is node `cap + s`
-    /// (`SLOT_EMPTY` for a leaf without a slot), and an inner node
-    /// `1..cap` holds the winner of nodes `2n` and `2n + 1`. Entry 0 is
-    /// unused.
-    tree: Vec<(SlotKey, usize)>,
-    /// Leaves: a power of two, at least 2 and at least the slot count.
+    /// ([`VACANT`] for a leaf without a slot), and an inner node `1..cap`
+    /// holds the winner of nodes `2n` and `2n + 1`. Entry 0 is unused.
+    tree: Vec<Node>,
+    /// Slots in use.
+    len: usize,
+    /// Leaves: 0 before the first slot, then a power of two, at least 2
+    /// and at least the slot count. Kept between windows.
     cap: usize,
 }
+
+/// A node of the [`Slots`] tree: a key and what runs at it.
+#[derive(Clone, Copy)]
+struct Node {
+    key: SlotKey,
+    next: Next,
+}
+
+/// The leaf of no slot. Its key is empty, so it never runs: the window
+/// stops when the earliest key is empty.
+const VACANT: Node = Node {
+    key: SLOT_EMPTY,
+    next: Next::TxDone(NOT_HELD),
+};
 
 impl Slots {
     /// Adds an empty slot that runs `next`, and returns it.
     fn push(&mut self, next: Next) -> usize {
-        let slot = self.next.len();
-        self.next.push(next);
+        let slot = self.len;
+        self.len += 1;
         if slot >= self.cap {
             // double the leaves in place: the old leaves move up to the
-            // new leaf row, the new ones start empty, and every inner
+            // new leaf row, the new ones start vacant, and every inner
             // match is replayed
             let old = self.cap;
             self.cap = (2 * old).max(2);
-            self.tree.resize(2 * self.cap, (SLOT_EMPTY, 0));
+            self.tree.resize(2 * self.cap, VACANT);
             self.tree.copy_within(old..2 * old, self.cap);
-            for (s, leaf) in self.tree.iter_mut().skip(self.cap).enumerate() {
-                if s >= old {
-                    *leaf = (SLOT_EMPTY, s);
-                }
-            }
+            self.tree
+                .iter_mut()
+                .skip(self.cap + old)
+                .for_each(|l| *l = VACANT);
             for n in (1..self.cap).rev() {
                 self.play(n);
             }
         }
+        self.set(slot, SLOT_EMPTY, next);
         slot
     }
 
@@ -1334,47 +1343,27 @@ impl Slots {
         // lint: allow(panic_free) -- inner nodes are below `cap`, and `tree` has `2 cap` entries
         let (a, b) = (self.tree[2 * n], self.tree[2 * n + 1]);
         // lint: allow(panic_free) -- inner nodes are below `cap`, and `tree` has `2 cap` entries
-        self.tree[n] = if b.0 < a.0 { b } else { a };
+        self.tree[n] = if b.key < a.key { b } else { a };
     }
 
-    /// The earliest key and its slot; `SLOT_EMPTY` when none is pending.
-    /// With two leaves, the one match is played here rather than on
-    /// every update: a window of one lane on one link picks as its
-    /// single-source ancestor did.
+    /// The earliest pending key and what runs at it; an empty key when
+    /// none is pending. With two leaves, the one match is played here
+    /// rather than on every update: a window of one lane on one link
+    /// picks as its single-source ancestor did.
     #[inline(always)]
-    fn top(&self) -> (SlotKey, usize) {
+    fn top(&self) -> Node {
         // lint: allow(panic_free) -- a slice pattern over the full range, not an index
         if let [_, _, a, b] = self.tree[..] {
-            return if b.0 < a.0 { b } else { a };
+            return if b.key < a.key { b } else { a };
         }
-        self.tree.get(1).copied().unwrap_or((SLOT_EMPTY, 0))
-    }
-
-    /// The earliest key of every slot but `slot`: the best of the
-    /// subtrees `slot` beat on its way to the root.
-    #[inline(always)]
-    fn second(&self, slot: usize) -> SlotKey {
-        let mut best = SLOT_EMPTY;
-        let mut n = self.cap + slot;
-        while n > 1 {
-            best = best.min(self.tree.get(n ^ 1).map_or(SLOT_EMPTY, |e| e.0));
-            n /= 2;
-        }
-        best
-    }
-
-    /// What `slot` runs.
-    #[inline(always)]
-    fn next(&self, slot: usize) -> Next {
-        self.next.get(slot).copied().unwrap_or(Next::TxDone(0))
+        self.tree.get(1).copied().unwrap_or(VACANT)
     }
 
     /// Sets the key of `slot` and what it runs.
     #[inline(always)]
     fn set(&mut self, slot: usize, key: SlotKey, next: Next) {
-        if let Some(n) = self.next.get_mut(slot) {
-            *n = next;
-        }
+        // lint: allow(panic_free) -- slots come from `push`, and a slot's leaf is below `2 cap`
+        self.tree[self.cap + slot].next = next;
         self.set_key(slot, key);
     }
 
@@ -1384,40 +1373,29 @@ impl Slots {
     #[inline(always)]
     fn set_key(&mut self, slot: usize, key: SlotKey) {
         let mut n = self.cap + slot;
-        let mut win = (key, slot);
-        if let Some(leaf) = self.tree.get_mut(n) {
-            *leaf = win;
-        }
+        // lint: allow(panic_free) -- slots come from `push`, and a slot's leaf is below `2 cap`
+        self.tree[n].key = key;
         if self.cap <= 2 {
             return;
         }
+        // lint: allow(panic_free) -- as above
+        let mut win = self.tree[n];
         while n > 1 {
-            if let Some(&sibling) = self.tree.get(n ^ 1) {
-                win = earlier(sibling, win);
-            }
+            // lint: allow(panic_free) -- a node on a leaf's way up, below `2 cap`
+            let sibling = self.tree[n ^ 1];
+            win = if sibling.key < win.key { sibling } else { win };
             n /= 2;
-            if let Some(node) = self.tree.get_mut(n) {
-                *node = win;
-            }
+            // lint: allow(panic_free) -- a node on a leaf's way up, below `2 cap`
+            self.tree[n] = win;
         }
     }
 
+    /// Empties every slot, keeping the tree's size: the next window
+    /// usually has the same shape.
     fn clear(&mut self) {
-        self.next.clear();
-        self.tree.clear();
-        self.cap = 0;
+        self.tree.fill(VACANT);
+        self.len = 0;
     }
-}
-
-/// The earlier of two tree entries (`b` on a tie), picked with masks
-/// rather than a branch: which slot wins a match is as unpredictable as
-/// the traffic.
-#[inline(always)]
-fn earlier(a: (SlotKey, usize), b: (SlotKey, usize)) -> (SlotKey, usize) {
-    let lt = a.0 < b.0;
-    let m = SlotKey::from(lt).wrapping_neg();
-    let m_slot = usize::from(lt).wrapping_neg();
-    ((a.0 & m) | (b.0 & !m), (a.1 & m_slot) | (b.1 & !m_slot))
 }
 
 /// What a slot runs, with the index of its lane or held link.
@@ -1444,6 +1422,8 @@ struct Lane {
     route: FluidRoute,
     /// Index of its link among the window's held links.
     link: usize,
+    /// Its slot in [`Window::slots`].
+    slot: usize,
     timer: SlotKey,
     arrive: SlotKey,
     arrive_ref: PacketRef,
@@ -1465,9 +1445,8 @@ impl Lane {
 /// pending (the link serialises one packet at a time), plus the
 /// deliveries of the packets it served. A FIFO link with constant
 /// propagation delay, which a loss-only link is, produces its deliveries
-/// in strictly increasing `(time, seq)` order, so the link's deques hold
-/// them in key order: the deferred ones in one, the ones that run at
-/// their own position in the other.
+/// in strictly increasing `(time, seq)` order, so its deferred
+/// deliveries queue up in key order.
 struct HeldLink {
     id: LinkId,
     prop: SimDuration,
@@ -1477,21 +1456,10 @@ struct HeldLink {
     /// The first lane on this link: its packets are deferred without a
     /// search.
     hint: Hint,
-    /// Deliveries to the held sinks bound to this link.
-    deferred: VecDeque<Deferred>,
-    /// Deliveries to any other recording sink, each run at its own
-    /// position.
-    ordered: VecDeque<Ordered>,
-}
-
-impl HeldLink {
-    /// The key of the link's earliest ordered delivery, or `SLOT_EMPTY`.
-    #[inline]
-    fn ordered_key(&self) -> SlotKey {
-        self.ordered
-            .front()
-            .map_or(SLOT_EMPTY, |&(t, s, _, _)| slot_key(t, s))
-    }
+    /// Deliveries to the held sinks bound to this link, in key order:
+    /// pushed once per packet and cut from the front after each drain,
+    /// a vector because its `push` stays in line in the hot loop.
+    deferred: Vec<Deferred>,
 }
 
 /// The path and sink of the first lane on a held link, and the sink's
@@ -1506,17 +1474,16 @@ struct Hint {
 /// A lane's passive sink, whose box the window holds out of the agent
 /// table, so that each delivery is a direct `on_packet` call instead of
 /// the per-dispatch take/restore. Its deferred deliveries all sit in the
-/// deque of one held link, in key order.
+/// queue of one held link, in key order.
 struct HeldSink {
     id: AgentId,
     agent: Box<dyn Agent>,
-    /// Index of the held link whose deque holds its deferred deliveries.
+    /// Index of the held link whose queue holds its deferred deliveries.
     link: usize,
 }
 
-/// A delivery of a held link that runs at its own position: its time,
-/// sequence number, agent and packet.
-type Ordered = (SimTime, u64, AgentId, PacketRef);
+/// A delivery that runs at its own position: its key, agent and packet.
+type Ordered = (SlotKey, AgentId, PacketRef);
 
 /// A deferred delivery of a held link; the packet's `dst` names the
 /// agent.
@@ -1532,7 +1499,7 @@ struct Deferred {
 /// The fluid window's lanes, held links and held sinks
 /// ([`Simulator::fluid_window`]). Kept on the simulator between windows,
 /// empty: taken at window open and handed back at close, so opening a
-/// window allocates nothing once the vectors and deques have grown.
+/// window allocates nothing once the vectors and queues have grown.
 #[derive(Default)]
 struct Window {
     lanes: Vec<Lane>,
@@ -1543,17 +1510,26 @@ struct Window {
     slots: Slots,
     /// The held-link index of every simulator link, or [`NOT_HELD`].
     held: Vec<usize>,
-    /// The earliest ordered delivery on any held link, or `SLOT_EMPTY`.
+    /// Deliveries to recording sinks other than a link's bound ones, each
+    /// run at its own position, latest key first. They are few at any
+    /// time (a probe stream's packets in flight on its last link), so
+    /// one vector kept in order serves every held link.
+    ordered: Vec<Ordered>,
+    /// The earliest ordered delivery, or `SLOT_EMPTY`.
     aux: SlotKey,
-    /// Delivery deques of links held by earlier windows, for reuse.
-    spare: Vec<(VecDeque<Deferred>, VecDeque<Ordered>)>,
+    /// Deferred-delivery queues of links held by earlier windows, for
+    /// reuse.
+    spare: Vec<Vec<Deferred>>,
 }
 
 impl Window {
     /// Readies an empty window over a simulator of `links` links.
     fn open(&mut self, links: usize) {
         debug_assert!(
-            self.lanes.is_empty() && self.links.is_empty() && self.sinks.is_empty(),
+            self.lanes.is_empty()
+                && self.links.is_empty()
+                && self.sinks.is_empty()
+                && self.ordered.is_empty(),
             "window state left over from the last window"
         );
         if self.held.len() < links {
@@ -1565,15 +1541,16 @@ impl Window {
     /// Holds `link` (propagation delay `prop`) unless it is held, and
     /// returns its index.
     fn hold(&mut self, link: LinkId, prop: SimDuration) -> usize {
-        if let Some(&j) = self.held.get(link.0).filter(|&&j| j != NOT_HELD) {
+        // lint: allow(panic_free) -- the window sizes `held` to the link table at open
+        let j = self.held[link.0];
+        if j != NOT_HELD {
             return j;
         }
         let j = self.links.len();
-        if let Some(h) = self.held.get_mut(link.0) {
-            *h = j;
-        }
+        // lint: allow(panic_free) -- as above
+        self.held[link.0] = j;
         let slot = self.slots.push(Next::TxDone(j));
-        let (deferred, ordered) = self.spare.pop().unwrap_or_default();
+        let deferred = self.spare.pop().unwrap_or_default();
         self.links.push(HeldLink {
             id: link,
             prop,
@@ -1585,7 +1562,6 @@ impl Window {
                 sink: 0,
             },
             deferred,
-            ordered,
         });
         j
     }

@@ -16,8 +16,8 @@
 use std::collections::BTreeMap;
 
 use abw_netsim::{
-    gap_for_rate, packet_to, Agent, AgentId, Ctx, FlowId, Packet, PacketKind, PathId, SimDuration,
-    SimTime, Simulator, SinkRole,
+    gap_for_rate, packet_to, Agent, AgentId, Ctx, FlowId, FluidRoute, FluidStep, Packet,
+    PacketKind, PathId, Rearm, SimDuration, SimTime, Simulator, SinkRole, TimerBlock,
 };
 
 use crate::stream::StreamSpec;
@@ -28,20 +28,48 @@ use crate::tools::{
 /// Token that fires the launch of a pending stream.
 const TOKEN_LAUNCH: u64 = u64::MAX;
 
+/// Token of a stream packet's timer; the sender counts the packets.
+const TOKEN_PACKET: u64 = 0;
+
 /// The grid, counted from the start of [`ProbeRunner::run_stream`], on
 /// which a completed stream hands the clock back to its caller.
 const STREAM_POLL: SimDuration = SimDuration::from_millis(5);
 
 /// The probing sender agent: idle until a stream is armed, then emits the
 /// stream's packets at their exact offsets.
+///
+/// The launch reserves one event sequence number per packet timer, the
+/// numbers a timer per packet pushed at launch would take, and schedules
+/// only the first packet's; each packet's timer schedules the next one's
+/// under its reserved number ([`Ctx::schedule_reserved`]). While the
+/// stream has packets left the sender is a fluid source
+/// ([`Agent::fluid_route`]), so the simulator's fluid window can run the
+/// stream as a lane, as it runs a cross source.
 pub struct ProbeSender {
     path: PathId,
     dst: AgentId,
     flow: FlowId,
     /// Stream waiting for the launch timer.
     pending: Option<(StreamSpec, u32)>,
-    /// Stream currently on the wire.
-    current: Option<(StreamSpec, u32)>,
+    /// Stream on the wire, while it has packets left to send.
+    current: Option<Sending>,
+}
+
+/// A stream on the wire.
+struct Sending {
+    id: u32,
+    size: u32,
+    /// Send instants of its packets.
+    at: Vec<SimTime>,
+    /// Index of the next packet to send.
+    next: usize,
+    /// The numbers its packets' timers take, one each, in order.
+    timers: TimerBlock,
+    /// Whether it may run as a window lane: no two of its packets share
+    /// a send instant. A lane holds one pending arrival, and a timer
+    /// re-armed on the send instant, whose reserved number is smaller
+    /// than that arrival's, would fire before it.
+    lane: bool,
 }
 
 impl ProbeSender {
@@ -65,6 +93,12 @@ impl ProbeSender {
             self.pending.is_none(),
             "a stream is already armed; streams must not overlap"
         );
+        // the launch timer is never taken for a packet fire: the sender
+        // is a fluid source only while a stream has packets left
+        debug_assert!(
+            self.current.is_none(),
+            "a stream is still sending; streams must not overlap"
+        );
         self.pending = Some((spec, stream_id));
     }
 }
@@ -73,24 +107,73 @@ impl Agent for ProbeSender {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TOKEN_LAUNCH {
             let (spec, id) = self.pending.take().expect("launch with no armed stream");
-            // schedule one timer per packet at its exact offset
-            for (k, off) in spec.offsets().into_iter().enumerate() {
-                ctx.schedule_in(off, k as u64);
-            }
-            self.current = Some((spec, id));
+            let now = ctx.now();
+            let at: Vec<SimTime> = spec.offsets().into_iter().map(|off| now + off).collect();
+            let Some(&first) = at.first() else {
+                return;
+            };
+            let mut timers = ctx.reserve_timers(at.len() as u64);
+            ctx.schedule_reserved(first, timers.take(), TOKEN_PACKET);
+            self.current = Some(Sending {
+                id,
+                size: spec.size(),
+                lane: at.windows(2).all(|w| w[0] < w[1]),
+                at,
+                next: 0,
+                timers,
+            });
             return;
         }
-        // per-packet timer: token is the packet index
-        let (spec, id) = self.current.as_ref().expect("packet timer with no stream");
-        let p = packet_to(
-            self.dst,
-            self.path,
-            self.flow,
-            spec.size(),
-            token,
-            PacketKind::Probe { stream: *id },
+        let stream = self
+            .current
+            .as_ref()
+            .expect("packet timer with no stream")
+            .id;
+        let FluidStep::Send { size, seq, rearm } = self.fluid_step(ctx.now()) else {
+            unreachable!("a stream packet's timer always sends");
+        };
+        let kind = PacketKind::Probe { stream };
+        ctx.send(packet_to(self.dst, self.path, self.flow, size, seq, kind));
+        if let Rearm::Reserved { at, seq } = rearm {
+            ctx.schedule_reserved(at, seq, TOKEN_PACKET);
+        }
+    }
+
+    /// The stream's route while it has packets left to send, unless two
+    /// of them share a send instant.
+    fn fluid_route(&self) -> Option<FluidRoute> {
+        let s = self.current.as_ref().filter(|s| s.lane)?;
+        Some(FluidRoute {
+            path: self.path,
+            dst: self.dst,
+            flow: self.flow,
+            kind: PacketKind::Probe { stream: s.id },
+        })
+    }
+
+    /// Sends the stream's next packet and re-arms under the next
+    /// reserved number, or not at all after the last packet, when the
+    /// stream leaves the wire.
+    fn fluid_step(&mut self, now: SimTime) -> FluidStep {
+        let s = self.current.as_mut().expect("packet timer with no stream");
+        debug_assert!(
+            s.at.get(s.next) == Some(&now),
+            "packet timer off its send instant"
         );
-        ctx.send(p);
+        let seq = s.next as u64;
+        s.next += 1;
+        let size = s.size;
+        let rearm = match s.at.get(s.next) {
+            Some(&at) => Rearm::Reserved {
+                at,
+                seq: s.timers.take(),
+            },
+            None => {
+                self.current = None;
+                Rearm::Never
+            }
+        };
+        FluidStep::Send { size, seq, rearm }
     }
 }
 

@@ -11,11 +11,13 @@
 use std::sync::Mutex;
 
 use abw_core::probe::ProbeRecord;
-use abw_core::scenario::{CrossKind, HopSpec, Scenario};
+use abw_core::scenario::{CrossKind, HopSpec, Scenario, SingleHopConfig};
 use abw_core::stream::StreamSpec;
+use abw_core::tools::direct::{DirectConfig, DirectProber};
 use abw_core::tools::registry::{self, ToolConfig};
 use abw_netsim::{ImpairmentConfig, LinkCounters, LossModel, SimCounters, SimDuration, SimTime};
 use abw_obs::prof::{self, Cost, CostSnapshot, ALL_COSTS};
+use abw_traffic::SizeDist;
 
 static MEASURING: Mutex<()> = Mutex::new(());
 
@@ -34,7 +36,10 @@ fn with_costs<T>(f: impl FnOnce() -> T) -> (T, CostSnapshot) {
 /// packets simulated, queue operations, RNG draws and simulator totals.
 fn assert_same_costs(on: &CostSnapshot, off: &CostSnapshot, case: &str) {
     for cost in ALL_COSTS {
-        if matches!(cost, Cost::FluidPackets | Cost::FfSkips) {
+        if matches!(
+            cost,
+            Cost::FluidPackets | Cost::FluidWindows | Cost::FfSkips
+        ) {
             continue;
         }
         assert_eq!(on.get(cost), off.get(cost), "{case}: {}", cost.name());
@@ -58,9 +63,9 @@ fn link_states(s: &Scenario) -> LinkStates {
 /// the packet counters, and every link's state.
 type StreamObservables = (Vec<ProbeRecord>, SimTime, SimCounters, LinkStates);
 
-/// Periodic streams below and above the avail-bw, a pair and a chirp,
-/// with the gaps before them that move each launch against the cross
-/// traffic.
+/// Periodic streams below and above the avail-bw, a pair, a chirp and a
+/// stream whose three packets share one send instant, with the gaps
+/// before them that move each launch against the cross traffic.
 fn streams() -> Vec<(StreamSpec, SimDuration)> {
     let ms = SimDuration::from_millis;
     vec![
@@ -104,6 +109,16 @@ fn streams() -> Vec<(StreamSpec, SimDuration)> {
                 count: 40,
             },
             ms(3),
+        ),
+        // the gap rounds to 0 ns: each packet's timer is re-armed on its
+        // own send instant, before that packet's arrival
+        (
+            StreamSpec::Periodic {
+                rate_bps: 1e13,
+                size: 40,
+                count: 3,
+            },
+            ms(1),
         ),
     ]
 }
@@ -168,13 +183,15 @@ fn middle_impaired(impairment: ImpairmentConfig) -> Vec<HopSpec> {
     hops
 }
 
-/// A path to probe: its name, its hops, and the hop the window may never
-/// hold, if any. On a path without one, the window must carry most
-/// probe packet-hops.
+/// A path to probe: its name, its hops, the hop the window may never
+/// hold, if any, and the period of its first hop's CBR cross fires when
+/// they must meet probe sends on the nanosecond. On a path without a
+/// hop never held, the window must carry most probe packet-hops.
 struct Path {
     name: String,
     hops: Vec<HopSpec>,
     never_held: Option<usize>,
+    cross_grid_ns: Option<u64>,
 }
 
 fn paths() -> Vec<Path> {
@@ -189,6 +206,7 @@ fn paths() -> Vec<Path> {
                 name: format!("{cross:?}, {name}"),
                 hops: vec![hop],
                 never_held: None,
+                cross_grid_ns: None,
             });
         }
         for n in [2, 3, 5] {
@@ -196,28 +214,48 @@ fn paths() -> Vec<Path> {
                 name: format!("{cross:?}, {n} tight links"),
                 hops: Scenario::multi_tight(n, cross, 0).hops,
                 never_held: None,
+                cross_grid_ns: None,
             });
         }
     }
+    // 500 B CBR packets at 20 Mb/s fire every 200 us from t = 0. Every
+    // launch falls on the 1 ms grid (a 200 ms warm-up, streams that end
+    // on the 5 ms poll grid, whole-millisecond gaps), and the 20 and
+    // 60 Mb/s streams send every 600 and 200 us: their packet timers and
+    // the cross fires share instants, and the ties break on the packet
+    // timers' reserved numbers
+    let mut hop = HopSpec::canonical(CrossKind::Cbr);
+    hop.cross_rate_bps = 20e6;
+    hop.cross_sizes = SizeDist::Constant(500);
+    out.push(Path {
+        name: "CBR fires on probe send instants".into(),
+        hops: vec![hop],
+        never_held: None,
+        cross_grid_ns: Some(200_000),
+    });
     out.push(Path {
         name: "idle narrow link before the tight link".into(),
         hops: Scenario::tight_not_narrow(100e6, 0).hops,
         never_held: None,
+        cross_grid_ns: None,
     });
     out.push(Path {
         name: "1% loss on the middle of 3 links".into(),
         hops: middle_impaired(ImpairmentConfig::iid_loss(0.01)),
         never_held: None,
+        cross_grid_ns: None,
     });
     out.push(Path {
         name: "Gilbert-Elliott middle of 3 links".into(),
         hops: middle_impaired(gilbert_elliott()),
         never_held: None,
+        cross_grid_ns: None,
     });
     out.push(Path {
         name: "jitter on the middle of 3 links".into(),
         hops: middle_impaired(ImpairmentConfig::none().with_jitter(SimDuration::from_micros(100))),
         never_held: Some(1),
+        cross_grid_ns: None,
     });
     out
 }
@@ -235,6 +273,20 @@ fn probe_streams_in_the_fluid_window_are_bit_identical_to_event_loop() {
         }
         assert_eq!(fluid.len(), per_event.len(), "{case}");
         assert_same_costs(&on, &off, case);
+        // the zero-gap stream came through whole
+        let (records, ..) = &fluid[fluid.len() - 1];
+        assert!(
+            records.len() == 3 || path.hops.iter().any(|h| h.impairment.is_some()),
+            "{case}: the zero-gap stream lost packets"
+        );
+        if let Some(grid) = path.cross_grid_ns {
+            let ties = fluid
+                .iter()
+                .flat_map(|(records, ..)| records)
+                .filter(|r| r.sent_at.as_nanos().is_multiple_of(grid))
+                .count();
+            assert!(ties > 0, "{case}: no probe send met a cross fire");
+        }
         let in_window = on.get(Cost::FluidPackets);
         if let Some(hop) = path.never_held {
             // no arrival at the jitter link ran in a window
@@ -329,4 +381,27 @@ fn probe_streams_on_timing_impairments_stay_per_event() {
             "{config:?} must keep the per-event path"
         );
     }
+}
+
+/// Windows opened are the window's own cost, so the on/off comparisons
+/// skip them; this pins them for one direct-probing round (Figure 2's
+/// 100 periodic trains of 335 packets) on the canonical hop after its
+/// warm-up. A stream's window closes on the receiver's halt, and the run
+/// to the next poll boundary opens another.
+#[test]
+fn a_direct_probing_round_opens_a_pinned_number_of_windows() {
+    let (windows, _) = with_costs(|| {
+        let mut s = Scenario::single_hop(&SingleHopConfig {
+            seed: 7,
+            ..SingleHopConfig::default()
+        });
+        s.warm_up(SimDuration::from_millis(500));
+        let before = prof::snapshot();
+        let mut tool = DirectProber::new(DirectConfig::canonical());
+        let verdict = s.session().drive(&mut s.sim, &mut tool);
+        assert!(verdict.avail_bps().is_finite());
+        assert_eq!(verdict.probe_packets(), 100 * 335);
+        prof::snapshot().delta(&before).get(Cost::FluidWindows)
+    });
+    assert_eq!(windows, 187);
 }

@@ -9,9 +9,11 @@
 //! Optional methods declare what an agent does, so that the
 //! simulator's fluid window can run its events without dispatching
 //! them one by one: [`Agent::fluid_route`] and [`Agent::fluid_step`] (a
-//! cross-traffic source's timer loop) and [`Agent::sink_role`] (a sink
-//! that only records what arrives, and whether it may halt the run). The defaults keep an
-//! agent's packets on the per-event path.
+//! timer loop that sends one packet per fire: a cross-traffic source's,
+//! or a probe stream's while it has packets left) and
+//! [`Agent::sink_role`] (a sink that only records what arrives, and
+//! whether it may halt the run). The defaults keep an agent's packets
+//! on the per-event path.
 
 use std::any::Any;
 
@@ -40,24 +42,31 @@ pub trait Agent: Any + Send {
     /// Called when a packet addressed to this agent is delivered.
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: Packet) {}
 
-    /// Where the agent's packets go, when it is a fluid source.
+    /// Where the agent's packets go, while it is a fluid source.
     ///
-    /// A fluid source is an agent whose *entire* timer behaviour is "draw
-    /// the next (gap, size), send one packet now, re-arm the same timer"
-    /// — exactly the shape of a cross-traffic generator — and whose
-    /// every packet goes down the same route. Exposing that shape lets
-    /// the simulator run the source through the fluid fast-forward loop
-    /// in [`run_until`](crate::sim::Simulator::run_until), which produces
+    /// A fluid source is an agent whose pending timer's *entire*
+    /// behaviour, and that of every timer it re-arms, is "send one packet
+    /// now, re-arm the timer or stop" ([`FluidStep`]), and whose every
+    /// packet goes down the same route. A cross-traffic generator draws
+    /// the next (gap, size) and re-arms under a fresh sequence number; a
+    /// probe sender, while its stream has packets left, re-arms under the
+    /// next number the launch reserved for the stream
+    /// ([`Ctx::reserve_timers`]) and stops re-arming after the last
+    /// packet. Exposing that shape lets the simulator run the source as a
+    /// lane of the fluid window in
+    /// [`run_until`](crate::sim::Simulator::run_until), which produces
     /// bit-identical state without a queue round-trip per packet, calling
     /// [`Agent::fluid_step`] for each timer fire. Agents with any other
-    /// timer behaviour must return `None`.
+    /// pending timer behaviour (a probe sender's launch timer among them)
+    /// must return `None`.
     fn fluid_route(&self) -> Option<FluidRoute> {
         None
     }
 
     /// Performs one timer firing of a fluid source at `now`: the draw,
-    /// the send-side counter updates, and the decision to stop. Must
-    /// mutate exactly the state `on_timer` would, in the same order.
+    /// the send-side counter updates, and how the timer re-arms. Must
+    /// mutate exactly the state `on_timer` would, in the same order, and
+    /// `on_timer` must schedule what [`FluidStep::Send`]'s `rearm` says.
     /// Called only on an agent whose [`Agent::fluid_route`] is `Some`.
     fn fluid_step(&mut self, _now: SimTime) -> FluidStep {
         FluidStep::Stop
@@ -94,14 +103,46 @@ pub enum SinkRole {
 #[derive(Debug, Clone, Copy)]
 pub enum FluidStep {
     /// Send a `size`-byte packet with sequence number `seq` now, and
-    /// fire the timer again after `gap`.
-    Send {
-        gap: SimDuration,
-        size: u32,
-        seq: u64,
-    },
+    /// re-arm the timer as `rearm` says.
+    Send { size: u32, seq: u64, rearm: Rearm },
     /// The source has stopped; do not re-arm the timer.
     Stop,
+}
+
+/// How a fluid source's timer re-arms after a send ([`FluidStep::Send`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Rearm {
+    /// After `gap`, under a fresh sequence number, taken after the sent
+    /// packet's arrival's ([`Ctx::schedule_in`] after [`Ctx::send`]): a
+    /// cross source's loop.
+    After(SimDuration),
+    /// At `at`, under `seq`, the next number of a block the agent
+    /// reserved ([`Ctx::schedule_reserved`]): a probe stream's next
+    /// packet.
+    Reserved { at: SimTime, seq: u64 },
+    /// Not at all: the packet was the last one.
+    Never,
+}
+
+/// A block of event sequence numbers an agent reserved for its own
+/// timers ([`Ctx::reserve_timers`]); [`TimerBlock::take`] hands them out
+/// once each, in order.
+#[derive(Debug)]
+pub struct TimerBlock {
+    next: u64,
+    end: u64,
+}
+
+impl TimerBlock {
+    /// The next unscheduled number of the block, for
+    /// [`Ctx::schedule_reserved`] or a [`Rearm::Reserved`].
+    ///
+    /// Panics when the block is used up.
+    pub fn take(&mut self) -> u64 {
+        assert!(self.next < self.end, "timer block used up");
+        self.next += 1;
+        self.next - 1
+    }
 }
 
 /// Static routing of a fluid source's packets: every packet it emits
@@ -215,6 +256,29 @@ impl Ctx<'_> {
                 token,
             },
         );
+    }
+
+    /// Reserves `n` event sequence numbers for this agent's timers:
+    /// exactly the numbers `n` calls to [`Ctx::schedule_at`] would take
+    /// now. Scheduling them one at a time later, each when its
+    /// predecessor fires and no earlier than it
+    /// ([`Ctx::schedule_reserved`]), pops them in the order the `n`
+    /// calls would have, with one timer in the queue instead of `n`.
+    pub fn reserve_timers(&mut self, n: u64) -> TimerBlock {
+        let next = self.events.reserve(self.agent, n);
+        TimerBlock {
+            next,
+            end: next + n,
+        }
+    }
+
+    /// Schedules `on_timer(token)` for this agent at `at` under `seq`,
+    /// a number [`TimerBlock::take`] handed out from this agent's block.
+    /// Each number is scheduled at most once, in order, by the agent
+    /// that reserved it (checked in debug builds).
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, token: u64) {
+        assert!(at >= self.now, "cannot schedule a timer in the past");
+        self.events.push_reserved(at, seq, self.agent, token);
     }
 
     /// Schedules `on_timer(token)` for this agent at absolute time `at`

@@ -114,6 +114,10 @@ pub struct EventQueue {
     /// kept exact by pushes (a new entry either beats the cached minimum
     /// and replaces it, or cannot be the minimum).
     cached_min: Option<CachedMin>,
+    /// Reserved blocks with numbers left to schedule: owner, next
+    /// number, end (debug builds only, for [`EventQueue::claim`]).
+    #[cfg(debug_assertions)]
+    reserved: Vec<(AgentId, u64, u64)>,
 }
 
 impl Default for EventQueue {
@@ -127,6 +131,8 @@ impl Default for EventQueue {
             len: 0,
             seq: 0,
             cached_min: None,
+            #[cfg(debug_assertions)]
+            reserved: Vec::new(),
         }
     }
 }
@@ -168,6 +174,62 @@ impl EventQueue {
     pub(crate) fn push_with_seq(&mut self, time: SimTime, seq: u64, event: Event) {
         debug_assert!(seq < self.seq, "sequence number was never allocated");
         self.insert(Entry { time, seq, event });
+    }
+
+    /// Reserves the next `n` sequence numbers, exactly the numbers `n`
+    /// pushes would take now, as one block for `owner`'s timers, and
+    /// returns the first. The owner schedules them later, one at a time
+    /// and in order ([`EventQueue::push_reserved`]): pushed no earlier
+    /// than its predecessor pops, with a key above its predecessor's, a
+    /// reserved timer pops exactly where it would had all `n` been
+    /// pushed at once.
+    pub(crate) fn reserve(&mut self, owner: AgentId, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        #[cfg(debug_assertions)]
+        if n > 0 {
+            self.reserved.push((owner, first, first + n));
+        }
+        let _ = owner;
+        first
+    }
+
+    /// Schedules `agent`'s timer `token` at `time` under the reserved
+    /// number `seq` ([`EventQueue::reserve`]).
+    pub(crate) fn push_reserved(&mut self, time: SimTime, seq: u64, agent: AgentId, token: u64) {
+        self.claim(agent, seq);
+        let event = Event::Timer { agent, token };
+        self.insert(Entry { time, seq, event });
+    }
+
+    /// Marks the reserved number `seq` as scheduled by `owner`, checking
+    /// (in debug builds) that `owner` reserved it, that it is the next
+    /// unscheduled number of its block, and so that each number is
+    /// scheduled at most once, in order. The fluid window claims a lane's
+    /// re-armed timer here when it keeps the timer as a virtual event.
+    #[inline]
+    pub(crate) fn claim(&mut self, owner: AgentId, seq: u64) {
+        #[cfg(debug_assertions)]
+        {
+            let k = self
+                .reserved
+                .iter()
+                .position(|&(_, next, end)| (next..end).contains(&seq))
+                // lint: allow(panic_free) -- a debug-build check of the reservation contract
+                .expect("a reserved number was scheduled twice or never reserved");
+            // lint: allow(panic_free) -- `position` returned an index into the blocks
+            let block = &mut self.reserved[k];
+            assert!(
+                block.0 == owner,
+                "a reserved number scheduled by another agent"
+            );
+            assert!(block.1 == seq, "reserved numbers scheduled out of order");
+            block.1 += 1;
+            if block.1 == block.2 {
+                self.reserved.swap_remove(k);
+            }
+        }
+        let _ = (owner, seq);
     }
 
     #[inline]
@@ -378,6 +440,18 @@ pub(crate) mod baseline {
             self.heap.push(Entry { time, seq, event });
         }
 
+        pub fn reserve(&mut self, n: u64) -> u64 {
+            let first = self.seq;
+            self.seq += n;
+            first
+        }
+
+        pub fn push_reserved(&mut self, time: SimTime, seq: u64, agent: AgentId, token: u64) {
+            assert!(seq < self.seq, "sequence number was never reserved");
+            let event = Event::Timer { agent, token };
+            self.heap.push(Entry { time, seq, event });
+        }
+
         pub fn pop(&mut self) -> Option<(SimTime, Event)> {
             self.heap.pop().map(|e| (e.time, e.event))
         }
@@ -566,24 +640,104 @@ mod tests {
         }
     }
 
-    /// The satellite property test: the same seeded stream of pushes and
-    /// pops through the old `BinaryHeap` and the calendar queue must pop
-    /// in identical order, including same-time ties. Pushes respect the
+    /// A reserved block in the oracle script: its first number, the
+    /// times of its members, and the next member to push.
+    struct Block {
+        first: u64,
+        times: Vec<u64>,
+        next: usize,
+        /// Token of the block's first member; member `k` carries `base + k`.
+        base: u64,
+    }
+
+    /// Owner of the oracle script's reserved blocks.
+    const OWNER: AgentId = AgentId(1);
+
+    /// After the reserved member `token` popped, pushes its block's next
+    /// member into both queues, as its owner's timer would.
+    fn push_successor(
+        blocks: &mut [Block],
+        token: u64,
+        cal: &mut EventQueue,
+        base: &mut BaselineQueue,
+    ) {
+        let member = |b: &&mut Block| (b.base..b.base + b.times.len() as u64).contains(&token);
+        let Some(b) = blocks.iter_mut().find(member) else {
+            return;
+        };
+        assert_eq!(token - b.base + 1, b.next as u64, "members pop in order");
+        if let Some(&t) = b.times.get(b.next) {
+            let (seq, k) = (b.first + b.next as u64, b.base + b.next as u64);
+            b.next += 1;
+            cal.push_reserved(SimTime::from_nanos(t), seq, OWNER, k);
+            base.push_reserved(SimTime::from_nanos(t), seq, OWNER, k);
+        }
+    }
+
+    /// The property test: the same seeded stream of pushes and pops
+    /// through the old `BinaryHeap` and the calendar queue must pop in
+    /// identical order, including same-time ties. Pushes respect the
     /// simulator's contract (never earlier than the last popped time)
     /// and are biased to create tie clusters, bucket-boundary times, and
-    /// overflow-horizon jumps.
+    /// overflow-horizon jumps. Interleaved with them, reserved blocks
+    /// push their members one at a time, each as its predecessor pops,
+    /// under numbers older than every ordinary push since: a third queue
+    /// that got every member at reservation must pop the same order.
     #[test]
     fn calendar_queue_matches_binary_heap_oracle() {
         for seed in 0..25u64 {
             let mut rng = Mix(seed.wrapping_mul(0xA076_1D64_78BD_642F) + 1);
             let mut cal = EventQueue::new();
             let mut base = BaselineQueue::new();
+            // every reserved member pushed at reservation
+            let mut eager = BaselineQueue::new();
+            let mut blocks: Vec<Block> = Vec::new();
             let mut floor = 0u64; // last popped time, in ns
             let mut recent: Vec<u64> = Vec::new();
             let mut token = 0u64;
             for step in 0..4_000 {
                 let r = rng.next();
-                if r % 100 < 60 || cal.is_empty() {
+                if r % 100 < 8 {
+                    // reserve a block of 1-6 members whose times never
+                    // fall, with zero gaps, ties with recent times, and
+                    // gaps across buckets and the overflow horizon
+                    let n = 1 + rng.next() % 6;
+                    let mut t = floor;
+                    let times: Vec<u64> = (0..n)
+                        .map(|_| {
+                            t += match rng.next() % 6 {
+                                0 => 0,
+                                1 => rng.next() % 64,
+                                2 => rng.next() % (1 << BUCKET_SHIFT),
+                                3 => rng.next() % 400_000_000,
+                                _ => rng.next() % 3_000_000,
+                            };
+                            if rng.next().is_multiple_of(4) {
+                                if let Some(&old) = recent.last() {
+                                    t = t.max(old);
+                                }
+                            }
+                            t
+                        })
+                        .collect();
+                    let first = cal.reserve(OWNER, n);
+                    assert_eq!(base.reserve(n), first, "seed {seed} step {step}");
+                    assert_eq!(eager.reserve(n), first, "seed {seed} step {step}");
+                    for (k, &t) in times.iter().enumerate() {
+                        let t = SimTime::from_nanos(t);
+                        eager.push_reserved(t, first + k as u64, OWNER, token + k as u64);
+                    }
+                    let at = SimTime::from_nanos(times[0]);
+                    cal.push_reserved(at, first, OWNER, token);
+                    base.push_reserved(at, first, OWNER, token);
+                    blocks.push(Block {
+                        first,
+                        times,
+                        next: 1,
+                        base: token,
+                    });
+                    token += n;
+                } else if r % 100 < 60 || cal.is_empty() {
                     // push: mixture of offsets exercising ring + overflow
                     let t = match r % 10 {
                         // exact tie with a recently used time (clamped to
@@ -610,7 +764,13 @@ mod tests {
                     token += 1;
                     cal.push(SimTime::from_nanos(t), ev);
                     base.push(SimTime::from_nanos(t), ev);
+                    eager.push(SimTime::from_nanos(t), ev);
                     assert_eq!(cal.peek_time(), base.peek_time(), "seed {seed} step {step}");
+                    assert_eq!(
+                        cal.peek_time(),
+                        eager.peek_time(),
+                        "seed {seed} step {step}"
+                    );
                 } else {
                     let got = cal.pop();
                     let want = base.pop();
@@ -625,11 +785,16 @@ mod tests {
                         panic!()
                     };
                     assert_eq!((gt, gk), (wt, wk), "seed {seed} step {step}");
+                    let Some((et, Event::Timer { token: ek, .. })) = eager.pop() else {
+                        panic!("seed {seed} step {step}: the eager queue ran dry")
+                    };
+                    assert_eq!((gt, gk), (Some(et), ek), "seed {seed} step {step}");
                     floor = gt.unwrap().as_nanos();
+                    push_successor(&mut blocks, gk, &mut cal, &mut base);
                 }
                 assert_eq!(cal.len(), base.len(), "seed {seed} step {step}");
             }
-            // drain both queues completely
+            // drain the queues completely, pushing the blocks' members
             loop {
                 let got = cal.pop();
                 let want = base.pop();
@@ -640,10 +805,23 @@ mod tests {
                         Some((wt, Event::Timer { token: wk, .. })),
                     ) => {
                         assert_eq!((gt, gk), (wt, wk), "seed {seed} drain");
+                        let Some((et, Event::Timer { token: ek, .. })) = eager.pop() else {
+                            panic!("seed {seed} drain: the eager queue ran dry")
+                        };
+                        assert_eq!((gt, gk), (et, ek), "seed {seed} drain");
+                        push_successor(&mut blocks, gk, &mut cal, &mut base);
                     }
                     other => panic!("queues disagree on emptiness: {other:?}"),
                 }
             }
+            assert!(
+                eager.pop().is_none(),
+                "seed {seed}: the eager queue kept events"
+            );
+            assert!(
+                blocks.iter().any(|b| b.times.len() > 1),
+                "seed {seed}: no block of several members"
+            );
         }
     }
 }

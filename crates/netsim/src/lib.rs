@@ -45,7 +45,9 @@ pub mod packet;
 pub mod sim;
 pub mod time;
 
-pub use agent::{packet_to, Agent, CountingSink, Ctx, FluidRoute, FluidStep, SinkRole};
+pub use agent::{
+    packet_to, Agent, CountingSink, Ctx, FluidRoute, FluidStep, Rearm, SinkRole, TimerBlock,
+};
 pub use arena::{PacketArena, PacketRef};
 pub use impair::{Impairment, ImpairmentConfig, LossModel, ReorderSpec};
 pub use link::{BusyLog, Link, LinkConfig, LinkCounters};

@@ -1,29 +1,32 @@
 //! The simulator: network state plus the event loop.
 //!
 //! Besides the per-event loop, `run_until` has one exact fast path, the
-//! fluid window ([`Simulator::set_fluid`]). A timer fire of a cross
-//! source ([`Agent::fluid_route`]) on a single-link path into a
-//! passive sink opens it. The window then runs, as plain state mutation
-//! in the merged `(time, seq)` order against the real queue, every such
-//! source whose timer comes due (a *lane*: timer fire, arrival,
-//! transmission completion, delivery) and every link a lane or a carried
-//! packet reaches (a *held* link), unless it has jitter, reorder or
-//! flaps. It runs other agents' timers in place (a probe stream's packet
-//! timers among them), offers their arrivals at held links, absorbs the
-//! links' transmission completions, pushes a served packet that travels
-//! on as its next hop's arrival and absorbs that when it is due, and
-//! runs deliveries to recording sinks ([`SinkRole`]), the probe
-//! receiver's included, which may halt the run. It closes before any
-//! event it cannot carry, materialising what it elided under the
-//! sequence numbers the events would have had, so every observable state
-//! is the per-event loop's.
+//! fluid window ([`Simulator::set_fluid`]). A timer fire of a fluid
+//! source ([`Agent::fluid_route`]) opens it: a cross source on a
+//! single-link path into a passive sink, or a probe stream with packets
+//! left into its halting receiver, on a path of any length. The window
+//! then runs, as plain state mutation in the merged `(time, seq)` order
+//! against the real queue, every such source whose timer comes due (a
+//! *lane*: timer fire, arrival, transmission completion, delivery) and
+//! every link a lane or a carried packet reaches (a *held* link), unless
+//! it has jitter, reorder or flaps. A probe lane re-arms its timer under
+//! the sequence numbers the stream's launch reserved, so it runs where
+//! the per-event loop would pop it. The window runs other agents' timers
+//! in place, offers their arrivals at held links, absorbs the links'
+//! transmission completions, pushes a served packet that travels on as
+//! its next hop's arrival and absorbs that when it is due, and runs
+//! deliveries to recording sinks ([`SinkRole`]), the probe receiver's
+//! included, which may halt the run. It closes before any event it
+//! cannot carry, materialising what it elided under the sequence numbers
+//! the events would have had, so every observable state is the per-event
+//! loop's.
 
 use std::any::Any;
 
 use abw_obs::prof::{self, Cost};
 use abw_obs::{Event as ObsEvent, Field, Recorder};
 
-use crate::agent::{inject, packet_to, Agent, Ctx, FluidRoute, FluidStep, SinkRole};
+use crate::agent::{inject, packet_to, Agent, Ctx, FluidRoute, FluidStep, Rearm, SinkRole};
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{Event, EventQueue};
 use crate::impair::{Impairment, ImpairmentConfig};
@@ -371,7 +374,7 @@ impl Simulator {
         }
     }
 
-    /// Dispatches a timer fire, opening a fluid window for a cross source
+    /// Dispatches a timer fire, opening a fluid window for a fluid source
     /// whose surroundings are fluid-safe ([`Simulator::lane_link`]).
     fn dispatch_timer(&mut self, id: AgentId, token: u64) {
         // lint: allow(panic_free) -- agent ids index the simulator's own table; the box is only absent mid-dispatch, which never re-enters
@@ -387,23 +390,29 @@ impl Simulator {
         self.agents[id.0] = Some(agent);
     }
 
-    /// The link a cross source with `route` runs on as a window lane,
-    /// when it is fluid-safe: its path is a single link the window can
-    /// hold ([`Simulator::holdable`]), into a passive sink that is in the
-    /// agent table or already held by the window (`sinks`). Anything
-    /// else (a multi-hop source path, a jitter, reorder or flap link, a
-    /// sink that is not passive) keeps the source on the per-event path.
+    /// The link a fluid source with `route` runs on as a window lane,
+    /// when it is fluid-safe: the first link of its path, which the
+    /// window must be able to hold ([`Simulator::holdable`]), and a sink
+    /// that records. Into a passive sink, in the agent table or already
+    /// held by the window (`sinks`), the path must be that one link: the
+    /// window defers the deliveries. Into a halting sink (a probe
+    /// stream's receiver) the path may be any length: onward hops pass
+    /// through the queue, and each delivery runs at its own position.
+    /// Anything else (a multi-hop path into a passive sink, a jitter,
+    /// reorder or flap first link, an active sink) keeps the source on
+    /// the per-event path.
     fn lane_link(&self, route: &FluidRoute, sinks: &[HeldSink]) -> Option<LinkId> {
-        // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
-        let &[link] = &self.paths[route.path.0][..] else {
-            return None;
+        let role = if sinks.iter().any(|s| s.id == route.dst) {
+            SinkRole::Passive
+        } else {
+            self.sink_role_of(route.dst)
         };
-        let passive_sink = sinks.iter().any(|s| s.id == route.dst)
-            // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
-            || self.agents[route.dst.0]
-                .as_deref()
-                .is_some_and(|a| a.sink_role() == SinkRole::Passive);
-        (passive_sink && self.holdable(link)).then_some(link)
+        // lint: allow(panic_free) -- path ids are simulator-issued and index its own table
+        let link = match (role, &self.paths[route.path.0][..]) {
+            (SinkRole::Passive, &[link]) | (SinkRole::Halting, &[link, ..]) => link,
+            _ => return None,
+        };
+        self.holdable(link).then_some(link)
     }
 
     /// Whether a window may hold `link`: its impairment, if any, acts
@@ -465,9 +474,10 @@ impl Simulator {
             .map_or(SinkRole::Active, |a| a.sink_role())
     }
 
-    /// Adopts the cross source `id` (its box `agent`, its timer's
-    /// `token`) as a window lane on `link`: holds the link and the sink,
-    /// and runs the timer fire the caller popped, at the current clock.
+    /// Adopts the fluid source `id` (its box `agent`, its timer's
+    /// `token`) as a window lane on `link`: holds the link and a passive
+    /// sink (a halting sink stays in the agent table), and runs the
+    /// timer fire the caller popped, at the current clock.
     fn adopt(
         &mut self,
         w: &mut Window,
@@ -479,7 +489,9 @@ impl Simulator {
     ) {
         // lint: allow(panic_free) -- link ids are simulator-issued and index its own table
         let j = w.hold(link, self.links[link.0].prop_delay());
-        if !w.sinks.iter().any(|s| s.id == route.dst) {
+        if !w.sinks.iter().any(|s| s.id == route.dst)
+            && self.sink_role_of(route.dst) == SinkRole::Passive
+        {
             // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
             let sink = self.agents[route.dst.0]
                 .take()
@@ -520,14 +532,16 @@ impl Simulator {
 
     /// One timer fire of `lane` at `t`: the draw, the send and the
     /// re-arm, mutating exactly the state the `on_timer` →
-    /// [`Ctx::send`] / [`Ctx::schedule_in`] path would. The two event
-    /// pushes are elided: their sequence numbers are still allocated (in
-    /// the same order) and the events go into the lane's slots instead
-    /// of the queue. The caller updates the lane's key.
+    /// [`Ctx::send`] / [`Ctx::schedule_in`] (or
+    /// [`Ctx::schedule_reserved`]) path would. The event pushes are
+    /// elided: their sequence numbers are still allocated (in the same
+    /// order) or claimed from the agent's reserved block, and the events
+    /// go into the lane's slots instead of the queue. The caller updates
+    /// the lane's key.
     fn lane_fire(&mut self, lane: &mut Lane, t: SimTime) {
         match lane.agent.fluid_step(t) {
             FluidStep::Stop => lane.timer = SLOT_EMPTY,
-            FluidStep::Send { gap, size, seq } => {
+            FluidStep::Send { size, seq, rearm } => {
                 let r = &lane.route;
                 let p = packet_to(r.dst, r.path, r.flow, size, seq, r.kind);
                 let pkt = inject(
@@ -541,8 +555,53 @@ impl Simulator {
                 debug_assert!(lane.arrive == SLOT_EMPTY, "lane arrival slot occupied");
                 lane.arrive = slot_key(t, self.events.consume_seq());
                 lane.arrive_ref = pkt;
-                lane.timer = slot_key(t + gap, self.events.consume_seq());
+                lane.timer = match rearm {
+                    Rearm::After(gap) => slot_key(t + gap, self.events.consume_seq()),
+                    Rearm::Reserved { at, seq } => {
+                        // a reserved number is smaller than the arrival's,
+                        // so the timer must fire later than the send
+                        debug_assert!(at > t, "a reserved re-arm at the send instant");
+                        self.events.claim(lane.id, seq);
+                        slot_key(at, seq)
+                    }
+                    Rearm::Never => {
+                        debug_assert!(
+                            lane.agent.fluid_route().is_none(),
+                            "a fluid route with no packet left to send"
+                        );
+                        SLOT_EMPTY
+                    }
+                };
             }
+        }
+    }
+
+    /// Retires lane `i`, whose source stopped re-arming and whose last
+    /// arrival has run, so nothing of it is pending: its box goes back to
+    /// the agent table and its slot leaves the tree. A probe stream's
+    /// lane leaves after its last packet, and a single-hop window is back
+    /// to one lane on one link, whose tree picks with two leaves.
+    #[cold]
+    fn retire(&mut self, w: &mut Window, i: usize) {
+        let lane = w.lanes.swap_remove(i);
+        debug_assert!(
+            lane.timer == SLOT_EMPTY && lane.arrive == SLOT_EMPTY,
+            "a lane retired with events pending"
+        );
+        // lint: allow(panic_free) -- restoring a box the window took; same id
+        self.agents[lane.id.0] = Some(lane.agent);
+        // the last lane took index `i`
+        if let Some(moved) = w.lanes.get(i) {
+            let (key, next) = moved.next_slot(i);
+            w.slots.set(moved.slot, key, next);
+        }
+        // the last slot took the retired lane's
+        match w.slots.remove(lane.slot) {
+            // lint: allow(panic_free) -- a slot's node names its lane's index
+            Some(Next::Fire(k) | Next::Arrive(k)) => w.lanes[k].slot = lane.slot,
+            // lint: allow(panic_free) -- a slot's node names its held link's index
+            Some(Next::TxDone(j)) => w.links[j].slot = lane.slot,
+            None => {}
         }
     }
 
@@ -842,10 +901,11 @@ impl Simulator {
                 // held sink's) closes the window.
                 // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
                 let a = self.agents[agent.0].as_mut()?;
-                if let Some(route) = a.fluid_route() {
-                    // A cross source joins the window as a lane when it
-                    // is fluid-safe, and closes it otherwise.
-                    let link = self.lane_link(&route, &w.sinks)?;
+                let lane = a
+                    .fluid_route()
+                    .and_then(|r| Some((r, self.lane_link(&r, &w.sinks)?)));
+                if let Some((route, link)) = lane {
+                    // A fluid-safe source joins the window as a lane.
                     // lint: allow(panic_free) -- agent ids are simulator-issued and index its own table
                     let a = self.agents[agent.0].take()?;
                     self.events.pop();
@@ -855,9 +915,10 @@ impl Simulator {
                     // Any other timer runs here, as the per-event loop
                     // would run it: it reaches only its own agent and
                     // the queue, never what the window holds back. A
-                    // probe sender's packet timer pushes its arrival,
-                    // which the window then offers to the link like any
-                    // other.
+                    // probe stream's launch pushes its first packet's
+                    // timer, and a packet timer of a stream that cannot
+                    // be a lane pushes its arrival, which the window
+                    // then offers to the link like any other.
                     self.events.pop();
                     self.time = rt;
                     tally.popped += self.drain_all(w, key);
@@ -868,18 +929,25 @@ impl Simulator {
         Some(tally)
     }
 
-    /// The fluid fast-forward window: runs cross sources' packets
-    /// through their links and into their sinks, and the packets of
-    /// everything else on those links hop by hop, without queue
+    /// The fluid fast-forward window: runs fluid sources' packets
+    /// through their first links and into their sinks, and the packets
+    /// of everything else on those links hop by hop, without queue
     /// round-trips.
     ///
     /// The window is a set of *lanes* and *held links*. A lane is one
-    /// adopted cross source: its timer fires, its packets' arrivals, and
-    /// the deferred deliveries to its sink. A held link is one whose
-    /// transmission completions the window runs. The window opens with
-    /// one lane, adopts every fluid-safe cross source whose timer
-    /// reaches the head of the queue, and holds every link a lane or a
-    /// carried packet reaches, unless it has jitter, reorder or flaps.
+    /// adopted fluid source: its timer fires and its packets' arrivals at
+    /// its first link, and for a cross source the deferred deliveries to
+    /// its sink. A held link is one whose transmission completions the
+    /// window runs. The window opens with one lane, adopts every
+    /// fluid-safe source whose timer reaches the head of the queue,
+    /// retires a lane once its source stops re-arming and its last
+    /// arrival has run (a probe stream after its last packet), and holds
+    /// every link a lane or a carried packet reaches, unless it has
+    /// jitter, reorder or flaps. A probe lane's timer keys carry numbers
+    /// its stream's launch reserved: each is older than every event
+    /// allocated after the launch, exactly as when the launch pushed a
+    /// timer per packet, so ties with cross fires and completions break
+    /// as in the per-event loop.
     /// Virtual events are processed in exact merged `(time, seq)` order
     /// against the real queue, calling the same link/sink/counter
     /// mutations at the same timestamps the per-event loop would: each
@@ -887,8 +955,8 @@ impl Simulator {
     /// links' completions, the ordered deliveries and the real head.
     ///
     /// From the real queue the window absorbs other agents' timers (run
-    /// in place, a probe stream's packet timers among them), arrivals at
-    /// links it holds or may hold, their transmission completions, and
+    /// in place, a probe stream's launch among them), arrivals at links
+    /// it holds or may hold, their transmission completions, and
     /// deliveries to recording sinks. A packet a held link serves that
     /// travels on goes back into the queue as its next hop's arrival,
     /// and the window absorbs it when it is due. Deliveries to a lane's
@@ -912,6 +980,7 @@ impl Simulator {
         let deadline = self.run_deadline;
         let mut w = std::mem::take(&mut self.window);
         w.open(self.links.len());
+        prof::count(Cost::FluidWindows);
         // Local tallies, flushed once per window (the per-event
         // thread-local increments would dominate the saved work).
         let mut tally = Tally::default();
@@ -986,6 +1055,7 @@ impl Simulator {
                     // this nanosecond only makes the check conservative).
                     w.slots.set_key(lane.slot, lane.timer);
                     let t_hi = vk & KEY_TIME;
+                    let stopped = lane.timer == SLOT_EMPTY;
                     if lane.arrive != SLOT_EMPTY
                         && w.slots.top().key & KEY_TIME != t_hi
                         && other & KEY_TIME != t_hi
@@ -994,6 +1064,11 @@ impl Simulator {
                         lane.arrive = SLOT_EMPTY;
                         tally.popped += 1; // the elided selection still counts
                         self.window_arrive(&mut w, j, packet, vt, &mut tally);
+                        if stopped {
+                            self.retire(&mut w, i);
+                        }
+                    } else if stopped && lane.arrive == SLOT_EMPTY {
+                        self.retire(&mut w, i);
                     } else {
                         let (key, next) = lane.next_slot(i);
                         w.slots.set(lane.slot, key, next);
@@ -1004,8 +1079,12 @@ impl Simulator {
                     let lane = &mut w.lanes[i];
                     let (j, packet) = (lane.link, lane.arrive_ref);
                     lane.arrive = SLOT_EMPTY;
+                    let stopped = lane.timer == SLOT_EMPTY;
                     w.slots.set(lane.slot, lane.timer, Next::Fire(i));
                     self.window_arrive(&mut w, j, packet, vt, &mut tally);
+                    if stopped {
+                        self.retire(&mut w, i);
+                    }
                 }
                 Next::TxDone(j) => {
                     if self.window_tx_done(&mut w, j, vt, vk, &mut tally) {
@@ -1390,6 +1469,34 @@ impl Slots {
         }
     }
 
+    /// Removes `slot`, moving the last slot into its place, and halves
+    /// the leaves while no more than half are in use. Returns what the
+    /// moved slot runs, so that its owner learns its new index, unless
+    /// `slot` was the last.
+    fn remove(&mut self, slot: usize) -> Option<Next> {
+        self.len -= 1;
+        let last = self.len;
+        // lint: allow(panic_free) -- the last slot's leaf is below `2 cap`
+        let node = self.tree[self.cap + last];
+        self.set(last, VACANT.key, VACANT.next);
+        let moved = (slot != last).then(|| {
+            self.set(slot, node.key, node.next);
+            node.next
+        });
+        while self.cap > 2 && self.len <= self.cap / 2 {
+            // the leaves in use move down a row and the inner matches are
+            // replayed
+            let old = self.cap;
+            self.cap /= 2;
+            self.tree.copy_within(old..old + self.cap, self.cap);
+            self.tree.truncate(2 * self.cap);
+            for n in (1..self.cap).rev() {
+                self.play(n);
+            }
+        }
+        moved
+    }
+
     /// Empties every slot, keeping the tree's size: the next window
     /// usually has the same shape.
     fn clear(&mut self) {
@@ -1409,10 +1516,13 @@ enum Next {
     TxDone(usize),
 }
 
-/// A lane: one cross source the window adopted. Its structure bounds its
-/// virtual events exactly: at most one pending timer fire (it re-arms
-/// once per packet) and one arrival (created at the fire instant and
-/// consumed before the next fire).
+/// A lane: one fluid source the window adopted, a cross source or a
+/// probe stream. Its structure bounds its virtual events exactly: at
+/// most one pending timer fire (it re-arms at most once per packet) and
+/// one arrival (created at the fire instant and consumed before the next
+/// fire: a cross source re-arms under a number taken after the
+/// arrival's, and a probe stream re-arms later than the send instant, or
+/// stays off the lanes).
 struct Lane {
     id: AgentId,
     /// The source's box, out of the agent table while the window runs.

@@ -90,10 +90,13 @@ pub enum Cost {
     LinkImpaired = 15,
     /// Jobs run by the parallel executor, nested runs included.
     ExecJobs = 16,
+    /// Fluid windows the simulator opened (each one's packets count in
+    /// [`Cost::FluidPackets`]).
+    FluidWindows = 17,
 }
 
 /// Number of [`Cost`] categories.
-const COSTS: usize = 17;
+const COSTS: usize = 18;
 
 /// Every category, in display order.
 pub const ALL_COSTS: [Cost; COSTS] = [
@@ -106,6 +109,7 @@ pub const ALL_COSTS: [Cost; COSTS] = [
     Cost::HeapBytes,
     Cost::FfSkips,
     Cost::FluidPackets,
+    Cost::FluidWindows,
     Cost::SimTimeNs,
     Cost::Injected,
     Cost::Delivered,
@@ -137,6 +141,7 @@ impl Cost {
             Cost::LinkDropped => "link_dropped",
             Cost::LinkImpaired => "link_impaired",
             Cost::ExecJobs => "exec.jobs",
+            Cost::FluidWindows => "fluid_windows",
         }
     }
 }
@@ -642,6 +647,7 @@ mod tests {
                 "heap_bytes",
                 "ff_skips",
                 "fluid_packets",
+                "fluid_windows",
                 "sim_time_ns",
                 "injected",
                 "delivered",

@@ -1,8 +1,8 @@
 //! Driving an [`ArrivalProcess`] onto a path.
 
 use abw_netsim::{
-    packet_to, Agent, AgentId, Ctx, FlowId, FluidRoute, FluidStep, PacketKind, PathId, SimDuration,
-    SimTime, Simulator,
+    packet_to, Agent, AgentId, Ctx, FlowId, FluidRoute, FluidStep, PacketKind, PathId, Rearm,
+    SimDuration, SimTime, Simulator,
 };
 
 use crate::process::{ArrivalProcess, ParetoOnOff};
@@ -93,10 +93,12 @@ impl Agent for SourceAgent {
         // one code path for both the event loop and the fluid window
         match self.fluid_step(ctx.now()) {
             FluidStep::Stop => {}
-            FluidStep::Send { gap, size, seq } => {
+            FluidStep::Send { size, seq, rearm } => {
                 let p = packet_to(self.dst, self.path, self.flow, size, seq, PacketKind::Data);
                 ctx.send(p);
-                ctx.schedule_in(gap, 0);
+                if let Rearm::After(gap) = rearm {
+                    ctx.schedule_in(gap, 0);
+                }
             }
         }
     }
@@ -122,9 +124,9 @@ impl Agent for SourceAgent {
         self.sent_packets += 1;
         self.sent_bytes += size as u64;
         FluidStep::Send {
-            gap: next_gap,
             size,
             seq,
+            rearm: Rearm::After(next_gap),
         }
     }
 }
@@ -342,7 +344,10 @@ mod tests {
         let (per_event, off) = with_costs(|| run_observables(false, impairment, links, spawn));
         assert_eq!(fluid, per_event, "{case}");
         for cost in ALL_COSTS {
-            if !matches!(cost, Cost::FluidPackets | Cost::FfSkips) {
+            if !matches!(
+                cost,
+                Cost::FluidPackets | Cost::FluidWindows | Cost::FfSkips
+            ) {
                 assert_eq!(on.get(cost), off.get(cost), "{case}: {}", cost.name());
             }
         }
